@@ -127,18 +127,15 @@ pub fn parse_schemes_args(args: &[String]) -> Result<Option<Vec<grp_core::Scheme
     Ok(Some(out))
 }
 
-/// Parses the replay-tier flags shared by the `perf`, `all`, `serve`,
-/// and `check` binaries: `--packed` selects the packed
-/// struct-of-arrays replay tier, `--trace-cache <dir>` enables the
-/// cross-process cache of packed, pre-interpreted traces. Both default
-/// off ([`crate::sched::ReplayMode::default`]).
+/// Parses the replay flag shared by the `perf`, `all`, `serve`, and
+/// `check` binaries: `--trace-cache <dir>` enables the cross-process
+/// cache of packed, pre-interpreted traces. Off by default
+/// ([`crate::sched::ReplayMode::default`]).
 pub fn parse_replay_args(args: &[String]) -> Result<crate::sched::ReplayMode, String> {
-    let packed = strict_flag(args, "--packed")?;
     let dir = strict_value(args, "--trace-cache", "a cache directory path")?;
     Ok(crate::sched::ReplayMode {
-        packed,
         trace_cache: dir.map(|d| std::sync::Arc::new(crate::tracecache::TraceCache::new(d))),
-        telemetry: None,
+        ..crate::sched::ReplayMode::default()
     })
 }
 
@@ -246,19 +243,16 @@ mod tests {
     #[test]
     fn replay_flags_validation() {
         let mode = parse_replay_args(&argv(&["run"])).unwrap();
-        assert!(mode.is_default());
-        let mode = parse_replay_args(&argv(&["run", "--packed"])).unwrap();
-        assert!(mode.packed && mode.trace_cache.is_none());
-        let mode =
-            parse_replay_args(&argv(&["run", "--trace-cache", "/tmp/tc", "--packed"])).unwrap();
-        assert!(mode.packed);
+        assert!(mode.trace_cache.is_none() && mode.telemetry.is_none());
+        let mode = parse_replay_args(&argv(&["run", "--trace-cache", "/tmp/tc"])).unwrap();
         assert_eq!(
             mode.trace_cache.as_deref().map(|c| c.dir().to_path_buf()),
             Some(std::path::PathBuf::from("/tmp/tc"))
         );
         let err = parse_replay_args(&argv(&["run", "--trace-cache"])).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
-        let err = parse_replay_args(&argv(&["run", "--packed", "--packed"])).unwrap_err();
+        let err = parse_replay_args(&argv(&["run", "--trace-cache", "a", "--trace-cache", "b"]))
+            .unwrap_err();
         assert!(err.contains("more than once"), "{err}");
     }
 

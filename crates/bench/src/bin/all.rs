@@ -10,14 +10,13 @@
 //! `--metrics-out <prefix>` writes `<prefix>-<bench>.metrics.json`;
 //! `--epoch N` sets the sampling interval (default 4096 events).
 //!
-//! Replay tier: `--packed` replays every cell through the packed
-//! struct-of-arrays tier, and `--trace-cache <dir>` persists packed
-//! pre-interpreted traces so a re-run (or another binary) skips
-//! build + interpretation. Results are bit-identical either way.
+//! Trace cache: `--trace-cache <dir>` persists packed pre-interpreted
+//! traces so a re-run (or another binary) skips build + interpretation;
+//! hits replay the packed trace directly. Results are bit-identical
+//! either way.
 //!
 //! Harness telemetry: the precompute fleet records into the
-//! process-global registry (`grp_suite_precompute_*`, `grp_fleet_*`,
-//! trace-cache counters), and `--registry-out <path>` writes that
+//! process-global registry (`grp_fleet_*`, trace-cache counters), and `--registry-out <path>` writes that
 //! registry at exit as Prometheus text plus a `<path>.json` twin —
 //! the same export shape `serve --metrics-out` produces.
 use grp_bench::json::{run_result_json, Json};

@@ -39,7 +39,7 @@
 //! cargo run --release -p grp-bench --bin check -- \
 //!     [--cases N] [--seed S] [--scale test|small|paper] [--faults] \
 //!     [--max-cycles N] [--inject none|mru-evict|unbounded-queue|drop-leak] \
-//!     [--packed] [--trace-cache <dir>]
+//!     [--trace-cache <dir>]
 //! cargo run -p grp-bench --bin check -- --metrics <path> \
 //!     [--metrics-prev <path>] [--metrics-require <fam1,fam2,…>]
 //!     re-parse and validate a Prometheus text exposition written by
@@ -57,11 +57,11 @@
 //!     torn publishes so CI can prove the gate still has teeth
 //! ```
 //!
-//! `--packed` prepends **phase 0**: every registry kernel × every
-//! scheme is replayed through both the materialized path and the
-//! packed struct-of-arrays tier (optionally through `--trace-cache`),
-//! asserting bit-identical `RunResult`s — the cross-tier determinism
-//! gate at the chosen scale.
+//! `--trace-cache <dir>` prepends **phase 0**: every registry kernel ×
+//! every scheme is run through the trace cache (a hit replays the
+//! cached packed trace, a miss interprets and fills the cache) and
+//! compared with a fresh materialized run, asserting bit-identical
+//! `RunResult`s — the cache identity gate at the chosen scale.
 //!
 //! `--inject` plants a deliberate bug (an evict-MRU replacement fault,
 //! an unbounded engine queue, or a dropped-fill MSHR leak) so CI can
@@ -74,9 +74,8 @@ use grp_bench::fuzz::{materialize, FuzzPlan, Segment};
 use grp_bench::suite::parse_scale_args;
 use grp_bench::telemetry::{self, exposition, log, TelemetryObserver};
 use grp_core::{
-    differential_check, differential_check_faulted, engine_for, replay_injected, run_trace,
-    run_trace_faulted, run_trace_observed_faulted, FaultPlan, InvariantObserver, OracleFault,
-    Scheme, SimConfig,
+    differential_check, differential_check_faulted, engine_for, run_trace, FaultPlan,
+    InvariantObserver, OracleFault, Replay, Scheme, SimConfig,
 };
 use grp_testkit::proptest::{any, greedy_shrink};
 use grp_testkit::proptest::Arbitrary;
@@ -198,17 +197,14 @@ fn check_faulted_case(
                 engine.inject_fault_unbounded_queue();
             }
             let obs = InvariantObserver::new(cfg).with_interval(256);
-            let (result, obs) = replay_injected(
-                &case.trace,
-                &case.mem,
-                case.heap,
-                scheme,
-                cfg,
-                engine,
-                obs,
-                plan,
-                inject == Inject::DropLeak,
-            );
+            let mut replay = Replay::new(&case.mem, case.heap, scheme, cfg)
+                .engine(engine)
+                .observer(obs)
+                .drop_leak(inject == Inject::DropLeak);
+            if let Some(plan) = plan {
+                replay = replay.faults(plan);
+            }
+            let (result, obs) = replay.run(&case.trace);
             if !obs.ok() {
                 return Err(format!(
                     "invariants under {scheme:?} ({} violations): {}",
@@ -408,17 +404,15 @@ fn main() {
     let cfg = SimConfig::paper();
     let mut failures = 0u64;
 
-    // Phase 0 (--packed): packed-vs-materialized identity over the
-    // full kernel × scheme grid, through the trace cache when one is
-    // configured — any diverging counter of any cell fails the gate.
-    if replay.packed {
+    // Phase 0 (--trace-cache): cache identity over the full kernel ×
+    // scheme grid — any diverging counter of any cell fails the gate.
+    if replay.trace_cache.is_some() {
         let names: Vec<&'static str> = grp_workloads::all().iter().map(|w| w.name).collect();
         println!(
-            "phase 0: packed identity on {} kernels x {} schemes ({:?} scale{})",
+            "phase 0: trace-cache identity on {} kernels x {} schemes ({:?} scale)",
             names.len(),
             Scheme::ALL.len(),
             scale,
-            if replay.trace_cache.is_some() { ", via trace cache" } else { "" }
         );
         let cache = grp_bench::sched::WorkloadCache::new();
         for name in &names {
@@ -441,7 +435,7 @@ fn main() {
                     Ok(_) => {
                         failures += 1;
                         bad += 1;
-                        println!("  {name}/{}: DIVERGED (packed != materialized)", scheme.label());
+                        println!("  {name}/{}: DIVERGED (cached != materialized)", scheme.label());
                     }
                     Err(e) => {
                         failures += 1;
@@ -526,14 +520,11 @@ fn main() {
         let workout = fault_workout_case();
         for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
             let plain = run_trace(&workout.trace, &workout.mem, workout.heap, scheme, &cfg);
-            let idle = run_trace_faulted(
-                &workout.trace,
-                &workout.mem,
-                workout.heap,
-                scheme,
-                &cfg,
-                &FaultPlan::none(),
-            );
+            let none = FaultPlan::none();
+            let idle = Replay::new(&workout.mem, workout.heap, scheme, &cfg)
+                .faults(&none)
+                .run(&workout.trace)
+                .0;
             if plain != idle {
                 failures += 1;
                 println!("  zero-fault identity under {scheme:?}: FAILED (results differ)");
@@ -548,15 +539,10 @@ fn main() {
         let fault_shard = fault_reg.shard();
         for (name, plan) in &builtins {
             let obs = TelemetryObserver::new(&fault_shard);
-            let _ = run_trace_observed_faulted(
-                &workout.trace,
-                &workout.mem,
-                workout.heap,
-                Scheme::GrpVar,
-                &cfg,
-                obs,
-                plan,
-            );
+            let _ = Replay::new(&workout.mem, workout.heap, Scheme::GrpVar, &cfg)
+                .observer(obs)
+                .faults(plan)
+                .run(&workout.trace);
             match check_faulted_case(&workout, Some(plan), &cfg, inject, max_cycles) {
                 Ok(()) => println!("  builtin '{name}': OK"),
                 Err(e) => {

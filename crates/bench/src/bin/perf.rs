@@ -9,11 +9,9 @@
 //!     [--out <path>]        trajectory file (default BENCH_perf.json)
 //!     [--schemes <csv>]     scheme labels (default none,stride,SRP,GRP/Var)
 //!     [--no-write]          print the table, skip the JSON append
-//!     [--packed]            replay through the packed struct-of-arrays
-//!                           tier (bit-identical results; entry gains
-//!                           "replay_tier": "packed")
 //!     [--trace-cache <dir>] persist/reuse packed pre-interpreted
-//!                           traces across processes (setup, not replay)
+//!                           traces across processes (hits replay the
+//!                           packed trace directly; results identical)
 //!     [--profile]           enable the phase profiler: print a
 //!                           build/interpret/pack/replay/export wall
 //!                           breakdown, embed it in the entry under
@@ -32,7 +30,7 @@
 //!
 //! Per (kernel × scheme) the harness builds the workload, derives the
 //! scheme's hinted trace (setup, untimed in the headline metric), then
-//! times `run_trace` alone — the trace-replay inner loop that bounds
+//! times the replay loop alone — the trace-replay inner loop that bounds
 //! every sweep — reporting trace events/sec and simulated cycles/sec.
 //! Fleet mode reports the same per-cell columns plus aggregate fleet
 //! throughput (total events per *wall* second across all workers),
@@ -156,10 +154,9 @@ fn main() {
     }
 
     println!(
-        "GRP perf harness — {:?} scale, {} {} replay, schemes: {}",
+        "GRP perf harness — {:?} scale, {}, schemes: {}",
         scale,
-        if fleet { "fleet mode," } else { "serial," },
-        if mode.packed { "packed" } else { "materialized" },
+        if fleet { "fleet mode" } else { "serial" },
         schemes.iter().map(|s| s.label()).collect::<Vec<_>>().join(", ")
     );
     println!(
@@ -168,15 +165,11 @@ fn main() {
         if fleet { "   w" } else { "" }
     );
 
-    let entry = if fleet {
+    let mut entry = if fleet {
         run_fleet(scale, &label, &schemes, &mode, &args)
     } else {
         run_serial(scale, &label, &schemes, &mode)
     };
-    let mut entry = entry.set(
-        "replay_tier",
-        if mode.packed { "packed" } else { "materialized" },
-    );
 
     if profile {
         let wall = wall_start.elapsed().as_secs_f64();
@@ -228,10 +221,9 @@ fn print_profile(report: &grp_bench::telemetry::profiler::ProfileReport, wall: f
 }
 
 /// The original single-thread harness: build → trace → timed replay,
-/// one cell at a time, on the calling thread. Under `--packed` /
-/// `--trace-cache` the per-cell body goes through
-/// [`sched::run_cell`]: packing (or a cache hit) counts as setup, the
-/// replay column times the replay loop alone in both tiers.
+/// one cell at a time through [`sched::run_cell`], on the calling
+/// thread. Packing and cache loads count as setup; the replay column
+/// times the replay loop alone.
 fn run_serial(
     scale: grp_bench::SuiteScale,
     label: &str,

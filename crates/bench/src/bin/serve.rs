@@ -11,12 +11,11 @@
 //! ```text
 //! cargo run --release -p grp-bench --bin serve -- [--scale test|small|paper]
 //!     [--jobs N]            worker count (default: available parallelism)
-//!     [--packed]            replay cells through the packed tier
-//!                           (bit-identical; --selfcheck replays the
-//!                           materialized path and so doubles as a
-//!                           per-reply packed-identity gate)
 //!     [--trace-cache <dir>] reuse packed pre-interpreted traces
 //!                           across batches, connections, and processes
+//!                           (hits replay the packed trace; --selfcheck
+//!                           re-runs each reply from a fresh build and
+//!                           so doubles as a per-reply cache gate)
 //!     [--socket <path>]     accept connections on a unix socket instead
 //!                           of stdin (one client at a time)
 //!     [--once]              with --socket: exit after the first client

@@ -306,7 +306,6 @@ fn spawn_serve(
         .arg("test")
         .arg("--jobs")
         .arg("2")
-        .arg("--packed")
         .arg("--trace-cache")
         .arg(cache)
         .arg("--socket")

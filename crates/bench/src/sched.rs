@@ -1,19 +1,16 @@
 //! Work-stealing cell scheduler: shards `(kernel, scheme, config)`
-//! simulation *cells* across OS threads.
-//!
-//! `Suite::precompute` parallelizes per **kernel** — one worker builds a
-//! kernel and then replays every scheme serially, so the replay phase of
-//! a wide grid is bounded by the heaviest kernel's whole scheme row
-//! (bzip2 alone is a third of the small-scale replay wall). Here the
-//! unit of work is one cell: a single `(kernel, scheme)` simulation.
+//! simulation *cells* across OS threads. The unit of work is one cell,
+//! a single `(kernel, scheme)` simulation, so a wide scheme row of one
+//! heavy kernel spreads across workers instead of serializing behind
+//! its build (bzip2 alone is a quarter of the small-scale replay wall).
 //!
 //! * Built workloads are shared **read-only** between workers through
 //!   [`WorkloadCache`] (`Arc<BuiltWorkload>` keyed by `(kernel, scale)`),
 //!   so two schemes of the same kernel never rebuild — whichever worker
 //!   gets there first builds, everyone else waits on that one build.
 //! * Cells are ordered **largest-first** by a static cost model
-//!   ([`cell_weight`], calibrated against measured packed-tier per-cell
-//!   replay times) and dealt round-robin into per-worker
+//!   ([`cell_weight`], calibrated against measured per-cell replay
+//!   times) and dealt round-robin into per-worker
 //!   deques; an idle worker steals from the *back* of a victim's deque,
 //!   so big early cells stay with their owner and stragglers spread out.
 //! * Results stream to the caller **as cells complete** over a channel
@@ -33,23 +30,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use grp_core::{run_trace, run_trace_packed, LatencyHist, RunResult, Scheme, SimConfig};
+use grp_core::{LatencyHist, Replay, RunResult, Scheme, SimConfig};
 use grp_cpu::PackedTrace;
 use grp_workloads::{BuiltWorkload, Scale};
 
 use crate::telemetry::registry::{Registry, Shard};
 use crate::tracecache::TraceCache;
 
-/// How cells replay: the materialized enum-event path (default), the
-/// packed struct-of-arrays tier (`--packed`), and optionally a
-/// cross-process [`TraceCache`] of packed, pre-interpreted traces
-/// (`--trace-cache <dir>`). Both knobs are observationally pure:
-/// per-cell `RunResult`s are bit-identical across all four
-/// combinations (enforced by `tests/packed_identity.rs` and the
-/// scheduler determinism tests).
+/// How cells run: optionally through a cross-process [`TraceCache`] of
+/// packed, pre-interpreted traces (`--trace-cache <dir>`), and
+/// optionally recording fleet metrics. Both knobs are observationally
+/// pure: per-cell `RunResult`s are bit-identical with and without them
+/// (enforced by the scheduler determinism tests and `check` phase 0).
 #[derive(Debug, Clone, Default)]
 pub struct ReplayMode {
-    /// Replay through [`run_trace_packed`] instead of [`run_trace`].
+    /// Inert: read nowhere. A cell replays whichever trace form it
+    /// already holds (see [`run_cell`]), so there is no tier to choose.
+    /// The field is kept only so existing struct literals of
+    /// `ReplayMode` keep compiling.
     pub packed: bool,
     /// Persist and reuse packed traces + memory images across
     /// processes. A cache hit skips build + interpretation + hint
@@ -64,12 +62,6 @@ pub struct ReplayMode {
 }
 
 impl ReplayMode {
-    /// True when this mode is the plain materialized path with no
-    /// cache and no metrics — the zero-overhead default.
-    pub fn is_default(&self) -> bool {
-        !self.packed && self.trace_cache.is_none() && self.telemetry.is_none()
-    }
-
     /// This mode with fleet metrics recorded into `reg`.
     pub fn with_telemetry(mut self, reg: Arc<Registry>) -> Self {
         self.telemetry = Some(reg);
@@ -155,7 +147,7 @@ pub struct CellResult {
     /// Seconds spent building/tracing before replay (includes the
     /// workload build only for the worker that actually built it).
     pub setup_seconds: f64,
-    /// Seconds spent in `run_trace` alone — the comparable unit to the
+    /// Seconds spent in the replay loop alone — the comparable unit to the
     /// serial perf harness's replay column.
     pub replay_seconds: f64,
     /// Microseconds the cell waited from scheduler start to pickup.
@@ -323,15 +315,6 @@ pub fn cell_weight(kernel: &str, scheme: Scheme) -> u64 {
     k * s
 }
 
-/// Kernels reordered largest-first (stable: ties keep the caller's
-/// order) — the per-kernel precompute queue drains in this order so the
-/// heaviest builds start first instead of landing last.
-pub fn largest_first(names: &[&'static str]) -> Vec<&'static str> {
-    let mut out = names.to_vec();
-    out.sort_by_key(|n| std::cmp::Reverse(cell_weight(n, Scheme::Srp)));
-    out
-}
-
 /// The full `names × schemes` grid as cell jobs (row-major ids), ready
 /// for [`run_cells`].
 pub fn grid_jobs(
@@ -372,9 +355,9 @@ pub fn run_cells<F: FnMut(CellResult)>(
     run_cells_mode(jobs, workers, cache, &ReplayMode::default(), on_complete)
 }
 
-/// [`run_cells`] under an explicit [`ReplayMode`] (packed tier and/or
-/// trace cache). Per-cell results are bit-identical to the default
-/// mode; only setup/replay timing shifts.
+/// [`run_cells`] under an explicit [`ReplayMode`] (trace cache and/or
+/// telemetry). Per-cell results are bit-identical to the default mode;
+/// only setup/replay timing shifts.
 pub fn run_cells_mode<F: FnMut(CellResult)>(
     jobs: &[CellJob],
     workers: usize,
@@ -584,9 +567,12 @@ fn record_cell(
 /// workload and is only invoked on a cache miss — a hit skips the
 /// build, interpretation, and hint derivation entirely.
 ///
-/// Returns `(result, events, setup_seconds, replay_seconds)`; `events`
-/// counts materialized trace events in both tiers so packed rows stay
-/// comparable.
+/// The cell replays whichever trace form it holds: a cache hit replays
+/// the loaded [`PackedTrace`] directly; a miss replays the interpreted
+/// `Trace` and packs it only to store it. Both go through the one
+/// [`Replay`] loop, so the result does not depend on which.
+///
+/// Returns `(result, events, setup_seconds, replay_seconds)`.
 ///
 /// # Errors
 ///
@@ -614,16 +600,11 @@ pub fn run_cell(
             cache.load(kernel, scale, cc.as_ref())
         };
         if let Some((pt, mem, heap)) = hit {
-            let events = pt.event_count();
             let setup_seconds = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
             let _s = prof.span_cell("replay", kernel, &slabel);
-            let result = if mode.packed {
-                run_trace_packed(&pt, &mem, heap, scheme, cfg)
-            } else {
-                run_trace(&pt.unpack(), &mem, heap, scheme, cfg)
-            };
-            return Ok((result, events, setup_seconds, t1.elapsed().as_secs_f64()));
+            let result = Replay::new(&mem, heap, scheme, cfg).run(&pt).0;
+            return Ok((result, pt.event_count(), setup_seconds, t1.elapsed().as_secs_f64()));
         }
     }
     let built = {
@@ -634,21 +615,16 @@ pub fn run_cell(
         let _s = prof.span_cell("interpret", kernel, &slabel);
         built.trace(cc.as_ref())
     };
-    let events = trace.events().len() as u64;
-    let pt = if mode.packed || mode.trace_cache.is_some() {
-        let _s = prof.span_cell("pack", kernel, &slabel);
-        Some(
+    if let Some(cache) = &mode.trace_cache {
+        let pt = {
+            let _s = prof.span_cell("pack", kernel, &slabel);
             PackedTrace::pack(&trace)
-                .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?,
-        )
-    } else {
-        None
-    };
-    if let (Some(cache), Some(pt)) = (&mode.trace_cache, &pt) {
+                .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?
+        };
         // Best-effort: a full disk must degrade to "no cache", not
         // fail the cell.
         let _s = prof.span_cell("cache_store", kernel, &slabel);
-        if let Err(e) = cache.store(kernel, scale, cc.as_ref(), pt, &mem, built.heap) {
+        if let Err(e) = cache.store(kernel, scale, cc.as_ref(), &pt, &mem, built.heap) {
             crate::telemetry::log::log_kv(
                 crate::telemetry::log::Level::Warn,
                 "sched",
@@ -660,11 +636,8 @@ pub fn run_cell(
     let setup_seconds = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let _s = prof.span_cell("replay", kernel, &slabel);
-    let result = match &pt {
-        Some(pt) if mode.packed => run_trace_packed(pt, &mem, built.heap, scheme, cfg),
-        _ => run_trace(&trace, &mem, built.heap, scheme, cfg),
-    };
-    Ok((result, events, setup_seconds, t1.elapsed().as_secs_f64()))
+    let result = Replay::new(&mem, built.heap, scheme, cfg).run(&trace).0;
+    Ok((result, trace.events().len() as u64, setup_seconds, t1.elapsed().as_secs_f64()))
 }
 
 /// Builds (via the cache), traces, and replays one cell under `mode`,
@@ -712,12 +685,7 @@ mod tests {
     fn weights_order_heavy_cells_first() {
         assert!(cell_weight("bzip2", Scheme::Srp) > cell_weight("parser", Scheme::Srp));
         assert!(cell_weight("bzip2", Scheme::Srp) > cell_weight("bzip2", Scheme::NoPrefetch));
-        let order = largest_first(&["parser", "bzip2", "mcf", "swim"]);
-        assert_eq!(order[0], "bzip2");
-        assert_eq!(order[1], "swim");
-        // Stability: equal-weight kernels keep caller order.
-        assert_eq!(order[2], "parser");
-        assert_eq!(order[3], "mcf");
+        assert!(cell_weight("swim", Scheme::Srp) > cell_weight("mcf", Scheme::Srp));
     }
 
     #[test]
@@ -817,14 +785,12 @@ mod tests {
             .join(format!("grp-sched-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tc = Arc::new(TraceCache::new(&dir));
-        let packed = ReplayMode { packed: true, trace_cache: None, telemetry: None };
-        let cached = ReplayMode { packed: false, trace_cache: Some(tc.clone()), telemetry: None };
-        let both = ReplayMode { packed: true, trace_cache: Some(tc.clone()), telemetry: None };
-        assert_eq!(collect(&packed, &WorkloadCache::new()), baseline, "packed tier diverged");
+        let cached = ReplayMode { trace_cache: Some(tc.clone()), ..ReplayMode::default() };
         assert_eq!(collect(&cached, &WorkloadCache::new()), baseline, "cache (cold) diverged");
-        // Warm cache: every cell must be served from disk — zero builds.
+        // Warm cache: every cell must be served from disk — zero builds —
+        // and replay the loaded packed trace to the same results.
         let warm_cache = WorkloadCache::new();
-        assert_eq!(collect(&both, &warm_cache), baseline, "cache (warm, packed) diverged");
+        assert_eq!(collect(&cached, &warm_cache), baseline, "cache (warm, packed) diverged");
         assert_eq!(
             warm_cache.built_count(),
             0,

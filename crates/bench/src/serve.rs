@@ -526,8 +526,8 @@ impl Server {
     /// Re-runs every completed cell serially on a **freshly built**
     /// workload (no shared cache — full independence from the fleet
     /// path) and records any bit-difference. The serial side always
-    /// replays materialized, so under `--packed` (or `--trace-cache`)
-    /// this is also a packed-vs-materialized identity gate per reply.
+    /// interprets afresh, so under `--trace-cache` (hits replay the
+    /// packed trace) this is also a per-reply cache identity gate.
     fn selfcheck_batch(&mut self, completed: &[CellResult]) {
         for cell in completed {
             let Ok(got) = &cell.outcome else { continue };
@@ -1170,11 +1170,15 @@ mod tests {
 
     #[test]
     fn selfcheck_passes_on_identical_paths_and_metrics_export_roundtrips() {
+        let dir = std::env::temp_dir().join(format!("grp-serve-metrics-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = Arc::new(crate::tracecache::TraceCache::new(dir.join("tc")));
         let mut server = Server::new(ServerOpts {
             workers: 2,
             default_scale: SuiteScale::Test,
             cfg: SimConfig::paper(),
-            mode: ReplayMode { packed: true, trace_cache: None, telemetry: None },
+            mode: ReplayMode { trace_cache: Some(cache), ..ReplayMode::default() },
             selfcheck: true,
             registry: Arc::new(Registry::new()),
             request_deadline: None,
@@ -1184,14 +1188,15 @@ mod tests {
             r#"{"kernel":"gzip","scheme":"SRP"}"#, "\n",
             r#"{"kernel":"mcf","scheme":"none"}"#, "\n",
         );
-        let replies = run_session(&mut server, input);
-        assert_eq!(replies.len(), 2);
-        assert!(replies.iter().all(|r| r.get("ok").and_then(|v| v.as_bool()) == Some(true)));
-        assert_eq!(server.mismatches(), 0, "packed fleet path matches serial replay");
+        // The first session fills the trace cache; the second is served
+        // from it, replaying the packed traces.
+        for _ in 0..2 {
+            let replies = run_session(&mut server, input);
+            assert_eq!(replies.len(), 2);
+            assert!(replies.iter().all(|r| r.get("ok").and_then(|v| v.as_bool()) == Some(true)));
+        }
+        assert_eq!(server.mismatches(), 0, "cached fleet path matches serial replay");
 
-        let dir = std::env::temp_dir().join(format!("grp-serve-metrics-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.prom");
         server.write_metrics(path.to_str().unwrap()).expect("export");
         let text = std::fs::read_to_string(&path).expect("text exists");

@@ -1,7 +1,6 @@
 //! Memoizing suite runner: one simulation per `(benchmark, scheme)`.
 
-use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use grp_core::{RunResult, Scheme, SimConfig};
@@ -71,7 +70,6 @@ pub struct Suite {
     built: HashMap<&'static str, Arc<BuiltWorkload>>,
     results: HashMap<(&'static str, Scheme), RunResult>,
     verbose: bool,
-    panic_kernel: Option<&'static str>,
     replay: ReplayMode,
 }
 
@@ -84,24 +82,16 @@ impl Suite {
             built: HashMap::new(),
             results: HashMap::new(),
             verbose: false,
-            panic_kernel: None,
             replay: ReplayMode::default(),
         }
     }
 
-    /// Selects the replay tier and trace cache ([`ReplayMode`]) for
-    /// every subsequent [`Suite::run`] / precompute. Results are
-    /// bit-identical across modes; only setup/replay cost shifts.
+    /// Selects the trace cache and telemetry ([`ReplayMode`]) for every
+    /// subsequent [`Suite::run`] / [`Suite::precompute_cells`]. Results
+    /// are bit-identical across modes; only setup/replay cost shifts.
     pub fn with_replay(mut self, replay: ReplayMode) -> Self {
         self.replay = replay;
         self
-    }
-
-    /// Test seam: makes the precompute worker panic when it reaches
-    /// `name`, so the panic-isolation path stays covered by a test.
-    #[doc(hidden)]
-    pub fn inject_panic_kernel(&mut self, name: &'static str) {
-        self.panic_kernel = Some(name);
     }
 
     /// Enables progress logging to stderr.
@@ -134,13 +124,23 @@ impl Suite {
     /// Held behind an `Arc` so the cell scheduler can share it
     /// read-only across workers without a rebuild or a deep clone.
     pub fn built(&mut self, name: &'static str) -> &BuiltWorkload {
+        self.built_arc(name)
+    }
+
+    fn built_arc(&mut self, name: &'static str) -> &Arc<BuiltWorkload> {
         let scale = self.scale.workload_scale();
         self.built.entry(name).or_insert_with(|| {
             Arc::new(grp_workloads::by_name(name).expect("registered").build(scale))
         })
     }
 
-    /// Runs (or recalls) `name` under `scheme`.
+    /// Runs (or recalls) `name` under `scheme` through
+    /// [`sched::run_cell`]: a trace-cache hit skips the build, so the
+    /// workload is only built on a miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell fails (a workload bug).
     pub fn run(&mut self, name: &'static str, scheme: Scheme) -> RunResult {
         if let Some(r) = self.results.get(&(name, scheme)) {
             return r.clone();
@@ -148,187 +148,18 @@ impl Suite {
         if self.verbose {
             crate::telemetry::log::info("suite", &format!("running {name} / {scheme}…"));
         }
-        let cfg = self.cfg;
-        let r = if self.replay.is_default() {
-            self.built(name).run(scheme, &cfg)
-        } else {
-            // The replay-mode path: a trace-cache hit skips the build,
-            // so the workload is only materialized inside the closure
-            // on a miss.
-            let scale = self.scale.workload_scale();
-            let mode = self.replay.clone();
-            let built = &mut self.built;
-            let (r, _events, _setup, _replay) =
-                sched::run_cell(name, scale, scheme, &cfg, &mode, || {
-                    Ok(built
-                        .entry(name)
-                        .or_insert_with(|| {
-                            Arc::new(
-                                grp_workloads::by_name(name).expect("registered").build(scale),
-                            )
-                        })
-                        .clone())
-                })
+        let (scale, cfg, mode) = (self.scale.workload_scale(), self.cfg, self.replay.clone());
+        let (r, _events, _setup, _replay) =
+            sched::run_cell(name, scale, scheme, &cfg, &mode, || Ok(self.built_arc(name).clone()))
                 .unwrap_or_else(|e| panic!("{e}"));
-            r
-        };
         self.results.insert((name, scheme), r.clone());
         r
-    }
-
-    /// Pre-computes `(benchmark, scheme)` results in parallel across OS
-    /// threads (one worker per benchmark; schemes run sequentially within
-    /// a worker so each built workload is reused). Subsequent
-    /// [`Suite::run`] calls hit the memo table.
-    pub fn precompute(&mut self, names: &[&'static str], schemes: &[Scheme]) {
-        self.precompute_jobs(names, schemes, None);
-    }
-
-    /// [`Suite::precompute`] with an explicit worker count (`--jobs N` /
-    /// `GRP_JOBS`, see [`crate::args::parse_jobs_args`]); `None` uses
-    /// available parallelism. Results are bit-identical regardless of
-    /// the worker count — each `(benchmark, scheme)` simulation is
-    /// independent and internally deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the summary from [`Suite::precompute_jobs_result`]
-    /// if any kernel's worker panicked (after its retry); every
-    /// surviving kernel's results have already landed in the memo
-    /// table at that point.
-    pub fn precompute_jobs(
-        &mut self,
-        names: &[&'static str],
-        schemes: &[Scheme],
-        jobs: Option<usize>,
-    ) {
-        if let Err(e) = self.precompute_jobs_result(names, schemes, jobs) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`Suite::precompute_jobs`], reporting worker panics instead of
-    /// propagating them. Each kernel's job (build + every scheme) is
-    /// panic-isolated and retried once; a kernel whose job panics twice
-    /// is named, with its panic message, in the returned error while
-    /// every other kernel's results still land in the memo table — one
-    /// poisoned benchmark must not take down a whole suite run.
-    pub fn precompute_jobs_result(
-        &mut self,
-        names: &[&'static str],
-        schemes: &[Scheme],
-        jobs: Option<usize>,
-    ) -> Result<(), String> {
-        let scale = self.scale.workload_scale();
-        let cfg = self.cfg;
-        let verbose = self.verbose;
-        let panic_kernel = self.panic_kernel;
-        let threads = jobs
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .max(1)
-            .min(names.len().max(1));
-        // Drain order: largest kernels first, FIFO within a weight class
-        // (a plain `Vec::pop` here used to silently *reverse* the
-        // caller's order, so the heaviest kernels could land last and
-        // stretch the tail).
-        // Precompute progress lands in the process registry so `all
-        // --registry-out` (and any later scrape) sees the warm-up
-        // phase, not just the fleet counters of the cell scheduler.
-        let shard = crate::telemetry::process_shard();
-        let kernels_ok = shard.counter("grp_suite_precompute_kernels_total", &[("status", "ok")]);
-        let kernels_panicked =
-            shard.counter("grp_suite_precompute_kernels_total", &[("status", "panicked")]);
-        let retries = shard.counter("grp_suite_precompute_retries_total", &[]);
-        let cells_done = shard.counter("grp_suite_precompute_cells_total", &[]);
-        let work: std::sync::Mutex<VecDeque<&'static str>> =
-            std::sync::Mutex::new(sched::largest_first(names).into());
-        let results: std::sync::Mutex<Vec<(&'static str, Scheme, RunResult)>> =
-            std::sync::Mutex::new(Vec::new());
-        let builts: std::sync::Mutex<Vec<(&'static str, BuiltWorkload)>> =
-            std::sync::Mutex::new(Vec::new());
-        let failures: std::sync::Mutex<Vec<(&'static str, String)>> =
-            std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let Some(name) = work.lock().expect("work queue").pop_front() else {
-                        return;
-                    };
-                    if verbose {
-                        crate::telemetry::log::info("suite", &format!("[precompute] {name}…"));
-                    }
-                    // The whole per-kernel job, buffered locally so a
-                    // panic mid-scheme leaves no partial results behind.
-                    let job = || {
-                        if panic_kernel == Some(name) {
-                            panic!("injected precompute panic in {name}");
-                        }
-                        let built =
-                            grp_workloads::by_name(name).expect("registered").build(scale);
-                        let rs: Vec<(&'static str, Scheme, RunResult)> = schemes
-                            .iter()
-                            .map(|&scheme| (name, scheme, built.run(scheme, &cfg)))
-                            .collect();
-                        (built, rs)
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(&job)).or_else(|_| {
-                        retries.inc();
-                        catch_unwind(AssertUnwindSafe(&job))
-                    });
-                    match outcome {
-                        Ok((built, rs)) => {
-                            kernels_ok.inc();
-                            cells_done.add(rs.len() as u64);
-                            results.lock().expect("results").extend(rs);
-                            builts.lock().expect("builts").push((name, built));
-                        }
-                        Err(payload) => {
-                            kernels_panicked.inc();
-                            failures
-                                .lock()
-                                .expect("failures")
-                                .push((name, panic_message(&*payload)));
-                        }
-                    }
-                });
-            }
-        });
-        // Hand the worker-built workloads to the memo table too: a later
-        // built()/run() for an unmemoized scheme must not rebuild.
-        for (name, built) in builts.into_inner().expect("builts") {
-            self.built.insert(name, Arc::new(built));
-        }
-        for (name, scheme, r) in results.into_inner().expect("results") {
-            self.results.insert((name, scheme), r);
-        }
-        let mut failed = failures.into_inner().expect("failures");
-        if failed.is_empty() {
-            return Ok(());
-        }
-        failed.sort_by_key(|(name, _)| *name);
-        let detail: Vec<String> = failed
-            .iter()
-            .map(|(name, msg)| format!("{name}: {msg}"))
-            .collect();
-        Err(format!(
-            "precompute: {}/{} kernel(s) panicked even after retry at {:?} scale — {}",
-            failed.len(),
-            names.len(),
-            self.scale,
-            detail.join("; ")
-        ))
     }
 
     /// Warms the memo table through the **cell-granular** work-stealing
     /// scheduler ([`crate::sched`]): every `(benchmark, scheme)` cell is
     /// an independent unit of work, so a wide scheme row of one heavy
-    /// kernel spreads across workers instead of serializing on the
-    /// worker that built the kernel (the `precompute_jobs` granularity).
-    /// Built workloads are shared read-only via the scheduler's
+    /// kernel spreads across workers. Built workloads are shared read-only via the scheduler's
     /// [`WorkloadCache`] — seeded from, and adopted back into, this
     /// suite's built map, so schemes of the same kernel never rebuild.
     ///
@@ -339,8 +170,8 @@ impl Suite {
     /// # Errors
     ///
     /// Lists every failed cell (unknown kernel or a panic inside the
-    /// cell) while the surviving cells' results still land in the memo
-    /// table.
+    /// cell, isolated by the scheduler) while the surviving cells'
+    /// results still land in the memo table.
     pub fn precompute_cells(
         &mut self,
         names: &[&'static str],
@@ -421,14 +252,6 @@ impl Suite {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "<non-string panic payload>".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,24 +272,6 @@ mod tests {
         let b = s.run("crafty", Scheme::NoPrefetch);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(s.results.len(), 1);
-    }
-
-    #[test]
-    fn precompute_fills_the_memo_table() {
-        let mut s = Suite::new(SuiteScale::Test);
-        s.precompute(&["crafty", "sphinx"], &[Scheme::NoPrefetch, Scheme::PerfectL2]);
-        assert_eq!(s.results.len(), 4);
-        // Regression: the worker-built workloads must land in the built
-        // cache too — a later built()/run() for an unmemoized scheme
-        // used to rebuild the whole workload from scratch.
-        assert!(s.built.contains_key("crafty"));
-        assert!(s.built.contains_key("sphinx"));
-        let before = Arc::as_ptr(s.built.get("crafty").expect("cached"));
-        let after = s.built("crafty") as *const BuiltWorkload;
-        assert_eq!(before, after, "built() must reuse the precomputed workload");
-        // A later run() must not recompute (results are identical objects).
-        let r = s.run("crafty", Scheme::NoPrefetch);
-        assert!(r.cycles > 0);
     }
 
     #[test]
@@ -500,16 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn precompute_matches_sequential_run() {
-        let mut a = Suite::new(SuiteScale::Test);
-        a.precompute(&["twolf"], &[Scheme::GrpVar]);
-        let ra = a.run("twolf", Scheme::GrpVar);
-        let mut b = Suite::new(SuiteScale::Test);
-        let rb = b.run("twolf", Scheme::GrpVar);
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
     fn parallel_precompute_is_bit_identical_to_serial() {
         // Every counter of every (benchmark, scheme) result must match
         // the serial run() loop exactly, for any worker count —
@@ -525,7 +320,7 @@ mod tests {
         }
         for jobs in [Some(1), Some(3), None] {
             let mut par = Suite::new(SuiteScale::Test);
-            par.precompute_jobs(&names, &schemes, jobs);
+            par.precompute_cells(&names, &schemes, jobs).expect("clean grid");
             for (name, scheme, want) in &expected {
                 let got = par.run(name, *scheme);
                 assert_eq!(
@@ -537,30 +332,26 @@ mod tests {
     }
 
     #[test]
-    fn precompute_isolates_a_panicking_kernel() {
-        // Regression: a panicking worker used to tear down the whole
-        // thread::scope, losing every other kernel's results. Now the
-        // poisoned kernel is named (with its panic message) and the
-        // survivors' results land.
+    fn precompute_cells_isolates_a_panicking_cell() {
+        // A cell that panics mid-interpretation is named (with its panic
+        // message) while every other cell's result lands. The poisoned
+        // workload is crafty's program bound to another kernel's data.
         let mut s = Suite::new(SuiteScale::Test);
-        s.inject_panic_kernel("crafty");
+        let mut poisoned = grp_workloads::by_name("crafty").unwrap().build(Scale::Test);
+        poisoned.bindings = grp_workloads::by_name("mcf").unwrap().build(Scale::Test).bindings;
+        s.built.insert("crafty", Arc::new(poisoned));
         let err = s
-            .precompute_jobs_result(
-                &["crafty", "sphinx", "twolf"],
-                &[Scheme::NoPrefetch],
-                Some(2),
-            )
+            .precompute_cells(&["crafty", "sphinx", "twolf"], &[Scheme::NoPrefetch], Some(2))
             .unwrap_err();
-        assert!(err.contains("crafty"), "error names the kernel: {err}");
-        assert!(err.contains("injected precompute panic"), "{err}");
+        assert!(err.contains("crafty"), "error names the cell: {err}");
+        assert!(err.contains("panicked"), "{err}");
         assert!(err.contains("1/3"), "error counts failures: {err}");
         assert!(err.contains("Test"), "error names the scale: {err}");
         // Survivors' results landed and the suite stays usable.
         assert!(s.results.contains_key(&("sphinx", Scheme::NoPrefetch)));
         assert!(s.results.contains_key(&("twolf", Scheme::NoPrefetch)));
         assert!(!s.results.contains_key(&("crafty", Scheme::NoPrefetch)));
-        let r = s.run("sphinx", Scheme::NoPrefetch);
-        assert!(r.cycles > 0);
+        assert!(s.run("sphinx", Scheme::NoPrefetch).cycles > 0);
     }
 
     #[test]
@@ -578,12 +369,14 @@ mod tests {
         let before = Arc::as_ptr(s.built.get("crafty").expect("cached"));
         let after = s.built("crafty") as *const BuiltWorkload;
         assert_eq!(before, after, "built() must reuse the scheduler's workload");
-        // And the memoized results match the serial path.
+        // And the memoized results match the serial path, without a
+        // recompute.
         let mut serial = Suite::new(SuiteScale::Test);
         assert_eq!(
             s.run("sphinx", Scheme::PerfectL2),
             serial.run("sphinx", Scheme::PerfectL2)
         );
+        assert_eq!(s.results.len(), 4);
     }
 
     #[test]
@@ -600,19 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn precompute_drains_largest_first_not_reversed() {
-        // Regression: the work queue used to pop LIFO, silently
-        // reversing the caller's order — the heaviest kernel could land
-        // last and stretch the tail. The drain order is now largest-
-        // first (stable), independent of how the caller listed them.
-        let drain = sched::largest_first(&["parser", "twolf", "bzip2", "swim"]);
-        assert_eq!(drain[0], "bzip2", "heaviest first: {drain:?}");
-        assert_eq!(drain[1], "swim");
-        // Equal-weight kernels keep the caller's order — never reversed.
-        assert_eq!(&drain[2..], &["parser", "twolf"]);
-    }
-
-    #[test]
     fn replay_modes_match_the_default_suite_path() {
         let mut base = Suite::new(SuiteScale::Test);
         let want = base.run("twolf", Scheme::GrpVar);
@@ -620,23 +400,20 @@ mod tests {
             .join(format!("grp-suite-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tc = Arc::new(crate::tracecache::TraceCache::new(&dir));
-        // Packed tier, cold cache, then a second suite hitting the warm
-        // cache — all bit-identical to the default path.
-        let packed = ReplayMode { packed: true, trace_cache: None, telemetry: None };
-        let both = ReplayMode { packed: true, trace_cache: Some(tc.clone()), telemetry: None };
-        let mut s = Suite::new(SuiteScale::Test).with_replay(packed);
-        assert_eq!(s.run("twolf", Scheme::GrpVar), want);
-        let mut cold = Suite::new(SuiteScale::Test).with_replay(both.clone());
+        // Cold cache (misses replay the interpreted trace), then a
+        // second suite hitting the warm cache (hits replay the packed
+        // trace) — both bit-identical to the default path.
+        let cached = ReplayMode { trace_cache: Some(tc), ..ReplayMode::default() };
+        let mut cold = Suite::new(SuiteScale::Test).with_replay(cached.clone());
         assert_eq!(cold.run("twolf", Scheme::GrpVar), want);
-        let mut warm = Suite::new(SuiteScale::Test).with_replay(both);
+        let mut warm = Suite::new(SuiteScale::Test).with_replay(cached.clone());
         assert_eq!(warm.run("twolf", Scheme::GrpVar), want);
         assert!(
             !warm.built.contains_key("twolf"),
             "a warm trace cache must satisfy run() without building the workload"
         );
         // The cell scheduler honours the suite's mode too.
-        let mut cells = Suite::new(SuiteScale::Test)
-            .with_replay(ReplayMode { packed: true, trace_cache: Some(tc), telemetry: None });
+        let mut cells = Suite::new(SuiteScale::Test).with_replay(cached);
         cells
             .precompute_cells(&["twolf"], &[Scheme::GrpVar, Scheme::NoPrefetch], Some(2))
             .expect("clean grid");

@@ -473,7 +473,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grp_core::{run_trace_packed, Scheme, SimConfig};
+    use grp_core::{Replay, Scheme, SimConfig};
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -506,8 +506,8 @@ mod tests {
         assert_eq!(mem.resident_pages(), mem2.resident_pages());
         // The replayed result from the cached entry is bit-identical.
         let cfg = SimConfig::paper();
-        let a = run_trace_packed(&pt, &mem, heap, Scheme::GrpVar, &cfg);
-        let b = run_trace_packed(&pt2, &mem2, heap2, Scheme::GrpVar, &cfg);
+        let a = Replay::new(&mem, heap, Scheme::GrpVar, &cfg).run(&pt).0;
+        let b = Replay::new(&mem2, heap2, Scheme::GrpVar, &cfg).run(&pt2).0;
         assert_eq!(a, b);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -571,4 +571,17 @@ mod tests {
         assert!(err.contains("disagrees with kernels rows"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn committed_trajectory_still_validates() {
+        // The committed history includes entries written by older
+        // harness versions (e.g. the `packed-tier` entry's
+        // `replay_tier` field, no longer emitted): the checker must keep
+        // accepting them.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
+        let text = std::fs::read_to_string(path).expect("committed trajectory");
+        assert!(text.contains("\"replay_tier\""), "history keeps its packed-tier entry");
+        let n = check_trajectory(path).expect("committed trajectory validates");
+        assert!(n >= 4, "{n} entries");
+    }
 }

@@ -293,7 +293,7 @@ impl Observer for InvariantObserver {
 mod tests {
     use super::*;
     use crate::config::Scheme;
-    use crate::sim::{engine_for, run_trace_observed, run_trace_with_engine_observed};
+    use crate::sim::{engine_for, Replay};
     use grp_cpu::{HintSet, RefId, Trace};
     use grp_mem::{Addr, HeapRange, Memory};
 
@@ -327,7 +327,7 @@ mod tests {
         let trace = hinted_stream(20_000);
         for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
             let obs = InvariantObserver::new(&cfg).with_interval(256);
-            let (_, obs) = run_trace_observed(&trace, &mem, heap(), scheme, &cfg, obs);
+            let (_, obs) = Replay::new(&mem, heap(), scheme, &cfg).observer(obs).run(&trace);
             assert!(
                 obs.ok(),
                 "{scheme:?} violates invariants: {:?}",
@@ -361,7 +361,7 @@ mod tests {
         engine.inject_fault_unbounded_queue();
         let obs = InvariantObserver::new(&cfg).with_interval(64);
         let (_, obs) =
-            run_trace_with_engine_observed(&t, &mem, heap(), Scheme::Srp, &cfg, engine, obs);
+            Replay::new(&mem, heap(), Scheme::Srp, &cfg).engine(engine).observer(obs).run(&t);
         assert!(!obs.ok(), "unbounded queue must be detected");
         assert!(
             obs.violations()

@@ -10,7 +10,8 @@
 //!   [`engine::region::RegionConfig`].
 //! * [`memsys`] — L1/L2/MSHRs/DRAM plus the access prioritizer that
 //!   schedules prefetches into idle memory channels (Figure 2).
-//! * [`sim`] — trace replay through the out-of-order window model.
+//! * [`sim`] — trace replay through the out-of-order window model: one
+//!   loop ([`Replay`]) over either trace form ([`EventSource`]).
 //! * [`config`] — the §5.1 platform configuration and the experiment
 //!   [`Scheme`]s.
 //! * [`result`] — per-run metrics: IPC, speedup, coverage, accuracy,
@@ -67,10 +68,4 @@ pub use oracle::{
     OracleSystem,
 };
 pub use result::{geomean, RunResult};
-pub use sim::{
-    engine_for, replay, run_trace, run_trace_faulted, run_trace_observed,
-    run_trace_observed_faulted, run_trace_packed, run_trace_with_engine,
-    run_trace_with_engine_observed,
-};
-#[doc(hidden)]
-pub use sim::replay_injected;
+pub use sim::{engine_for, run_trace, EventSource, Replay};

@@ -1,8 +1,7 @@
 //! The trace-replay simulator: core window + memory system.
 
-use grp_cpu::packed::{PseudoKind, FLAG_STORE, NO_DEP};
-use grp_cpu::{PackedTrace, RefId, Trace, TraceEvent, Window};
-use grp_mem::{Addr, HeapRange, Memory, TrafficStats};
+use grp_cpu::{PackedTrace, Trace, TraceEvent, Window};
+use grp_mem::{HeapRange, Memory, TrafficStats};
 
 use crate::config::{Scheme, SimConfig};
 use crate::engine::region::{RegionConfig, RegionPrefetcher};
@@ -47,10 +46,43 @@ fn region_cfg(cfg: &SimConfig, varsize: bool) -> RegionConfig {
     rc
 }
 
+/// A replayable event stream: yields a trace's events in trace order.
+///
+/// The materialized [`Trace`] and the packed [`PackedTrace`] both
+/// implement it, so the replay loop ([`Replay::run`]) is written once
+/// and the two representations cannot drift apart.
+pub trait EventSource {
+    /// Dynamic load count (sizes the dependency-completion table).
+    fn loads(&self) -> u64;
+    /// The events, in trace order.
+    fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_;
+}
+
+impl EventSource for Trace {
+    fn loads(&self) -> u64 {
+        Trace::loads(self)
+    }
+
+    fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.events().iter().copied()
+    }
+}
+
+impl EventSource for PackedTrace {
+    fn loads(&self) -> u64 {
+        PackedTrace::loads(self)
+    }
+
+    fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.events()
+    }
+}
+
 /// Replays a hinted trace through the timing model.
 ///
 /// `mem` supplies the data values the pointer-scan and indirect engines
-/// read; `heap` bounds the pointer base-and-bounds test.
+/// read; `heap` bounds the pointer base-and-bounds test. Shorthand for
+/// `Replay::new(mem, heap, scheme, cfg).run(trace).0`.
 pub fn run_trace(
     trace: &Trace,
     mem: &Memory,
@@ -58,305 +90,204 @@ pub fn run_trace(
     scheme: Scheme,
     cfg: &SimConfig,
 ) -> RunResult {
-    let engine = engine_for(scheme, cfg);
-    run_trace_with_engine(trace, mem, heap, scheme, cfg, engine)
+    Replay::new(mem, heap, scheme, cfg).run(trace).0
 }
 
-/// Replays a packed trace through the timing model — the fast tier.
+/// One replay of an [`EventSource`] through the timing model, with
+/// optional extras: a caller-supplied engine (ablations), an
+/// [`Observer`], and a [`FaultPlan`].
 ///
-/// The loop streams the packed struct-of-arrays directly: no per-event
-/// enum dispatch, with the rare pseudo-events consulted from the sorted
-/// side table. It reproduces the exact call sequence [`run_trace`] makes
-/// into the window and memory system, so for any trace `t` the result is
-/// bit-identical to `run_trace(&t, ..)` on `PackedTrace::pack(&t)` (the
-/// `packed_replay_matches_materialized` determinism suite enforces this
-/// across every kernel × scheme).
-pub fn run_trace_packed(
-    pt: &PackedTrace,
-    mem: &Memory,
+/// ```
+/// # use grp_core::{FaultPlan, LifecycleTracer, Replay, Scheme, SimConfig};
+/// # use grp_cpu::{HintSet, PackedTrace, RefId, Trace};
+/// # use grp_mem::{Addr, HeapRange, Memory};
+/// # let mut t = Trace::new();
+/// # for i in 0..256u64 {
+/// #     t.push_load(Addr(0x10_0000 + i * 8), 8, RefId(0), HintSet::none(), None);
+/// # }
+/// # t.finish();
+/// # let (mem, cfg) = (Memory::new(), SimConfig::paper());
+/// # let heap = HeapRange { start: Addr(0x10_0000), end: Addr(0x20_0000) };
+/// let plan = FaultPlan::none();
+/// let (a, _) = Replay::new(&mem, heap, Scheme::Srp, &cfg).run(&t);
+/// let (b, tracer) = Replay::new(&mem, heap, Scheme::Srp, &cfg)
+///     .observer(LifecycleTracer::new())
+///     .faults(&plan)
+///     .run(&PackedTrace::pack(&t).unwrap());
+/// assert_eq!(a, b);
+/// assert_eq!(tracer.issued(), a.prefetches_issued);
+/// ```
+pub struct Replay<'a, O = NullObserver> {
+    mem: &'a Memory,
     heap: HeapRange,
     scheme: Scheme,
-    cfg: &SimConfig,
-) -> RunResult {
-    let engine = engine_for(scheme, cfg);
-    let mut window = Window::new(cfg.window);
-    let mut ms =
-        MemSystem::with_observer(*cfg, scheme.ideal_mode(), engine, mem, heap, NullObserver);
-    let mut load_completions: Vec<u64> = Vec::with_capacity(pt.loads() as usize);
-    let mut load_latency_sum = 0u64;
-
-    let (addrs, ref_ids, hints, flags, deps, pre_compute) = (
-        pt.addrs(),
-        pt.ref_ids(),
-        pt.hints(),
-        pt.flags(),
-        pt.deps(),
-        pt.pre_compute(),
-    );
-    let pseudos = pt.pseudos();
-    let mut pi = 0usize;
-    let fire_pseudo = |kind: PseudoKind, window: &mut Window, ms: &mut MemSystem<_>| match kind
-    {
-        PseudoKind::Compute(n) => window.dispatch_compute(n as u64),
-        PseudoKind::SetLoopBound(b) => {
-            let d = window.prepare_dispatch(1);
-            ms.set_loop_bound(b);
-            window.push(1, d + 1);
-        }
-        PseudoKind::IndirectPrefetch {
-            base,
-            elem_size,
-            index_addr,
-            ..
-        } => {
-            let d = window.prepare_dispatch(1);
-            ms.indirect_prefetch(base, elem_size, index_addr, d);
-            window.push(1, d + 1);
-        }
-    };
-
-    for i in 0..pt.n_ops() {
-        while pi < pseudos.len() && pseudos[pi].at_op as usize == i {
-            fire_pseudo(pseudos[pi].kind, &mut window, &mut ms);
-            pi += 1;
-        }
-        let pc = pre_compute[i];
-        if pc != 0 {
-            window.dispatch_compute(pc as u64);
-        }
-        let d = window.prepare_dispatch(1);
-        let (addr, ref_id, h) = (Addr(addrs[i]), RefId(ref_ids[i]), hints[i]);
-        if flags[i] & FLAG_STORE != 0 {
-            ms.store(addr, d, ref_id, h);
-            window.push(1, d + 1);
-        } else {
-            let dep = deps[i];
-            let issue = if dep != NO_DEP {
-                d.max(load_completions[dep as usize])
-            } else {
-                d
-            };
-            let done = ms.load(addr, issue, ref_id, h);
-            load_latency_sum += done - issue;
-            load_completions.push(done);
-            window.push(1, done);
-        }
-    }
-    while pi < pseudos.len() {
-        fire_pseudo(pseudos[pi].kind, &mut window, &mut ms);
-        pi += 1;
-    }
-
-    let cycles = window.finish();
-    ms.finish(cycles);
-    RunResult {
-        scheme,
-        cycles,
-        instructions: window.retired(),
-        l1: *ms.l1().stats(),
-        l2: *ms.l2().stats(),
-        traffic: TrafficStats::from_dram(ms.dram().stats()),
-        engine: ms.engine().stats(),
-        prefetches_issued: ms.prefetches_issued(),
-        late_prefetch_merges: ms.l2_mshrs().late_prefetch_merges(),
-        resident_unused_prefetches: ms.l2().resident_unused_prefetches(),
-        attribution: ms.attribution().clone(),
-        load_latency_sum,
-    }
-}
-
-/// Like [`run_trace`], with a caller-supplied engine (ablation studies).
-pub fn run_trace_with_engine(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    engine: Box<dyn Prefetcher>,
-) -> RunResult {
-    run_trace_with_engine_observed(trace, mem, heap, scheme, cfg, engine, NullObserver).0
-}
-
-/// Like [`run_trace`], threading an [`Observer`] through the replay.
-///
-/// Returns the observer alongside the result so callers can pull the
-/// collected trace/metrics back out. With [`NullObserver`] this
-/// monomorphizes to exactly the unobserved replay loop.
-pub fn run_trace_observed<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
+    cfg: &'a SimConfig,
+    engine: Option<Box<dyn Prefetcher>>,
     obs: O,
-) -> (RunResult, O) {
-    let engine = engine_for(scheme, cfg);
-    run_trace_with_engine_observed(trace, mem, heap, scheme, cfg, engine, obs)
-}
-
-/// Like [`run_trace`], replaying under a [`FaultPlan`]. An empty plan
-/// yields a bit-identical result to the unfaulted run.
-pub fn run_trace_faulted(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-) -> RunResult {
-    let engine = engine_for(scheme, cfg);
-    replay(trace, mem, heap, scheme, cfg, engine, NullObserver, Some(plan)).0
-}
-
-/// Like [`run_trace_observed`], replaying under a [`FaultPlan`]. Every
-/// injected fault is reported through the observer's fault hooks.
-pub fn run_trace_observed_faulted<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    obs: O,
-    plan: &FaultPlan,
-) -> (RunResult, O) {
-    let engine = engine_for(scheme, cfg);
-    replay(trace, mem, heap, scheme, cfg, engine, obs, Some(plan))
-}
-
-/// The fully general replay: caller-supplied engine *and* observer.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trace_with_engine_observed<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    engine: Box<dyn Prefetcher>,
-    obs: O,
-) -> (RunResult, O) {
-    replay(trace, mem, heap, scheme, cfg, engine, obs, None)
-}
-
-/// Like [`run_trace_with_engine_observed`], optionally armed with a
-/// [`FaultPlan`] — the superset entry point every wrapper above feeds.
-#[allow(clippy::too_many_arguments)]
-pub fn replay<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    engine: Box<dyn Prefetcher>,
-    obs: O,
-    plan: Option<&FaultPlan>,
-) -> (RunResult, O) {
-    replay_injected(trace, mem, heap, scheme, cfg, engine, obs, plan, false)
-}
-
-/// [`replay`] with the dropped-fill MSHR-leak bug optionally armed —
-/// the seam behind the `check` gate's `--inject drop-leak` teeth test.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn replay_injected<O: Observer>(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    engine: Box<dyn Prefetcher>,
-    obs: O,
-    plan: Option<&FaultPlan>,
+    faults: Option<&'a FaultPlan>,
     drop_leak: bool,
-) -> (RunResult, O) {
-    let mut window = Window::new(cfg.window);
-    let mut ms = MemSystem::with_observer(*cfg, scheme.ideal_mode(), engine, mem, heap, obs);
-    if let Some(plan) = plan {
-        ms.install_faults(plan);
-    }
-    if drop_leak {
-        ms.inject_fault_drop_leak();
-    }
-    let mut events = 0u64;
-    let mut load_completions: Vec<u64> = Vec::with_capacity(trace.loads() as usize);
-    let mut load_latency_sum = 0u64;
+}
 
-    for ev in trace.events() {
-        match ev {
-            TraceEvent::Compute(n) => window.dispatch_compute(*n as u64),
-            TraceEvent::Load {
-                addr,
-                ref_id,
-                hints,
-                dep,
-                ..
-            } => {
-                let d = window.prepare_dispatch(1);
-                // An address dependency delays issue until the producing
-                // load's value returns (pointer chasing serializes).
-                let issue = match dep {
-                    Some(seq) => d.max(load_completions[*seq as usize]),
-                    None => d,
-                };
-                let done = ms.load(*addr, issue, *ref_id, *hints);
-                load_latency_sum += done - issue;
-                load_completions.push(done);
-                window.push(1, done);
-            }
-            TraceEvent::Store {
-                addr,
-                ref_id,
-                hints,
-                ..
-            } => {
-                let d = window.prepare_dispatch(1);
-                // Stores retire through the write buffer: the window entry
-                // completes immediately; the fill proceeds in background.
-                ms.store(*addr, d, *ref_id, *hints);
-                window.push(1, d + 1);
-            }
-            TraceEvent::SetLoopBound(b) => {
-                let d = window.prepare_dispatch(1);
-                ms.set_loop_bound(*b);
-                window.push(1, d + 1);
-            }
-            TraceEvent::IndirectPrefetch {
-                base,
-                elem_size,
-                index_addr,
-                ..
-            } => {
-                let d = window.prepare_dispatch(1);
-                ms.indirect_prefetch(*base, *elem_size, *index_addr, d);
-                window.push(1, d + 1);
-            }
+impl<'a> Replay<'a> {
+    /// A plain replay of `scheme` on `cfg`: the scheme's own engine
+    /// ([`engine_for`]), no observer, no faults.
+    pub fn new(mem: &'a Memory, heap: HeapRange, scheme: Scheme, cfg: &'a SimConfig) -> Self {
+        Replay {
+            mem,
+            heap,
+            scheme,
+            cfg,
+            engine: None,
+            obs: NullObserver,
+            faults: None,
+            drop_leak: false,
         }
-        // Epoch heartbeat: counted per committed trace event, stamped with
-        // retired-instruction and core-cycle progress. Compiled out (with
-        // the counter) when the observer is the no-op default.
-        if O::ENABLED {
-            events += 1;
-            ms.epoch_tick(events, window.dispatched(), window.now());
+    }
+}
+
+impl<'a, O: Observer> Replay<'a, O> {
+    /// Replays through `engine` instead of the scheme's own.
+    pub fn engine(mut self, engine: Box<dyn Prefetcher>) -> Self {
+        self.engine = Some(engine);
+        self
+    }
+
+    /// Threads `obs` through the replay; [`Replay::run`] hands it back.
+    /// With [`NullObserver`] (the default) the loop monomorphizes to
+    /// the unobserved replay.
+    pub fn observer<P: Observer>(self, obs: P) -> Replay<'a, P> {
+        Replay {
+            mem: self.mem,
+            heap: self.heap,
+            scheme: self.scheme,
+            cfg: self.cfg,
+            engine: self.engine,
+            obs,
+            faults: self.faults,
+            drop_leak: self.drop_leak,
         }
     }
 
-    let cycles = window.finish();
-    ms.finish(cycles);
+    /// Arms `plan`. An empty plan yields a bit-identical result to the
+    /// unfaulted run; every injected fault is reported through the
+    /// observer's fault hooks.
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
 
-    let result = RunResult {
-        scheme,
-        cycles,
-        instructions: window.retired(),
-        l1: *ms.l1().stats(),
-        l2: *ms.l2().stats(),
-        traffic: TrafficStats::from_dram(ms.dram().stats()),
-        engine: ms.engine().stats(),
-        prefetches_issued: ms.prefetches_issued(),
-        late_prefetch_merges: ms.l2_mshrs().late_prefetch_merges(),
-        resident_unused_prefetches: ms.l2().resident_unused_prefetches(),
-        attribution: ms.attribution().clone(),
-        load_latency_sum,
-    };
-    (result, ms.into_observer())
+    /// Arms the dropped-fill MSHR-leak bug — the seam behind the
+    /// `check` gate's `--inject drop-leak` teeth test.
+    #[doc(hidden)]
+    pub fn drop_leak(mut self, on: bool) -> Self {
+        self.drop_leak = on;
+        self
+    }
+
+    /// Replays `src` and returns the result with the observer.
+    pub fn run<S: EventSource + ?Sized>(self, src: &S) -> (RunResult, O) {
+        let (scheme, cfg) = (self.scheme, self.cfg);
+        let engine = self.engine.unwrap_or_else(|| engine_for(scheme, cfg));
+        let mut window = Window::new(cfg.window);
+        let mut ms = MemSystem::with_observer(
+            *cfg,
+            scheme.ideal_mode(),
+            engine,
+            self.mem,
+            self.heap,
+            self.obs,
+        );
+        if let Some(plan) = self.faults {
+            ms.install_faults(plan);
+        }
+        if self.drop_leak {
+            ms.inject_fault_drop_leak();
+        }
+        let mut events = 0u64;
+        let mut load_completions: Vec<u64> = Vec::with_capacity(src.loads() as usize);
+        let mut load_latency_sum = 0u64;
+
+        for ev in src.iter_events() {
+            match ev {
+                TraceEvent::Compute(n) => window.dispatch_compute(n as u64),
+                TraceEvent::Load {
+                    addr,
+                    ref_id,
+                    hints,
+                    dep,
+                    ..
+                } => {
+                    let d = window.prepare_dispatch(1);
+                    // An address dependency delays issue until the
+                    // producing load's value returns (pointer chasing
+                    // serializes).
+                    let issue = match dep {
+                        Some(seq) => d.max(load_completions[seq as usize]),
+                        None => d,
+                    };
+                    let done = ms.load(addr, issue, ref_id, hints);
+                    load_latency_sum += done - issue;
+                    load_completions.push(done);
+                    window.push(1, done);
+                }
+                TraceEvent::Store {
+                    addr,
+                    ref_id,
+                    hints,
+                    ..
+                } => {
+                    let d = window.prepare_dispatch(1);
+                    // Stores retire through the write buffer: the window
+                    // entry completes immediately; the fill proceeds in
+                    // background.
+                    ms.store(addr, d, ref_id, hints);
+                    window.push(1, d + 1);
+                }
+                TraceEvent::SetLoopBound(b) => {
+                    let d = window.prepare_dispatch(1);
+                    ms.set_loop_bound(b);
+                    window.push(1, d + 1);
+                }
+                TraceEvent::IndirectPrefetch {
+                    base,
+                    elem_size,
+                    index_addr,
+                    ..
+                } => {
+                    let d = window.prepare_dispatch(1);
+                    ms.indirect_prefetch(base, elem_size, index_addr, d);
+                    window.push(1, d + 1);
+                }
+            }
+            // Epoch heartbeat: counted per committed trace event, stamped
+            // with retired-instruction and core-cycle progress. Compiled
+            // out (with the counter) when the observer is the no-op
+            // default.
+            if O::ENABLED {
+                events += 1;
+                ms.epoch_tick(events, window.dispatched(), window.now());
+            }
+        }
+
+        let cycles = window.finish();
+        ms.finish(cycles);
+
+        let result = RunResult {
+            scheme,
+            cycles,
+            instructions: window.retired(),
+            l1: *ms.l1().stats(),
+            l2: *ms.l2().stats(),
+            traffic: TrafficStats::from_dram(ms.dram().stats()),
+            engine: ms.engine().stats(),
+            prefetches_issued: ms.prefetches_issued(),
+            late_prefetch_merges: ms.l2_mshrs().late_prefetch_merges(),
+            resident_unused_prefetches: ms.l2().resident_unused_prefetches(),
+            attribution: ms.attribution().clone(),
+            load_latency_sum,
+        };
+        (result, ms.into_observer())
+    }
 }
 
 #[cfg(test)]
@@ -581,10 +512,10 @@ mod tests {
             t.push_compute(4);
         }
         t.finish();
-        let pt = grp_cpu::PackedTrace::pack(&t).expect("pack");
+        let pt = PackedTrace::pack(&t).expect("pack");
         for scheme in Scheme::ALL {
             let materialized = run_trace(&t, &mem, heap(), scheme, &cfg);
-            let packed = run_trace_packed(&pt, &mem, heap(), scheme, &cfg);
+            let packed = Replay::new(&mem, heap(), scheme, &cfg).run(&pt).0;
             assert_eq!(materialized, packed, "{scheme:?}");
         }
     }
@@ -596,8 +527,8 @@ mod tests {
         let trace = stream_trace(5_000, 4, HintSet::none().with_spatial());
         for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
             let plain = run_trace(&trace, &mem, heap(), scheme, &cfg);
-            let faulted =
-                run_trace_faulted(&trace, &mem, heap(), scheme, &cfg, &FaultPlan::none());
+            let none = FaultPlan::none();
+            let faulted = Replay::new(&mem, heap(), scheme, &cfg).faults(&none).run(&trace).0;
             assert_eq!(plain, faulted, "{scheme:?}: empty plan must be inert");
         }
     }
@@ -609,7 +540,7 @@ mod tests {
         let trace = stream_trace(10_000, 4, HintSet::none().with_spatial());
         let srp = run_trace(&trace, &mem, heap(), Scheme::Srp, &cfg);
         for (name, plan) in FaultPlan::builtin() {
-            let faulted = run_trace_faulted(&trace, &mem, heap(), Scheme::Srp, &cfg, &plan);
+            let faulted = Replay::new(&mem, heap(), Scheme::Srp, &cfg).faults(&plan).run(&trace).0;
             // Demand correctness: the same loads retire, stats stay sane.
             assert_eq!(faulted.instructions, srp.instructions, "{name}");
             // Faults only remove capacity/timeliness, so a faulted
@@ -624,7 +555,7 @@ mod tests {
             // prefetch MSHR inherits the delayed fill time (the block
             // is held hostage), so those plans get a wider bound.
             let faulted_base =
-                run_trace_faulted(&trace, &mem, heap(), Scheme::NoPrefetch, &cfg, &plan);
+                Replay::new(&mem, heap(), Scheme::NoPrefetch, &cfg).faults(&plan).run(&trace).0;
             let delays_fills = plan
                 .events
                 .iter()
@@ -649,7 +580,7 @@ mod tests {
             .find(|(n, _)| *n == "dropped-fills")
             .unwrap();
         let srp = run_trace(&trace, &mem, heap(), Scheme::Srp, &cfg);
-        let dropped = run_trace_faulted(&trace, &mem, heap(), Scheme::Srp, &cfg, &plan);
+        let dropped = Replay::new(&mem, heap(), Scheme::Srp, &cfg).faults(&plan).run(&trace).0;
         // Every prefetch loses its data, so the stream's misses come
         // back; the run degrades toward (and lands near) no-prefetch.
         assert!(

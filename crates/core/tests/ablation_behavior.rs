@@ -3,7 +3,7 @@
 
 use grp_core::engine::region::{RegionConfig, RegionPrefetcher};
 use grp_core::engine::Prefetcher;
-use grp_core::{run_trace, run_trace_with_engine, Scheme, SimConfig};
+use grp_core::{run_trace, Replay, Scheme, SimConfig};
 use grp_cpu::{HintSet, RefId, Trace};
 use grp_mem::{Addr, Cache, CacheConfig, Dram, HeapRange, Memory, MshrFile, RegionAddr};
 
@@ -101,7 +101,7 @@ fn mru_insertion_pollutes_more_than_lru() {
 
 #[test]
 fn custom_engine_injection_works() {
-    // run_trace_with_engine lets ablations construct arbitrary engines.
+    // Replay::engine lets ablations construct arbitrary engines.
     let mut t = Trace::new();
     for i in 0..256u64 {
         t.push_load(
@@ -119,7 +119,7 @@ fn custom_engine_injection_works() {
     let mut rc = RegionConfig::grp(32, false, 6);
     rc.probe_depth = 1;
     let engine = Box::new(RegionPrefetcher::new(rc));
-    let r = run_trace_with_engine(&t, &mem, heap(), Scheme::GrpFix, &cfg, engine);
+    let r = Replay::new(&mem, heap(), Scheme::GrpFix, &cfg).engine(engine).run(&t).0;
     assert!(r.prefetches_issued > 0);
     assert_eq!(r.instructions, t.instructions());
 }

@@ -17,19 +17,17 @@
 //!   the timing model is block-granular and never reads sizes;
 //! * a versioned, checksummed binary file format ([`PackedTrace::to_bytes`]
 //!   / [`PackedTrace::from_bytes`]) with delta-encoded addresses, so
-//!   packed traces persist across processes;
-//! * a pre-analysis pass ([`PackedTrace::pre_analyze`]) computing
-//!   per-access cache geometry metadata (set index, tag, region id) and
-//!   resolved hint bits ahead of replay.
+//!   packed traces persist across processes.
 //!
-//! The packed replay (`grp-core`) reproduces the materialized replay's
-//! exact call sequence into the window and memory system, so results are
-//! bit-identical; the ordering contract is spelled out on
-//! [`PackedTrace::pack`].
+//! [`PackedTrace::pack`] writes the layout and [`PackedTrace::events`]
+//! is the one place that reads it back, yielding the original event
+//! stream in trace order: [`PackedTrace::unpack`] collects it, and the
+//! `grp-core` replay loop consumes it directly, so a packed trace
+//! replays bit-identically to the trace it was packed from.
 
 use std::fmt;
 
-use grp_mem::{Addr, CacheConfig};
+use grp_mem::Addr;
 
 use crate::hints::HintSet;
 use crate::trace::{RefId, Trace, TraceEvent};
@@ -381,67 +379,25 @@ impl PackedTrace {
         }
     }
 
+    /// The event stream this packed trace represents, in trace order
+    /// (the ordering contract on [`PackedTrace::pack`]). Yields exactly
+    /// [`PackedTrace::event_count`] events.
+    pub fn events(&self) -> Events<'_> {
+        Events {
+            pt: self,
+            op: 0,
+            pi: 0,
+            pre_done: false,
+        }
+    }
+
     /// Reconstructs the materialized trace. Lossless: the event stream,
     /// including compute-batch boundaries, dependency edges, hints, and
     /// pseudo-events, is identical to the packed original's.
     pub fn unpack(&self) -> Trace {
-        let mut events =
-            Vec::with_capacity(self.addrs.len() + self.pseudos.len() + self.addrs.len() / 2);
-        let mut pi = 0usize;
-        for i in 0..self.addrs.len() {
-            while pi < self.pseudos.len() && self.pseudos[pi].at_op as usize == i {
-                events.push(Self::pseudo_to_event(self.pseudos[pi].kind));
-                pi += 1;
-            }
-            if self.pre_compute[i] != 0 {
-                events.push(TraceEvent::Compute(self.pre_compute[i]));
-            }
-            let flags = self.flags[i];
-            if flags & FLAG_STORE != 0 {
-                events.push(TraceEvent::Store {
-                    addr: Addr(self.addrs[i]),
-                    size: self.sizes[i],
-                    ref_id: RefId(self.ref_ids[i]),
-                    hints: self.hints[i],
-                });
-            } else {
-                events.push(TraceEvent::Load {
-                    addr: Addr(self.addrs[i]),
-                    size: self.sizes[i],
-                    ref_id: RefId(self.ref_ids[i]),
-                    hints: self.hints[i],
-                    dep: (flags & FLAG_DEP != 0).then(|| self.deps[i] as u64),
-                });
-            }
-        }
-        while pi < self.pseudos.len() {
-            events.push(Self::pseudo_to_event(self.pseudos[pi].kind));
-            pi += 1;
-        }
+        let mut events = Vec::with_capacity(self.event_count() as usize);
+        events.extend(self.events());
         Trace::from_raw_parts(events, self.loads, self.stores, self.instructions)
-    }
-
-    fn pseudo_to_event(kind: PseudoKind) -> TraceEvent {
-        match kind {
-            PseudoKind::Compute(n) => TraceEvent::Compute(n),
-            PseudoKind::SetLoopBound(b) => TraceEvent::SetLoopBound(b),
-            PseudoKind::IndirectPrefetch {
-                base,
-                elem_size,
-                index_addr,
-                ref_id,
-            } => TraceEvent::IndirectPrefetch {
-                base,
-                elem_size,
-                index_addr,
-                ref_id,
-            },
-        }
-    }
-
-    /// Runs the pre-analysis pass against the given cache geometries.
-    pub fn pre_analyze(&self, l1: &CacheConfig, l2: &CacheConfig) -> PreAnalysis {
-        PreAnalysis::compute(self, l1, l2)
     }
 
     /// Serializes to the versioned, checksummed binary format (see
@@ -719,54 +675,82 @@ impl PackedTrace {
     }
 }
 
-/// Per-access metadata precomputed ahead of replay: cache geometry
-/// projections of every memop address plus resolved hint bits. The
-/// arrays parallel the hot arrays of the [`PackedTrace`] they were
-/// derived from.
-#[derive(Debug, Clone, Default)]
-pub struct PreAnalysis {
-    /// L1 set index per memop.
-    pub l1_set: Vec<u32>,
-    /// L1 tag per memop.
-    pub l1_tag: Vec<u64>,
-    /// L2 set index per memop.
-    pub l2_set: Vec<u32>,
-    /// L2 tag per memop.
-    pub l2_tag: Vec<u64>,
-    /// 4 KB region id per memop.
-    pub region: Vec<u64>,
-    /// Resolved pointer-chase depth seeded by each memop's hints.
-    pub pointer_level: Vec<u8>,
-    /// Memops carrying the `spatial` hint.
-    pub spatial_refs: u64,
+/// Iterator over a [`PackedTrace`]'s events: for each memop, its
+/// side-table events, then its folded compute batch, then the memop;
+/// then the side table's tail.
+#[derive(Debug, Clone)]
+pub struct Events<'a> {
+    pt: &'a PackedTrace,
+    /// Next memop to emit.
+    op: usize,
+    /// Next side-table entry to emit.
+    pi: usize,
+    /// Whether memop `op`'s `pre_compute` slot has been consumed.
+    pre_done: bool,
 }
 
-impl PreAnalysis {
-    fn compute(pt: &PackedTrace, l1: &CacheConfig, l2: &CacheConfig) -> PreAnalysis {
-        let n = pt.n_ops();
-        let (l1_sets, l2_sets) = (l1.sets() as u64, l2.sets() as u64);
-        let mut pa = PreAnalysis {
-            l1_set: Vec::with_capacity(n),
-            l1_tag: Vec::with_capacity(n),
-            l2_set: Vec::with_capacity(n),
-            l2_tag: Vec::with_capacity(n),
-            region: Vec::with_capacity(n),
-            pointer_level: Vec::with_capacity(n),
-            spatial_refs: 0,
-        };
-        for i in 0..n {
-            let block = pt.addrs[i] >> 6;
-            pa.l1_set.push((block & (l1_sets - 1)) as u32);
-            pa.l1_tag.push(block >> l1_sets.trailing_zeros());
-            pa.l2_set.push((block & (l2_sets - 1)) as u32);
-            pa.l2_tag.push(block >> l2_sets.trailing_zeros());
-            pa.region.push(pt.addrs[i] >> 12);
-            pa.pointer_level.push(pt.hints[i].pointer_level());
-            if pt.hints[i].spatial() {
-                pa.spatial_refs += 1;
+impl Iterator for Events<'_> {
+    type Item = TraceEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEvent> {
+        let pt = self.pt;
+        let i = self.op;
+        if let Some(p) = pt.pseudos.get(self.pi) {
+            if p.at_op as usize == i || i == pt.addrs.len() {
+                self.pi += 1;
+                return Some(pseudo_to_event(p.kind));
             }
         }
-        pa
+        if i == pt.addrs.len() {
+            return None;
+        }
+        if !self.pre_done {
+            self.pre_done = true;
+            let pc = pt.pre_compute[i];
+            if pc != 0 {
+                return Some(TraceEvent::Compute(pc));
+            }
+        }
+        self.pre_done = false;
+        self.op += 1;
+        let (addr, size, ref_id, hints) =
+            (Addr(pt.addrs[i]), pt.sizes[i], RefId(pt.ref_ids[i]), pt.hints[i]);
+        let flags = pt.flags[i];
+        Some(if flags & FLAG_STORE != 0 {
+            TraceEvent::Store {
+                addr,
+                size,
+                ref_id,
+                hints,
+            }
+        } else {
+            TraceEvent::Load {
+                addr,
+                size,
+                ref_id,
+                hints,
+                dep: (flags & FLAG_DEP != 0).then(|| pt.deps[i] as u64),
+            }
+        })
+    }
+}
+
+fn pseudo_to_event(kind: PseudoKind) -> TraceEvent {
+    match kind {
+        PseudoKind::Compute(n) => TraceEvent::Compute(n),
+        PseudoKind::SetLoopBound(b) => TraceEvent::SetLoopBound(b),
+        PseudoKind::IndirectPrefetch {
+            base,
+            elem_size,
+            index_addr,
+            ref_id,
+        } => TraceEvent::IndirectPrefetch {
+            base,
+            elem_size,
+            index_addr,
+            ref_id,
+        },
     }
 }
 
@@ -1097,31 +1081,6 @@ mod tests {
                 "len {len}: unexpected {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn pre_analysis_matches_cache_geometry() {
-        use grp_mem::{BlockAddr, Cache};
-        let t = random_trace(7, 500);
-        let pt = PackedTrace::pack(&t).unwrap();
-        let (l1c, l2c) = (CacheConfig::l1_spec(), CacheConfig::l2_spec());
-        let pa = pt.pre_analyze(&l1c, &l2c);
-        let (l1, l2) = (Cache::new(l1c), Cache::new(l2c));
-        assert_eq!(pa.l1_set.len(), pt.n_ops());
-        let mut spatial = 0u64;
-        for i in 0..pt.n_ops() {
-            let b = BlockAddr(pt.addrs()[i] >> 6);
-            assert_eq!(pa.l1_set[i] as usize, l1.set_of(b));
-            assert_eq!(pa.l1_tag[i], l1.tag_of(b));
-            assert_eq!(pa.l2_set[i] as usize, l2.set_of(b));
-            assert_eq!(pa.l2_tag[i], l2.tag_of(b));
-            assert_eq!(pa.region[i], pt.addrs()[i] >> 12);
-            assert_eq!(pa.pointer_level[i], pt.hints()[i].pointer_level());
-            if pt.hints()[i].spatial() {
-                spatial += 1;
-            }
-        }
-        assert_eq!(pa.spatial_refs, spatial);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 pub mod kernels;
 
 use grp_compiler::{analyze, AnalysisConfig};
-use grp_core::{run_trace, run_trace_observed, Observer, RunResult, Scheme, SimConfig};
+use grp_core::{run_trace, Observer, Replay, RunResult, Scheme, SimConfig};
 use grp_cpu::Trace;
 use grp_ir::interp::Interpreter;
 use grp_ir::{Bindings, HintMap, Program};
@@ -125,29 +125,12 @@ impl BuiltWorkload {
         run_trace(&trace, &mem, self.heap, scheme, cfg)
     }
 
-    /// Like [`BuiltWorkload::run`] on the packed replay tier: the trace
-    /// is packed to the struct-of-arrays form and replayed without
-    /// per-event enum dispatch. Bit-identical to [`BuiltWorkload::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel fails to interpret or its trace cannot be
-    /// packed (both are workload bugs).
-    pub fn run_packed(&self, scheme: Scheme, cfg: &SimConfig) -> RunResult {
-        let cc = scheme.compiler_config();
-        let (trace, mem) = self.trace(cc.as_ref());
-        let pt = grp_cpu::PackedTrace::pack(&trace)
-            .unwrap_or_else(|e| panic!("workload {} trace: {e}", self.program.name));
-        drop(trace);
-        grp_core::run_trace_packed(&pt, &mem, self.heap, scheme, cfg)
-    }
-
     /// Like [`BuiltWorkload::run`], threading an observer through the
     /// timing simulation and returning it alongside the result.
     pub fn run_observed<O: Observer>(&self, scheme: Scheme, cfg: &SimConfig, obs: O) -> (RunResult, O) {
         let cc = scheme.compiler_config();
         let (trace, mem) = self.trace(cc.as_ref());
-        run_trace_observed(&trace, &mem, self.heap, scheme, cfg, obs)
+        Replay::new(&mem, self.heap, scheme, cfg).observer(obs).run(&trace)
     }
 
     /// The hint map the given compiler configuration derives.

@@ -8,10 +8,7 @@
 //! and simulating a kernel twice must produce bit-identical traces and
 //! simulator statistics.
 
-use grp_core::{
-    run_trace, run_trace_faulted, run_trace_observed, run_trace_observed_faulted, FaultPlan,
-    LifecycleTracer, RunResult, Scheme, SimConfig,
-};
+use grp_core::{run_trace, FaultPlan, LifecycleTracer, Replay, RunResult, Scheme, SimConfig};
 use grp_workloads::{all, Scale};
 
 /// The stats a regression would corrupt first, as one comparable
@@ -140,25 +137,11 @@ fn zero_fault_plan_is_bit_identical_to_unfaulted_run() {
         let built = w.build(Scale::Test);
         let (trace, mem) = built.trace(Scheme::GrpVar.compiler_config().as_ref());
         let plain = run_trace(&trace, &mem, built.heap, Scheme::GrpVar, &cfg);
-        let idle = run_trace_faulted(&trace, &mem, built.heap, Scheme::GrpVar, &cfg, &none);
+        let replay = || Replay::new(&mem, built.heap, Scheme::GrpVar, &cfg);
+        let idle = replay().faults(&none).run(&trace).0;
         assert_eq!(plain, idle, "workload '{name}': empty fault plan perturbed the run");
-        let (_, ta) = run_trace_observed(
-            &trace,
-            &mem,
-            built.heap,
-            Scheme::GrpVar,
-            &cfg,
-            LifecycleTracer::new(),
-        );
-        let (_, tb) = run_trace_observed_faulted(
-            &trace,
-            &mem,
-            built.heap,
-            Scheme::GrpVar,
-            &cfg,
-            LifecycleTracer::new(),
-            &none,
-        );
+        let (_, ta) = replay().observer(LifecycleTracer::new()).run(&trace);
+        let (_, tb) = replay().observer(LifecycleTracer::new()).faults(&none).run(&trace);
         assert_eq!(
             ta.jsonl(),
             tb.jsonl(),
@@ -187,15 +170,10 @@ fn same_seed_faulted_runs_are_bit_identical_across_builds() {
         let run = || {
             let built = w.build(Scale::Test);
             let (trace, mem) = built.trace(Scheme::GrpVar.compiler_config().as_ref());
-            run_trace_observed_faulted(
-                &trace,
-                &mem,
-                built.heap,
-                Scheme::GrpVar,
-                &cfg,
-                LifecycleTracer::new(),
-                plan,
-            )
+            Replay::new(&mem, built.heap, Scheme::GrpVar, &cfg)
+                .observer(LifecycleTracer::new())
+                .faults(plan)
+                .run(&trace)
         };
         let (ra, ta) = run();
         let (rb, tb) = run();

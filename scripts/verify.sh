@@ -55,30 +55,30 @@ cargo run --release -q --offline -p grp-bench --bin perf -- \
     --scale test --label verify-smoke --out "$PERF_TMP"
 cargo run --release -q --offline -p grp-bench --bin perf -- --check "$PERF_TMP"
 
-echo "== packed smoke: packed tier appends a checkable trajectory entry =="
-# The packed replay tier must produce a valid trajectory entry (with
-# replay_tier recorded) through the same writer as the default path.
-PACKED_TMP="$TRACE_TMP/packed_perf.json"
-cargo run --release -q --offline -p grp-bench --bin perf -- \
-    --scale test --packed --label verify-packed --out "$PACKED_TMP" \
-    --trace-cache "$TRACE_TMP/tc" > /dev/null
-cargo run --release -q --offline -p grp-bench --bin perf -- --check "$PACKED_TMP"
-grep -q '"replay_tier":"packed"' "$PACKED_TMP" || {
-    echo "ERROR: packed perf entry does not record its replay tier" >&2
-    exit 1
-}
+echo "== trace-cache smoke: cached perf run appends a checkable trajectory entry =="
+# A cold run fills the cache (misses replay the interpreted trace), a
+# warm run replays the cached packed traces; both entries must go
+# through the same writer and validate.
+CACHED_TMP="$TRACE_TMP/cached_perf.json"
+for leg in cold warm; do
+    cargo run --release -q --offline -p grp-bench --bin perf -- \
+        --scale test --label "verify-cache-$leg" --out "$CACHED_TMP" \
+        --trace-cache "$TRACE_TMP/tc" > /dev/null
+done
+cargo run --release -q --offline -p grp-bench --bin perf -- --check "$CACHED_TMP"
 
-echo "== packed identity gate: packed == materialized over the full grid =="
-# check --packed phase 0 replays every kernel x scheme cell through
-# both tiers (via the trace cache warmed above) and fails on any
+echo "== cache identity gate: cached == materialized over the full grid =="
+# With --trace-cache, check phase 0 runs every kernel x scheme cell
+# through the cache warmed above (hits replay the packed trace) and
+# compares it with a fresh materialized run, failing on any
 # bit-difference; the reduced case count keeps the later phases short.
 cargo run --release -q --offline -p grp-bench --bin check -- \
-    --packed --trace-cache "$TRACE_TMP/tc" \
+    --trace-cache "$TRACE_TMP/tc" \
     --scale test --cases 2 --seed 0x5eedc4ec00000000 > /dev/null
 
 echo "== trace-cache gate: corrupt + stale entries rebuild, never crash =="
 # Flip a byte in the middle of every cached entry, then truncate one
-# and plant pure garbage in another: the next packed run must treat
+# and plant pure garbage in another: the next cached run must treat
 # each as a named miss, rebuild, and still validate — a corrupt cache
 # can degrade warmth, never correctness.
 for f in "$TRACE_TMP"/tc/*.grpt; do
@@ -88,7 +88,7 @@ first="$(ls "$TRACE_TMP"/tc/*.grpt | head -1)"
 head -c 40 "$first" > "$first.tmp" && mv "$first.tmp" "$first"
 printf 'not a cache entry' > "$(ls "$TRACE_TMP"/tc/*.grpt | tail -1)"
 cargo run --release -q --offline -p grp-bench --bin perf -- \
-    --scale test --packed --no-write --trace-cache "$TRACE_TMP/tc" \
+    --scale test --no-write --trace-cache "$TRACE_TMP/tc" \
     > /dev/null 2> /dev/null
 echo "  -- corrupted cache: rebuilt"
 
