@@ -6,8 +6,8 @@
 //! outcome metrics (cycles, traffic) are printed once so the qualitative
 //! effect of the knob is visible in the bench log.
 
-use grp_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grp_core::{Scheme, SimConfig};
+use grp_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grp_workloads::{by_name, Scale};
 
 fn bench_queue_depth(c: &mut Criterion) {
@@ -63,8 +63,7 @@ fn bench_insertion_priority(c: &mut Criterion) {
         let r = built.run(Scheme::Srp, &cfg);
         eprintln!(
             "mru_insert={mru}: cycles={} l2_misses={}",
-            r.cycles,
-            r.l2.demand_misses
+            r.cycles, r.l2.demand_misses
         );
         let name = if mru { "mru" } else { "lru" };
         g.bench_with_input(BenchmarkId::from_parameter(name), &mru, |b, _| {

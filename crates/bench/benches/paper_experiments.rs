@@ -5,8 +5,8 @@
 //! experiment's *contents* — the paper-shape numbers — are produced by
 //! the `src/bin/*` binaries and recorded in EXPERIMENTS.md.
 
-use grp_testkit::bench::{criterion_group, criterion_main, Criterion};
 use grp_bench::{experiments, Suite, SuiteScale};
+use grp_testkit::bench::{criterion_group, criterion_main, Criterion};
 use grp_workloads::BenchClass;
 
 fn suite() -> Suite {

@@ -91,7 +91,9 @@ pub fn parse_jobs_args(args: &[String]) -> Result<Option<usize>, String> {
         },
     };
     match n {
-        Some(0) => Err("--jobs/GRP_JOBS must be at least 1 (valid: a positive worker count)".into()),
+        Some(0) => {
+            Err("--jobs/GRP_JOBS must be at least 1 (valid: a positive worker count)".into())
+        }
         Some(n) => Ok(Some(n as usize)),
         None => Ok(None),
     }
@@ -103,11 +105,7 @@ pub fn parse_jobs_args(args: &[String]) -> Result<Option<usize>, String> {
 /// offending label and every valid label on a typo, an empty list, or
 /// a duplicated entry (a duplicate would silently double a grid cell).
 pub fn parse_schemes_args(args: &[String]) -> Result<Option<Vec<grp_core::Scheme>>, String> {
-    let valid = || {
-        grp_core::Scheme::ALL
-            .map(|s| s.label())
-            .join(", ")
-    };
+    let valid = || grp_core::Scheme::ALL.map(|s| s.label()).join(", ");
     let Some(csv) = strict_value(args, "--schemes", "a comma-separated scheme list")? else {
         return Ok(None);
     };
@@ -117,7 +115,10 @@ pub fn parse_schemes_args(args: &[String]) -> Result<Option<Vec<grp_core::Scheme
         let scheme = grp_core::Scheme::by_label(label)
             .ok_or_else(|| format!("unknown scheme '{label}' (valid: {})", valid()))?;
         if out.contains(&scheme) {
-            return Err(format!("--schemes lists '{label}' twice (valid: {})", valid()));
+            return Err(format!(
+                "--schemes lists '{label}' twice (valid: {})",
+                valid()
+            ));
         }
         out.push(scheme);
     }
@@ -187,10 +188,13 @@ mod tests {
 
     #[test]
     fn flag_at_end_of_argv_errors() {
-        let err = strict_value(&argv(&["run", "--scale"]), "--scale", "test, small, paper")
-            .unwrap_err();
+        let err =
+            strict_value(&argv(&["run", "--scale"]), "--scale", "test, small, paper").unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
-        assert!(err.contains("test, small, paper"), "error lists valid values: {err}");
+        assert!(
+            err.contains("test, small, paper"),
+            "error lists valid values: {err}"
+        );
     }
 
     #[test]
@@ -205,7 +209,10 @@ mod tests {
     fn flag_like_value_errors() {
         let args = argv(&["run", "--scale", "--verbose"]);
         let err = strict_value(&args, "--scale", "test, small, paper").unwrap_err();
-        assert!(err.contains("--verbose"), "error names the swallowed flag: {err}");
+        assert!(
+            err.contains("--verbose"),
+            "error names the swallowed flag: {err}"
+        );
         assert!(err.contains("test, small, paper"), "{err}");
     }
 
@@ -220,7 +227,10 @@ mod tests {
     #[test]
     fn presence_flag_validation() {
         assert_eq!(strict_flag(&argv(&["run"]), "--faults"), Ok(false));
-        assert_eq!(strict_flag(&argv(&["run", "--faults"]), "--faults"), Ok(true));
+        assert_eq!(
+            strict_flag(&argv(&["run", "--faults"]), "--faults"),
+            Ok(true)
+        );
         let err = strict_flag(&argv(&["run", "--faults", "--faults"]), "--faults").unwrap_err();
         assert!(err.contains("more than once"), "{err}");
     }

@@ -38,8 +38,8 @@
 use crate::iofault::{self, IoFaultKind, IoFaultState};
 
 use std::fs;
-use std::io::Write as _;
 use std::io;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -228,10 +228,16 @@ pub fn recover_dir(dir: &Path, max_age: Duration) -> io::Result<RecoveryReport> 
                 (&mut report.swept_tmp, "grp_recovery_swept_tmp_total")
             };
             *slot += 1;
-            crate::telemetry::process_shard().counter(counter, &[]).inc();
+            crate::telemetry::process_shard()
+                .counter(counter, &[])
+                .inc();
             crate::telemetry::log::warn(
                 "recover",
-                &format!("swept stale {} {}", if is_lock { "lock" } else { "tmp" }, path.display()),
+                &format!(
+                    "swept stale {} {}",
+                    if is_lock { "lock" } else { "tmp" },
+                    path.display()
+                ),
             );
         }
     }
@@ -427,7 +433,11 @@ mod tests {
         let path = dir.join("out.json");
         let st = IoFaultState::torn_rename();
         atomic_write_with(Some(&st), &path, "0123456789").expect("bug mode reports ok");
-        assert_eq!(fs::read_to_string(&path).unwrap(), "01234", "torn half payload");
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "01234",
+            "torn half payload"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -453,10 +463,20 @@ mod tests {
         }
         // Age gate: everything is fresh, so a generous max_age spares it.
         let spared = recover_dir(&dir, Duration::from_secs(3600)).expect("scan");
-        assert_eq!(spared, RecoveryReport::default(), "fresh files spared by age gate");
+        assert_eq!(
+            spared,
+            RecoveryReport::default(),
+            "fresh files spared by age gate"
+        );
         // Zero max_age sweeps exactly the dead-owner staging + lock.
         let swept = recover_dir(&dir, Duration::ZERO).expect("scan");
-        assert_eq!(swept, RecoveryReport { swept_tmp: 1, swept_lock: 1 });
+        assert_eq!(
+            swept,
+            RecoveryReport {
+                swept_tmp: 1,
+                swept_lock: 1
+            }
+        );
         assert!(!dead_tmp.exists(), "dead-owner tmp swept");
         assert!(!dead_lock.exists(), "dead-owner lock swept");
         assert!(live_tmp.exists(), "live-owner tmp untouched");

@@ -81,7 +81,11 @@ fn main() {
                 let r = suite.run(name, scheme);
                 runs.push(run_result_json(&r, Some(&base)));
             }
-            benches.push(Json::object().set("bench", name).set("runs", Json::Array(runs)));
+            benches.push(
+                Json::object()
+                    .set("bench", name)
+                    .set("runs", Json::Array(runs)),
+            );
         }
         let doc = Json::object()
             .set("scale", format!("{scale:?}"))

@@ -77,8 +77,8 @@ use grp_core::{
     differential_check, differential_check_faulted, engine_for, run_trace, FaultPlan,
     InvariantObserver, OracleFault, Replay, Scheme, SimConfig,
 };
-use grp_testkit::proptest::{any, greedy_shrink};
 use grp_testkit::proptest::Arbitrary;
+use grp_testkit::proptest::{any, greedy_shrink};
 use grp_testkit::Rng;
 
 /// Default cycle-budget watchdog: far above any legal test-scale run,
@@ -237,7 +237,13 @@ fn check_pair(
     inject: Inject,
     max_cycles: u64,
 ) -> Result<(), String> {
-    check_faulted_case(&materialize(&pair.0), Some(&pair.1), cfg, inject, max_cycles)
+    check_faulted_case(
+        &materialize(&pair.0),
+        Some(&pair.1),
+        cfg,
+        inject,
+        max_cycles,
+    )
 }
 
 /// A fixed prefetch-heavy case for the built-in fault sweep: hinted
@@ -309,8 +315,8 @@ fn main() {
     };
     log::init_from_args(&args).unwrap_or_else(|e| usage_err(e));
 
-    if let Some(path) =
-        strict_value(&args, "--metrics", "a metrics exposition file").unwrap_or_else(|e| usage_err(e))
+    if let Some(path) = strict_value(&args, "--metrics", "a metrics exposition file")
+        .unwrap_or_else(|e| usage_err(e))
     {
         let prev = strict_value(&args, "--metrics-prev", "an earlier exposition to compare")
             .unwrap_or_else(|e| usage_err(e));
@@ -344,9 +350,9 @@ fn main() {
         {
             None | Some("none") => false,
             Some("torn-rename") => true,
-            Some(s) => {
-                usage_err(format!("unknown chaos injection '{s}' (valid: none, torn-rename)"))
-            }
+            Some(s) => usage_err(format!(
+                "unknown chaos injection '{s}' (valid: none, torn-rename)"
+            )),
         };
         let dir = strict_value(&args, "--chaos-dir", "a scratch directory")
             .unwrap_or_else(|e| usage_err(e))
@@ -358,7 +364,13 @@ fn main() {
             .ok()
             .and_then(|p| p.parent().map(|d| d.join("serve")))
             .unwrap_or_else(|| usage_err("cannot locate this binary's directory".to_string()));
-        let opts = grp_bench::chaos::ChaosOpts { serve_bin, dir, seed, rounds, torn_rename };
+        let opts = grp_bench::chaos::ChaosOpts {
+            serve_bin,
+            dir,
+            seed,
+            rounds,
+            torn_rename,
+        };
         match grp_bench::chaos::run_chaos(&opts) {
             Ok(summary) => println!("chaos: OK ({summary})"),
             Err(e) => {
@@ -435,7 +447,10 @@ fn main() {
                     Ok(_) => {
                         failures += 1;
                         bad += 1;
-                        println!("  {name}/{}: DIVERGED (cached != materialized)", scheme.label());
+                        println!(
+                            "  {name}/{}: DIVERGED (cached != materialized)",
+                            scheme.label()
+                        );
                     }
                     Err(e) => {
                         failures += 1;
@@ -463,7 +478,10 @@ fn main() {
             .build(scale.workload_scale());
         let (trace, mem) = built.trace(None);
         match differential_check(&trace, &mem, built.heap, &cfg, inject.oracle_fault()) {
-            Ok(rep) => println!("  {name}: OK ({} accesses, {} cycles)", rep.accesses, rep.cycles),
+            Ok(rep) => println!(
+                "  {name}: OK ({} accesses, {} cycles)",
+                rep.accesses, rep.cycles
+            ),
             Err(e) => {
                 failures += 1;
                 println!("  {name}: DIVERGED\n    {e}");
@@ -474,7 +492,12 @@ fn main() {
     // Phase 1b: a fixed region-pressure case no random plan reaches —
     // thousands of single-miss regions saturating the engine queue.
     // This is what makes the unbounded-queue injection deterministic.
-    match check_case(&grp_bench::fuzz::region_pressure_case(), &cfg, inject, max_cycles) {
+    match check_case(
+        &grp_bench::fuzz::region_pressure_case(),
+        &cfg,
+        inject,
+        max_cycles,
+    ) {
         Ok(()) => println!("  region-pressure: OK"),
         Err(e) => {
             failures += 1;
@@ -518,7 +541,12 @@ fn main() {
             Scheme::ALL.len()
         );
         let workout = fault_workout_case();
-        for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
+        for scheme in [
+            Scheme::NoPrefetch,
+            Scheme::Srp,
+            Scheme::GrpVar,
+            Scheme::Stride,
+        ] {
             let plain = run_trace(&workout.trace, &workout.mem, workout.heap, scheme, &cfg);
             let none = FaultPlan::none();
             let idle = Replay::new(&workout.mem, workout.heap, scheme, &cfg)
@@ -591,7 +619,8 @@ fn main() {
                  faults: {:?}\n    \
                  reproduce: --bin check -- --faults --cases 1 --seed {case_seed:#x} \
                  --max-cycles {max_cycles}{}",
-                min_pair.0, min_pair.1,
+                min_pair.0,
+                min_pair.1,
                 inject.repro_suffix()
             );
         }

@@ -130,11 +130,15 @@ fn main() {
     };
     log::init_from_args(&args).unwrap_or_else(|e| usage_err(e));
     let fleet = grp_bench::args::strict_flag(&args, "--fleet").unwrap_or_else(|e| usage_err(e));
-    let profile =
-        grp_bench::args::strict_flag(&args, "--profile").unwrap_or_else(|e| usage_err(e));
+    let profile = grp_bench::args::strict_flag(&args, "--profile").unwrap_or_else(|e| usage_err(e));
     let scale = scale_from_args();
-    let label = flag_value(&args, "--label")
-        .unwrap_or_else(|| if fleet { "fleet".to_string() } else { "current".to_string() });
+    let label = flag_value(&args, "--label").unwrap_or_else(|| {
+        if fleet {
+            "fleet".to_string()
+        } else {
+            "current".to_string()
+        }
+    });
     let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_perf.json".to_string());
     let schemes: Vec<Scheme> = parse_schemes_args(&args)
         .unwrap_or_else(|e| usage_err(e))
@@ -157,11 +161,20 @@ fn main() {
         "GRP perf harness — {:?} scale, {}, schemes: {}",
         scale,
         if fleet { "fleet mode" } else { "serial" },
-        schemes.iter().map(|s| s.label()).collect::<Vec<_>>().join(", ")
+        schemes
+            .iter()
+            .map(|s| s.label())
+            .collect::<Vec<_>>()
+            .join(", ")
     );
     println!(
         "{:<10} {:<9} {:>12} {:>14} {:>10} {:>12}{}",
-        "bench", "scheme", "events", "sim cycles", "replay s", "events/s",
+        "bench",
+        "scheme",
+        "events",
+        "sim cycles",
+        "replay s",
+        "events/s",
         if fleet { "   w" } else { "" }
     );
 
@@ -216,7 +229,10 @@ fn print_profile(report: &grp_bench::telemetry::profiler::ProfileReport, wall: f
             if stat.count == 1 { "" } else { "s" }
         );
     }
-    println!("  covered: {covered:.3}s of {wall:.3}s wall ({:.1}%)", 100.0 * coverage);
+    println!(
+        "  covered: {covered:.3}s of {wall:.3}s wall ({:.1}%)",
+        100.0 * coverage
+    );
     coverage
 }
 
@@ -288,7 +304,10 @@ fn run_serial(
         .set("sim_cycles", sim_cycles)
         .set("events_per_sec", events_per_sec)
         .set("sim_cycles_per_sec", cycles_per_sec)
-        .set("kernels", Json::Array(rows.iter().map(|r| r.json()).collect()))
+        .set(
+            "kernels",
+            Json::Array(rows.iter().map(|r| r.json()).collect()),
+        )
 }
 
 /// Fleet mode: shard the kernel × scheme grid across workers through
@@ -302,7 +321,9 @@ fn run_fleet(
     args: &[String],
 ) -> Json {
     let workers = jobs_from_args().unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
     });
     let stream_out = flag_value(args, "--stream-out");
     let names: Vec<&'static str> = all().iter().map(|w| w.name).collect();
@@ -336,7 +357,10 @@ fn run_fleet(
             let doc = Json::object()
                 .set("complete", rows.len() as u64)
                 .set("total", total as u64)
-                .set("cells", Json::Array(rows.iter().map(|r| r.json()).collect()));
+                .set(
+                    "cells",
+                    Json::Array(rows.iter().map(|r| r.json()).collect()),
+                );
             grp_bench::artifact::atomic_write(path, doc.render()).unwrap_or_else(|e| {
                 log::error("perf", &format!("cannot stream to {path}: {e}"));
                 std::process::exit(1);
@@ -387,8 +411,14 @@ fn run_fleet(
     // completion order (the streamed partials stay completion-ordered).
     rows.sort_by_key(|r| {
         (
-            names.iter().position(|n| *n == r.bench).unwrap_or(usize::MAX),
-            schemes.iter().position(|s| *s == r.scheme).unwrap_or(usize::MAX),
+            names
+                .iter()
+                .position(|n| *n == r.bench)
+                .unwrap_or(usize::MAX),
+            schemes
+                .iter()
+                .position(|s| *s == r.scheme)
+                .unwrap_or(usize::MAX),
         )
     });
     traj::fleet_entry(

@@ -93,7 +93,9 @@ fn main() {
     log::init_from_args(&args).unwrap_or_else(|e| fail(e));
     let scale = scale_from_args();
     let workers = jobs_from_args().unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
     });
     let selfcheck = strict_flag(&args, "--selfcheck").unwrap_or_else(|e| fail(e));
     let once = strict_flag(&args, "--once").unwrap_or_else(|e| fail(e));
@@ -103,8 +105,8 @@ fn main() {
     let label = flag_value(&args, "--label").unwrap_or_else(|| "serve".to_string());
     let deadline_ms = strict_u64(&args, "--request-deadline-ms", "milliseconds, e.g. 5000")
         .unwrap_or_else(|e| fail(e));
-    let max_inflight = strict_u64(&args, "--max-inflight", "a positive job count")
-        .unwrap_or_else(|e| fail(e));
+    let max_inflight =
+        strict_u64(&args, "--max-inflight", "a positive job count").unwrap_or_else(|e| fail(e));
     if max_inflight == Some(0) {
         fail("--max-inflight must be at least 1".to_string());
     }
@@ -116,14 +118,20 @@ fn main() {
     // trace-cache entries that no longer validate.
     let mut recovered = artifact::RecoveryReport::default();
     let mut quarantined = 0usize;
-    for out in [perf_out.as_deref(), metrics_out.as_deref()].into_iter().flatten() {
-        let parent = Path::new(out).parent().filter(|p| !p.as_os_str().is_empty());
+    for out in [perf_out.as_deref(), metrics_out.as_deref()]
+        .into_iter()
+        .flatten()
+    {
+        let parent = Path::new(out)
+            .parent()
+            .filter(|p| !p.as_os_str().is_empty());
         let dir = parent.unwrap_or_else(|| Path::new("."));
         match artifact::recover_dir(dir, Duration::ZERO) {
             Ok(r) => recovered.absorb(r),
-            Err(e) => {
-                log::warn("serve", &format!("recovery scan of {} failed: {e}", dir.display()))
-            }
+            Err(e) => log::warn(
+                "serve",
+                &format!("recovery scan of {} failed: {e}", dir.display()),
+            ),
         }
     }
     if let Some(cache) = &mode.trace_cache {
@@ -156,9 +164,10 @@ fn main() {
         if Path::new(&twin).exists() {
             match seed_counters_from_json(&registry, &twin) {
                 Ok(n) => log::info("serve", &format!("carried {n} counters over from {twin}")),
-                Err(e) => {
-                    log::warn("serve", &format!("metrics carryover from {twin} skipped: {e}"))
-                }
+                Err(e) => log::warn(
+                    "serve",
+                    &format!("metrics carryover from {twin} skipped: {e}"),
+                ),
             }
         }
     }
@@ -199,7 +208,10 @@ fn main() {
                 Level::Info,
                 "serve",
                 "listening",
-                &[("socket", path.as_str().into()), ("workers", (workers as u64).into())],
+                &[
+                    ("socket", path.as_str().into()),
+                    ("workers", (workers as u64).into()),
+                ],
             );
             // Accept failures back off exponentially and become
             // terminal after an unbroken run — a dead listener must

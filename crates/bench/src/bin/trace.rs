@@ -38,7 +38,10 @@ fn scheme_from_label(label: &str) -> Scheme {
         .find(|s| slug(s.label()) == want)
         .unwrap_or_else(|| {
             let all: Vec<_> = Scheme::ALL.iter().map(|s| s.label()).collect();
-            fail(&format!("unknown scheme '{label}' (valid: {})", all.join(", ")))
+            fail(&format!(
+                "unknown scheme '{label}' (valid: {})",
+                all.join(", ")
+            ))
         })
 }
 
@@ -52,12 +55,37 @@ fn check_eq(failures: &mut Vec<String>, what: &str, tracer: u64, sim: u64) {
 
 fn verify_against(tracer: &LifecycleTracer, r: &RunResult, base: &RunResult) -> Vec<String> {
     let mut f = Vec::new();
-    check_eq(&mut f, "prefetches issued", tracer.issued(), r.prefetches_issued);
-    check_eq(&mut f, "first uses", tracer.first_used(), r.l2.useful_prefetches);
-    check_eq(&mut f, "unused evictions", tracer.evicted_unused(), r.l2.useless_prefetches);
-    check_eq(&mut f, "resident at end", tracer.resident_at_end(), r.resident_unused_prefetches);
+    check_eq(
+        &mut f,
+        "prefetches issued",
+        tracer.issued(),
+        r.prefetches_issued,
+    );
+    check_eq(
+        &mut f,
+        "first uses",
+        tracer.first_used(),
+        r.l2.useful_prefetches,
+    );
+    check_eq(
+        &mut f,
+        "unused evictions",
+        tracer.evicted_unused(),
+        r.l2.useless_prefetches,
+    );
+    check_eq(
+        &mut f,
+        "resident at end",
+        tracer.resident_at_end(),
+        r.resident_unused_prefetches,
+    );
     check_eq(&mut f, "late merges", tracer.late(), r.late_prefetch_merges);
-    check_eq(&mut f, "demand misses", tracer.demand_misses(), r.l2.demand_misses);
+    check_eq(
+        &mut f,
+        "demand misses",
+        tracer.demand_misses(),
+        r.l2.demand_misses,
+    );
     let conserved = tracer.first_used()
         + tracer.late()
         + tracer.evicted_unused()
@@ -79,7 +107,10 @@ fn verify_against(tracer: &LifecycleTracer, r: &RunResult, base: &RunResult) -> 
     }
     let cov = tracer.coverage_vs_misses(base.l2_misses());
     if cov.to_bits() != r.coverage_vs(base).to_bits() {
-        f.push(format!("coverage: tracer {cov} != simulator {}", r.coverage_vs(base)));
+        f.push(format!(
+            "coverage: tracer {cov} != simulator {}",
+            r.coverage_vs(base)
+        ));
     }
     f
 }
@@ -96,7 +127,11 @@ fn check_artifacts(prefix: &str) {
         let rec = Json::parse(line)
             .unwrap_or_else(|e| fail(&format!("{prefix}.jsonl line {}: {e}", i + 1)));
         records += 1;
-        if rec.get("issued").map(|v| v.as_u64().is_some()).unwrap_or(false) {
+        if rec
+            .get("issued")
+            .map(|v| v.as_u64().is_some())
+            .unwrap_or(false)
+        {
             issued += 1;
         }
         let outcome = rec
@@ -105,7 +140,11 @@ fn check_artifacts(prefix: &str) {
             .unwrap_or_else(|| fail(&format!("{prefix}.jsonl line {}: no outcome", i + 1)));
         if matches!(
             outcome,
-            "first_use" | "late" | "evicted_unused" | "resident_at_end" | "in_flight_at_end"
+            "first_use"
+                | "late"
+                | "evicted_unused"
+                | "resident_at_end"
+                | "in_flight_at_end"
                 | "dropped"
         ) {
             accounted += 1;
@@ -118,8 +157,11 @@ fn check_artifacts(prefix: &str) {
     }
     let metrics = std::fs::read_to_string(format!("{prefix}.metrics.json"))
         .unwrap_or_else(|e| fail(&format!("read {prefix}.metrics.json: {e}")));
-    let metrics = Json::parse(&metrics).unwrap_or_else(|e| fail(&format!("{prefix}.metrics.json: {e}")));
-    let summary = metrics.get("summary").unwrap_or_else(|| fail("metrics: no summary"));
+    let metrics =
+        Json::parse(&metrics).unwrap_or_else(|e| fail(&format!("{prefix}.metrics.json: {e}")));
+    let summary = metrics
+        .get("summary")
+        .unwrap_or_else(|| fail("metrics: no summary"));
     let sum_issued = summary.get("issued").and_then(Json::as_u64).unwrap_or(0);
     if sum_issued != issued {
         fail(&format!(
@@ -137,9 +179,7 @@ fn check_artifacts(prefix: &str) {
         .and_then(Json::as_array)
         .unwrap_or_else(|| fail("trace.json: no traceEvents array"))
         .len();
-    println!(
-        "check ok: {records} records, {issued} issued (conserved), {n} trace events"
-    );
+    println!("check ok: {records} records, {issued} issued (conserved), {n} trace events");
 }
 
 fn main() {
@@ -153,7 +193,8 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "gzip".into());
-    let scheme = scheme_from_label(&flag_value(&args, "--scheme").unwrap_or_else(|| "GRP/Var".into()));
+    let scheme =
+        scheme_from_label(&flag_value(&args, "--scheme").unwrap_or_else(|| "GRP/Var".into()));
     let scale = parse_scale_args(&args).unwrap_or_else(|e| fail(&e));
     let epoch = flag_u64(&args, "--epoch").unwrap_or(4096);
     if epoch == 0 {
@@ -161,14 +202,21 @@ fn main() {
     }
     let prefix = flag_value(&args, "--trace-out")
         .unwrap_or_else(|| format!("target/trace/{}-{}", name, slug(scheme.label())));
-    let metrics_path = flag_value(&args, "--metrics-out").unwrap_or_else(|| format!("{prefix}.metrics.json"));
+    let metrics_path =
+        flag_value(&args, "--metrics-out").unwrap_or_else(|| format!("{prefix}.metrics.json"));
 
     let wl = by_name(&name).unwrap_or_else(|| fail(&format!("unknown benchmark '{name}'")));
     let built = wl.build(scale.workload_scale());
     let cfg = SimConfig::paper();
-    log::info("trace", &format!("running {name} / {} (baseline)…", Scheme::NoPrefetch));
+    log::info(
+        "trace",
+        &format!("running {name} / {} (baseline)…", Scheme::NoPrefetch),
+    );
     let base = built.run(Scheme::NoPrefetch, &cfg);
-    log::info("trace", &format!("running {name} / {scheme} (traced, epoch={epoch})…"));
+    log::info(
+        "trace",
+        &format!("running {name} / {scheme} (traced, epoch={epoch})…"),
+    );
     let obs = ObserverPair(LifecycleTracer::new(), EpochSampler::new(epoch));
     let (r, obs) = built.run_observed(scheme, &cfg, obs);
     let ObserverPair(tracer, sampler) = obs;
@@ -191,8 +239,11 @@ fn main() {
         chrome_trace(&tracer, epochs).render(),
     )
     .unwrap_or_else(|e| fail(&format!("write {prefix}.trace.json: {e}")));
-    grp_bench::artifact::atomic_write(&metrics_path, metrics_json(&tracer, epochs, Some(epoch)).render())
-        .unwrap_or_else(|e| fail(&format!("write {metrics_path}: {e}")));
+    grp_bench::artifact::atomic_write(
+        &metrics_path,
+        metrics_json(&tracer, epochs, Some(epoch)).render(),
+    )
+    .unwrap_or_else(|e| fail(&format!("write {metrics_path}: {e}")));
 
     println!(
         "{name} / {scheme}: {} records, {} issued, accuracy {:.3}, coverage {:.3}, {} epochs",

@@ -35,7 +35,11 @@ fn main() {
             s.max_dep_chain.to_string(),
             format!(
                 "{:.1}",
-                if s.loads == 0 { 0.0 } else { 100.0 * s.hinted_loads as f64 / s.loads as f64 }
+                if s.loads == 0 {
+                    0.0
+                } else {
+                    100.0 * s.hinted_loads as f64 / s.loads as f64
+                }
             ),
         ]);
     }

@@ -88,7 +88,10 @@ pub fn run_chaos(opts: &ChaosOpts) -> Result<String, String> {
     let mut prev: Option<BTreeMap<String, u64>> = None;
     for round in 0..opts.rounds {
         let fault_seed = opts.seed.wrapping_add(round);
-        println!("chaos: storm round {} (GRP_IOFAULT seed {fault_seed:#x})", round + 1);
+        println!(
+            "chaos: storm round {} (GRP_IOFAULT seed {fault_seed:#x})",
+            round + 1
+        );
         let sock = opts.dir.join(format!("storm-{round}.sock"));
         let envs = [("GRP_IOFAULT", format!("seed:{fault_seed}"))];
         let mut child = spawn_serve(opts, &sock, &cache_a, &metrics_a, None, &envs)?;
@@ -160,7 +163,11 @@ pub fn run_chaos(opts: &ChaosOpts) -> Result<String, String> {
     if !stale.is_empty() {
         return Err(format!(
             "stale staging files survived the run: {}",
-            stale.iter().map(|p| p.display().to_string()).collect::<Vec<_>>().join(", ")
+            stale
+                .iter()
+                .map(|p| p.display().to_string())
+                .collect::<Vec<_>>()
+                .join(", ")
         ));
     }
 
@@ -199,7 +206,11 @@ fn storm_round(
 
     // Connection 3: liveness probe — the disconnect above must not
     // have taken the process down.
-    if child.try_wait().map_err(|e| format!("try_wait: {e}"))?.is_some() {
+    if child
+        .try_wait()
+        .map_err(|e| format!("try_wait: {e}"))?
+        .is_some()
+    {
         return Err("server died after a mid-batch client disconnect".to_string());
     }
     let mut conn = connect(sock)?;
@@ -209,7 +220,10 @@ fn storm_round(
     if stats.get("ok").and_then(|v| v.as_bool()) != Some(true)
         || stats.get("stats").and_then(|s| s.get("counters")).is_none()
     {
-        return Err(format!("bad stats reply after disconnect: {}", stats.render()));
+        return Err(format!(
+            "bad stats reply after disconnect: {}",
+            stats.render()
+        ));
     }
     drop(conn);
 
@@ -327,7 +341,8 @@ fn spawn_serve(
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.spawn().map_err(|e| format!("cannot spawn {}: {e}", opts.serve_bin.display()))
+    cmd.spawn()
+        .map_err(|e| format!("cannot spawn {}: {e}", opts.serve_bin.display()))
 }
 
 /// Waits for the socket to become connectable (and the child to stay
@@ -342,7 +357,10 @@ fn await_socket(sock: &Path, child: &mut Child) -> Result<(), String> {
             return Err(format!("serve exited before listening: {status}"));
         }
         if Instant::now() >= deadline {
-            return Err(format!("socket {} never became connectable", sock.display()));
+            return Err(format!(
+                "socket {} never became connectable",
+                sock.display()
+            ));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -351,8 +369,8 @@ fn await_socket(sock: &Path, child: &mut Child) -> Result<(), String> {
 /// A connection with a generous read timeout (a hung reply must fail
 /// the gate, not hang it).
 fn connect(sock: &Path) -> Result<UnixStream, String> {
-    let stream = UnixStream::connect(sock)
-        .map_err(|e| format!("cannot connect {}: {e}", sock.display()))?;
+    let stream =
+        UnixStream::connect(sock).map_err(|e| format!("cannot connect {}: {e}", sock.display()))?;
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .map_err(|e| format!("set_read_timeout: {e}"))?;
@@ -363,8 +381,12 @@ fn connect(sock: &Path) -> Result<UnixStream, String> {
 /// blank-line flush.
 fn send_jobs(conn: &mut UnixStream, jobs: &[(&str, &str)]) -> Result<(), String> {
     for (i, (kernel, scheme)) in jobs.iter().enumerate() {
-        writeln!(conn, r#"{{"id":{},"kernel":"{kernel}","scheme":"{scheme}"}}"#, i + 1)
-            .map_err(|e| format!("job write: {e}"))?;
+        writeln!(
+            conn,
+            r#"{{"id":{},"kernel":"{kernel}","scheme":"{scheme}"}}"#,
+            i + 1
+        )
+        .map_err(|e| format!("job write: {e}"))?;
     }
     writeln!(conn).map_err(|e| format!("flush write: {e}"))?;
     conn.flush().map_err(|e| format!("flush: {e}"))?;
@@ -373,15 +395,18 @@ fn send_jobs(conn: &mut UnixStream, jobs: &[(&str, &str)]) -> Result<(), String>
 
 /// Reads exactly `n` reply lines.
 fn read_replies(conn: &UnixStream, n: usize) -> Result<Vec<Json>, String> {
-    let mut reader = BufReader::new(
-        conn.try_clone().map_err(|e| format!("clone stream: {e}"))?,
-    );
+    let mut reader = BufReader::new(conn.try_clone().map_err(|e| format!("clone stream: {e}"))?);
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let mut line = String::new();
-        let read = reader.read_line(&mut line).map_err(|e| format!("reply read: {e}"))?;
+        let read = reader
+            .read_line(&mut line)
+            .map_err(|e| format!("reply read: {e}"))?;
         if read == 0 {
-            return Err(format!("connection closed after {} of {n} replies", out.len()));
+            return Err(format!(
+                "connection closed after {} of {n} replies",
+                out.len()
+            ));
         }
         out.push(Json::parse(line.trim()).map_err(|e| format!("malformed reply: {e}"))?);
     }
@@ -404,7 +429,10 @@ fn check_job_replies(
             .get((id as usize).wrapping_sub(1))
             .ok_or_else(|| format!("reply for unknown id {id}"))?;
         if reply.get("ok").and_then(|v| v.as_bool()) != Some(true) {
-            return Err(format!("{kernel}/{scheme}: failed reply: {}", reply.render()));
+            return Err(format!(
+                "{kernel}/{scheme}: failed reply: {}",
+                reply.render()
+            ));
         }
         let got = reply
             .get("result")
@@ -427,8 +455,7 @@ fn reference_results() -> Result<BTreeMap<(String, String), String>, String> {
     for (kernel, scheme_label) in STORM_JOBS.iter().chain(RESTART_JOBS).chain(KILL_JOBS) {
         let scheme = Scheme::by_label(scheme_label)
             .ok_or_else(|| format!("unknown scheme label {scheme_label}"))?;
-        let w = grp_workloads::by_name(kernel)
-            .ok_or_else(|| format!("unknown kernel {kernel}"))?;
+        let w = grp_workloads::by_name(kernel).ok_or_else(|| format!("unknown kernel {kernel}"))?;
         let r = w.build(Scale::Test).run(scheme, &cfg);
         out.insert(
             (kernel.to_string(), scheme_label.to_string()),
@@ -508,7 +535,9 @@ fn validate_artifacts(cache_dir: &Path, metrics: &Path) -> Result<(), String> {
 
 /// Recursively collects surviving `*.tmp` / `*.lock` staging files.
 fn find_stale(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {

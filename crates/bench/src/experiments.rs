@@ -26,11 +26,23 @@ pub fn figure1(suite: &mut Suite) -> String {
         let l1 = suite.run(name, Scheme::PerfectL1);
         let grp = suite.run(name, Scheme::GrpVar);
         let gap = base.gap_vs_perfect(&l2);
-        rows.push((name.to_string(), base.ipc(), l2.ipc(), l1.ipc(), grp.ipc(), gap));
+        rows.push((
+            name.to_string(),
+            base.ipc(),
+            l2.ipc(),
+            l1.ipc(),
+            grp.ipc(),
+            gap,
+        ));
     }
     rows.sort_by(|a, b| a.5.total_cmp(&b.5));
     let mut t = Table::new(vec![
-        "bench", "base IPC", "perfect-L2", "perfect-L1", "GRP/Var", "gap %",
+        "bench",
+        "base IPC",
+        "perfect-L2",
+        "perfect-L1",
+        "GRP/Var",
+        "gap %",
     ]);
     for (n, b, l2, l1, g, gap) in &rows {
         t.row(vec![
@@ -87,7 +99,12 @@ pub fn table1(suite: &mut Suite) -> (Vec<SummaryRow>, String) {
             gap: (1.0 - geomean(&gap_ratios)) * 100.0,
         });
     }
-    let mut t = Table::new(vec!["scheme", "speedup", "traffic", "gap vs perfect L2 (%)"]);
+    let mut t = Table::new(vec![
+        "scheme",
+        "speedup",
+        "traffic",
+        "gap vs perfect L2 (%)",
+    ]);
     for r in &rows {
         t.row(vec![
             r.scheme.label().to_string(),
@@ -96,7 +113,13 @@ pub fn table1(suite: &mut Suite) -> (Vec<SummaryRow>, String) {
             format!("{:.2}", r.gap),
         ]);
     }
-    (rows, format!("Table 1: summary of prefetching performance and traffic\n{}", t.render()))
+    (
+        rows,
+        format!(
+            "Table 1: summary of prefetching performance and traffic\n{}",
+            t.render()
+        ),
+    )
 }
 
 /// Table 2: the hint taxonomy (qualitative; from §3.3).
@@ -133,7 +156,13 @@ pub fn table2() -> String {
 /// Table 3: static hint census per benchmark.
 pub fn table3(suite: &mut Suite) -> String {
     let mut t = Table::new(vec![
-        "bench", "mem refs", "spatial", "pointer", "recursive", "ratio %", "indirect",
+        "bench",
+        "mem refs",
+        "spatial",
+        "pointer",
+        "recursive",
+        "ratio %",
+        "indirect",
     ]);
     for name in suite.all_names() {
         let built = suite.built(name);
@@ -149,14 +178,17 @@ pub fn table3(suite: &mut Suite) -> String {
             cs.indirect.to_string(),
         ]);
     }
-    format!("Table 3: number of compiler hints for each benchmark\n{}", t.render())
+    format!(
+        "Table 3: number of compiler hints for each benchmark\n{}",
+        t.render()
+    )
 }
 
 /// Figure 9: speedup from pointer prefetching alone (C benchmarks).
 pub fn figure9(suite: &mut Suite) -> String {
     let c_benches = [
-        "gzip", "vpr", "mesa", "art", "mcf", "equake", "ammp", "parser", "gap", "bzip2",
-        "twolf", "sphinx",
+        "gzip", "vpr", "mesa", "art", "mcf", "equake", "ammp", "parser", "gap", "bzip2", "twolf",
+        "sphinx",
     ];
     let mut rows = Vec::new();
     for name in c_benches {
@@ -199,7 +231,12 @@ pub fn figure_perf(suite: &mut Suite, class: BenchClass) -> String {
         .map(|w| w.name)
         .collect();
     let mut t = Table::new(vec![
-        "bench", "none", "stride", "SRP", "GRP/Var", "perfect-L2",
+        "bench",
+        "none",
+        "stride",
+        "SRP",
+        "GRP/Var",
+        "perfect-L2",
     ]);
     for name in names {
         let base = suite.run(name, Scheme::NoPrefetch);
@@ -221,7 +258,10 @@ pub fn figure_perf(suite: &mut Suite, class: BenchClass) -> String {
         BenchClass::Fp => "Figure 11 (floating-point benchmarks)",
         BenchClass::App => "Figure 10/11 appendix (applications)",
     };
-    format!("{figno}: IPC under region and stride prefetching\n{}", t.render())
+    format!(
+        "{figno}: IPC under region and stride prefetching\n{}",
+        t.render()
+    )
 }
 
 /// Figure 12: memory traffic normalized to no prefetching.
@@ -253,7 +293,13 @@ pub fn figure12(suite: &mut Suite) -> String {
 /// for the three benchmarks where they differ.
 pub fn table4(suite: &mut Suite) -> String {
     let mut t = Table::new(vec![
-        "bench", "Var traffic", "Fix traffic", "size 2 %", "size 4 %", "size 8 %", "size 64 %",
+        "bench",
+        "Var traffic",
+        "Fix traffic",
+        "size 2 %",
+        "size 4 %",
+        "size 8 %",
+        "size 64 %",
     ]);
     for name in ["mesa", "bzip2", "sphinx"] {
         let base = suite.run(name, Scheme::NoPrefetch);
@@ -359,7 +405,10 @@ pub fn table6(suite: &mut Suite) -> String {
         ("sphinx", "hash table lookup"),
     ];
     let mut t = Table::new(vec![
-        "bench", "GRP gap %", "designed miss cause", "top-site share %",
+        "bench",
+        "GRP gap %",
+        "designed miss cause",
+        "top-site share %",
     ]);
     for (name, cause) in causes {
         let grp = suite.run(name, Scheme::GrpVar);
@@ -378,7 +427,10 @@ pub fn table6(suite: &mut Suite) -> String {
             format!("{share:.1}"),
         ]);
     }
-    format!("Table 6: level-2 miss characteristics under GRP\n{}", t.render())
+    format!(
+        "Table 6: level-2 miss characteristics under GRP\n{}",
+        t.render()
+    )
 }
 
 /// §5.4: compiler spatial-policy sensitivity (default vs aggressive vs
@@ -401,7 +453,10 @@ pub fn sensitivity(suite: &mut Suite) -> String {
         }
         t.row(vec![label.to_string(), f2(geomean(&sp)), f2(geomean(&tr))]);
     }
-    format!("Section 5.4: compiler spatial-policy sensitivity\n{}", t.render())
+    format!(
+        "Section 5.4: compiler spatial-policy sensitivity\n{}",
+        t.render()
+    )
 }
 
 /// §5.5's bandwidth observation: "art is bandwidth bound … larger caches

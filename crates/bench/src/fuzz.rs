@@ -393,8 +393,7 @@ pub fn materialize(plan: &FuzzPlan) -> FuzzCase {
                 };
                 let mut dep = None;
                 for i in 0..nodes as u64 {
-                    let seq =
-                        trace.push_load(Addr(base + i * stride), 8, ref_id, hints, dep);
+                    let seq = trace.push_load(Addr(base + i * stride), 8, ref_id, hints, dep);
                     dep = Some(seq);
                     trace.push_compute(gap);
                 }

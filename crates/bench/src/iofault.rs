@@ -468,8 +468,9 @@ mod tests {
         let a = IoFaultPlan::generate(0x5eed_10fa);
         let b = IoFaultPlan::generate(0x5eed_10fa);
         assert_eq!(a, b);
-        let plans: Vec<IoFaultPlan> =
-            (0..16).map(|i| IoFaultPlan::generate(0x5eed_10f0 + i)).collect();
+        let plans: Vec<IoFaultPlan> = (0..16)
+            .map(|i| IoFaultPlan::generate(0x5eed_10f0 + i))
+            .collect();
         assert!(plans.iter().any(|p| !p.is_empty()));
         assert!(plans.windows(2).any(|w| w[0] != w[1]));
     }
@@ -511,7 +512,10 @@ mod tests {
             snap.counter("grp_iofault_injected_total{kind=\"write_nospace\"}"),
             1
         );
-        assert_eq!(snap.counter("grp_iofault_injected_total{kind=\"read_eio\"}"), 1);
+        assert_eq!(
+            snap.counter("grp_iofault_injected_total{kind=\"read_eio\"}"),
+            1
+        );
     }
 
     #[test]

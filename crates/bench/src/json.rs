@@ -43,7 +43,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -504,10 +508,7 @@ mod tests {
 
     #[test]
     fn strings_escape() {
-        assert_eq!(
-            Json::Str("a\"b\\c\nd".into()).render(),
-            r#""a\"b\\c\nd""#
-        );
+        assert_eq!(Json::Str("a\"b\\c\nd".into()).render(), r#""a\"b\\c\nd""#);
         assert_eq!(Json::Str("\u{1}".into()).render(), "\"\\u0001\"");
     }
 
@@ -583,7 +584,10 @@ mod tests {
             .set("none", Json::Null)
             .set(
                 "runs",
-                Json::Array(vec![Json::object().set("x", 1u64), Json::object().set("x", 2u64)]),
+                Json::Array(vec![
+                    Json::object().set("x", 1u64),
+                    Json::object().set("x", 2u64),
+                ]),
             );
         let text = doc.render();
         assert_eq!(Json::parse(&text).unwrap(), doc);
@@ -604,7 +608,12 @@ mod tests {
     #[test]
     fn object_entries_walk_in_document_order() {
         let j = Json::parse(r#"{"b":1,"a":2}"#).unwrap();
-        let keys: Vec<&str> = j.entries().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = j
+            .entries()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, ["b", "a"]);
     }
 }

@@ -24,7 +24,13 @@ use crate::json::Json;
 pub fn slug(label: &str) -> String {
     label
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '-'
+            }
+        })
         .collect()
 }
 
@@ -137,7 +143,11 @@ pub fn chrome_trace(tracer: &LifecycleTracer, epochs: &[EpochSnapshot]) -> Json 
     let mut queue_iv: Vec<(usize, u64, u64)> = Vec::new();
     for (i, r) in tracer.records().iter().enumerate() {
         let start = r.queued_at;
-        let end = r.issued_at.or(r.outcome_at).unwrap_or(final_cycle).max(start);
+        let end = r
+            .issued_at
+            .or(r.outcome_at)
+            .unwrap_or(final_cycle)
+            .max(start);
         queue_iv.push((i, start, end));
     }
     queue_iv.sort_by_key(|&(i, s, _)| (s, i));
@@ -188,7 +198,12 @@ pub fn chrome_trace(tracer: &LifecycleTracer, epochs: &[EpochSnapshot]) -> Json 
                 .set("prefetch", s.prefetch_blocks)
                 .set("writeback", s.writeback_blocks),
         ));
-        events.push(counter(0, "ipc", s.cycles, Json::object().set("ipc", s.ipc())));
+        events.push(counter(
+            0,
+            "ipc",
+            s.cycles,
+            Json::object().set("ipc", s.ipc()),
+        ));
         events.push(counter(
             1,
             "queue occupancy",
@@ -248,7 +263,11 @@ pub fn summary_json(tracer: &LifecycleTracer) -> Json {
 
 /// Renders the epoch metrics document: lifecycle summary, the three
 /// timeliness histograms, and one row per epoch snapshot.
-pub fn metrics_json(tracer: &LifecycleTracer, epochs: &[EpochSnapshot], interval: Option<u64>) -> Json {
+pub fn metrics_json(
+    tracer: &LifecycleTracer,
+    epochs: &[EpochSnapshot],
+    interval: Option<u64>,
+) -> Json {
     let mut rows = Vec::with_capacity(epochs.len());
     for s in epochs {
         let busy: Vec<Json> = (0..s.channel_busy_cycles.len())
@@ -331,7 +350,13 @@ mod tests {
     #[test]
     fn chrome_trace_roundtrips_and_has_lanes() {
         let t = tiny_tracer();
-        let doc = chrome_trace(&t, &[EpochSnapshot { cycles: 50, ..Default::default() }]);
+        let doc = chrome_trace(
+            &t,
+            &[EpochSnapshot {
+                cycles: 50,
+                ..Default::default()
+            }],
+        );
         let text = doc.render();
         let back = Json::parse(&text).expect("self-parse");
         // Whole-valued floats re-parse as integers, so round-trip

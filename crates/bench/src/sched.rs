@@ -230,8 +230,9 @@ impl WorkloadCache {
     ///
     /// Names the unknown kernel when it is not in the registry.
     pub fn get_or_build(&self, kernel: &str, scale: Scale) -> Result<Arc<BuiltWorkload>, String> {
-        let w = grp_workloads::by_name(kernel)
-            .ok_or_else(|| format!("unknown workload '{kernel}' (valid: registry names, e.g. gzip, mcf, bzip2)"))?;
+        let w = grp_workloads::by_name(kernel).ok_or_else(|| {
+            format!("unknown workload '{kernel}' (valid: registry names, e.g. gzip, mcf, bzip2)")
+        })?;
         let slot = self
             .map
             .lock()
@@ -527,8 +528,11 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
         s0.counter("grp_fleet_wall_micros_total", &[])
             .add((stats.wall_seconds * 1e6) as u64);
         for w in 0..workers {
-            s0.gauge("grp_fleet_worker_utilization", &[("worker", &w.to_string())])
-                .set(stats.utilization(w));
+            s0.gauge(
+                "grp_fleet_worker_utilization",
+                &[("worker", &w.to_string())],
+            )
+            .set(stats.utilization(w));
         }
     }
     stats
@@ -557,9 +561,14 @@ fn record_cell(
         }
     }
     shard
-        .counter("grp_fleet_busy_micros_total", &[("worker", &worker.to_string())])
+        .counter(
+            "grp_fleet_busy_micros_total",
+            &[("worker", &worker.to_string())],
+        )
         .add((busy_secs * 1e6) as u64);
-    shard.hist("grp_fleet_queue_wait_micros", &[]).record(queue_micros);
+    shard
+        .hist("grp_fleet_queue_wait_micros", &[])
+        .record(queue_micros);
 }
 
 /// Runs one `(kernel, scheme)` cell under `mode`, preferring the trace
@@ -590,7 +599,11 @@ pub fn run_cell(
     // reports; when the global profiler is off (the default) each
     // span is one atomic load and no clock read.
     let prof = crate::telemetry::profiler();
-    let slabel = if prof.enabled() { scheme.to_string() } else { String::new() };
+    let slabel = if prof.enabled() {
+        scheme.to_string()
+    } else {
+        String::new()
+    };
     let t0 = Instant::now();
     // Cache fast path: packed trace + post-interpretation memory +
     // heap straight from disk. A stale/corrupt entry reads as a miss.
@@ -604,7 +617,12 @@ pub fn run_cell(
             let t1 = Instant::now();
             let _s = prof.span_cell("replay", kernel, &slabel);
             let result = Replay::new(&mem, heap, scheme, cfg).run(&pt).0;
-            return Ok((result, pt.event_count(), setup_seconds, t1.elapsed().as_secs_f64()));
+            return Ok((
+                result,
+                pt.event_count(),
+                setup_seconds,
+                t1.elapsed().as_secs_f64(),
+            ));
         }
     }
     let built = {
@@ -637,7 +655,12 @@ pub fn run_cell(
     let t1 = Instant::now();
     let _s = prof.span_cell("replay", kernel, &slabel);
     let result = Replay::new(&mem, built.heap, scheme, cfg).run(&trace).0;
-    Ok((result, trace.events().len() as u64, setup_seconds, t1.elapsed().as_secs_f64()))
+    Ok((
+        result,
+        trace.events().len() as u64,
+        setup_seconds,
+        t1.elapsed().as_secs_f64(),
+    ))
 }
 
 /// Builds (via the cache), traces, and replays one cell under `mode`,
@@ -696,7 +719,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same Arc for repeated requests");
         assert_eq!(cache.built_count(), 1);
         assert!(cache.get("crafty", Scale::Test).is_some());
-        assert!(cache.get("crafty", Scale::Small).is_none(), "scale is part of the key");
+        assert!(
+            cache.get("crafty", Scale::Small).is_none(),
+            "scale is part of the key"
+        );
         let err = cache.get_or_build("nope", Scale::Test).unwrap_err();
         assert!(err.contains("nope"), "{err}");
     }
@@ -707,11 +733,16 @@ mod tests {
         let built = Arc::new(grp_workloads::by_name("twolf").unwrap().build(Scale::Test));
         cache.insert("twolf", Scale::Test, built.clone());
         let got = cache.get_or_build("twolf", Scale::Test).expect("seeded");
-        assert!(Arc::ptr_eq(&built, &got), "seeded workload is reused, not rebuilt");
+        assert!(
+            Arc::ptr_eq(&built, &got),
+            "seeded workload is reused, not rebuilt"
+        );
         // A second insert must not swap the workload out from under readers.
         let other = Arc::new(grp_workloads::by_name("twolf").unwrap().build(Scale::Test));
         cache.insert("twolf", Scale::Test, other);
-        let still = cache.get_or_build("twolf", Scale::Test).expect("still seeded");
+        let still = cache
+            .get_or_build("twolf", Scale::Test)
+            .expect("still seeded");
         assert!(Arc::ptr_eq(&built, &still));
     }
 
@@ -781,16 +812,26 @@ mod tests {
         };
         let baseline = collect(&ReplayMode::default(), &WorkloadCache::new());
 
-        let dir = std::env::temp_dir()
-            .join(format!("grp-sched-cache-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("grp-sched-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tc = Arc::new(TraceCache::new(&dir));
-        let cached = ReplayMode { trace_cache: Some(tc.clone()), ..ReplayMode::default() };
-        assert_eq!(collect(&cached, &WorkloadCache::new()), baseline, "cache (cold) diverged");
+        let cached = ReplayMode {
+            trace_cache: Some(tc.clone()),
+            ..ReplayMode::default()
+        };
+        assert_eq!(
+            collect(&cached, &WorkloadCache::new()),
+            baseline,
+            "cache (cold) diverged"
+        );
         // Warm cache: every cell must be served from disk — zero builds —
         // and replay the loaded packed trace to the same results.
         let warm_cache = WorkloadCache::new();
-        assert_eq!(collect(&cached, &warm_cache), baseline, "cache (warm, packed) diverged");
+        assert_eq!(
+            collect(&cached, &warm_cache),
+            baseline,
+            "cache (warm, packed) diverged"
+        );
         assert_eq!(
             warm_cache.built_count(),
             0,
@@ -806,7 +847,12 @@ mod tests {
         // cell must come back as a deadline_exceeded error — exactly one
         // reply per job, none simulated, none hung.
         let past = Instant::now();
-        let mut jobs = grid_jobs(&["twolf", "crafty"], &[Scheme::NoPrefetch, Scheme::Srp], Scale::Test, cfg);
+        let mut jobs = grid_jobs(
+            &["twolf", "crafty"],
+            &[Scheme::NoPrefetch, Scheme::Srp],
+            Scale::Test,
+            cfg,
+        );
         for j in &mut jobs {
             j.deadline = Some(past);
         }
@@ -834,13 +880,19 @@ mod tests {
     #[test]
     fn cancelled_batch_fails_remaining_cells_without_running_them() {
         let cfg = SimConfig::paper();
-        let jobs = grid_jobs(&["twolf"], &[Scheme::NoPrefetch, Scheme::Srp], Scale::Test, cfg);
+        let jobs = grid_jobs(
+            &["twolf"],
+            &[Scheme::NoPrefetch, Scheme::Srp],
+            Scale::Test,
+            cfg,
+        );
         let cache = WorkloadCache::new();
         let ctl = BatchCtl::new();
         ctl.cancel(); // cancelled before any pickup: all cells skip
         let mut seen = Vec::new();
-        let stats =
-            run_cells_ctl(&jobs, 2, &cache, &ReplayMode::default(), Some(&ctl), |r| seen.push(r));
+        let stats = run_cells_ctl(&jobs, 2, &cache, &ReplayMode::default(), Some(&ctl), |r| {
+            seen.push(r)
+        });
         assert_eq!(stats.cells, jobs.len(), "cancelled cells still reply");
         assert_eq!(stats.errors, jobs.len());
         for r in &seen {

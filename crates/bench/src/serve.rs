@@ -215,7 +215,10 @@ impl Server {
                         Level::Error,
                         "serve",
                         "read failed; closing session",
-                        &[("session", session_id.into()), ("error", e.to_string().into())],
+                        &[
+                            ("session", session_id.into()),
+                            ("error", e.to_string().into()),
+                        ],
                     );
                     end = Some(SessionEnd::ClientGone);
                     break;
@@ -254,21 +257,26 @@ impl Server {
                     }
                 }
                 Ok(Request::Stats { id }) => {
-                    self.shard.counter("grp_serve_stats_requests_total", &[]).inc();
+                    self.shard
+                        .counter("grp_serve_stats_requests_total", &[])
+                        .inc();
                     // Count the reply before snapshotting so the probe
                     // sees itself — every reply on the wire is counted
                     // in the snapshot it carries.
-                    self.shard.counter("grp_serve_replies_total", &[("ok", "true")]).inc();
+                    self.shard
+                        .counter("grp_serve_replies_total", &[("ok", "true")])
+                        .inc();
                     let reply = self.stats_reply(id);
-                    if let Err(e) = writeln!(out, "{}", reply.render()).and_then(|()| out.flush())
-                    {
+                    if let Err(e) = writeln!(out, "{}", reply.render()).and_then(|()| out.flush()) {
                         self.note_client_gone(&e);
                         end = Some(SessionEnd::ClientGone);
                         break;
                     }
                 }
                 Ok(Request::Drain { id }) => {
-                    self.shard.counter("grp_serve_drain_requests_total", &[]).inc();
+                    self.shard
+                        .counter("grp_serve_drain_requests_total", &[])
+                        .inc();
                     // Finish everything already admitted before
                     // acknowledging — the ack promises nothing is lost.
                     if !self.flush_batch(&mut batch, out) {
@@ -297,7 +305,9 @@ impl Server {
                     break;
                 }
                 Err((id, e)) => {
-                    self.shard.counter("grp_serve_request_errors_total", &[]).inc();
+                    self.shard
+                        .counter("grp_serve_request_errors_total", &[])
+                        .inc();
                     batch.push(Err((id, e)));
                 }
             }
@@ -343,14 +353,19 @@ impl Server {
             return false;
         }
         self.shard
-            .counter("grp_serve_replies_total", &[("ok", if ok { "true" } else { "false" })])
+            .counter(
+                "grp_serve_replies_total",
+                &[("ok", if ok { "true" } else { "false" })],
+            )
             .inc();
         true
     }
 
     /// Records one client disappearance (broken pipe mid-reply).
     fn note_client_gone(&self, e: &std::io::Error) {
-        self.shard.counter("grp_serve_client_disconnects_total", &[]).inc();
+        self.shard
+            .counter("grp_serve_client_disconnects_total", &[])
+            .inc();
         log::log_kv(
             Level::Warn,
             "serve",
@@ -378,7 +393,10 @@ impl Server {
             match req {
                 Ok(job) => jobs.push(job),
                 Err((id, e)) => {
-                    let reply = Json::object().set("id", id).set("ok", false).set("error", e);
+                    let reply = Json::object()
+                        .set("id", id)
+                        .set("ok", false)
+                        .set("error", e);
                     if !self.write_reply(out, false, reply) {
                         // Client gone before the batch even started:
                         // the admitted jobs are dropped, not run.
@@ -441,7 +459,9 @@ impl Server {
                         Err(e) => {
                             gone.set(true);
                             ctl.cancel();
-                            shard.counter("grp_serve_client_disconnects_total", &[]).inc();
+                            shard
+                                .counter("grp_serve_client_disconnects_total", &[])
+                                .inc();
                             log::log_kv(
                                 Level::Warn,
                                 "serve",
@@ -486,7 +506,10 @@ impl Server {
                             "events_per_sec",
                             cell.events as f64 / cell.replay_seconds.max(1e-9),
                         )
-                        .set("sim_cycles_per_sec", r.cycles as f64 / cell.replay_seconds.max(1e-9))
+                        .set(
+                            "sim_cycles_per_sec",
+                            r.cycles as f64 / cell.replay_seconds.max(1e-9),
+                        )
                         .set("worker", cell.worker as u64),
                 );
             }
@@ -531,7 +554,9 @@ impl Server {
     fn selfcheck_batch(&mut self, completed: &[CellResult]) {
         for cell in completed {
             let Ok(got) = &cell.outcome else { continue };
-            let Some(w) = grp_workloads::by_name(cell.kernel) else { continue };
+            let Some(w) = grp_workloads::by_name(cell.kernel) else {
+                continue;
+            };
             let want = w.build(cell.scale).run(cell.scheme, &self.cfg);
             if *got != want {
                 log::log_kv(
@@ -547,7 +572,9 @@ impl Server {
                     ],
                 );
                 self.mismatches += 1;
-                self.shard.counter("grp_serve_selfcheck_mismatches_total", &[]).inc();
+                self.shard
+                    .counter("grp_serve_selfcheck_mismatches_total", &[])
+                    .inc();
             }
         }
     }
@@ -624,7 +651,9 @@ impl AcceptBackoff {
             return None;
         }
         // 10ms, 20ms, 40ms, … capped at 1280ms.
-        Some(Duration::from_millis(10u64 << (self.consecutive - 1).min(7)))
+        Some(Duration::from_millis(
+            10u64 << (self.consecutive - 1).min(7),
+        ))
     }
 
     /// Registers a successful accept, resetting the schedule.
@@ -825,7 +854,10 @@ pub fn check_replies(path: &str) -> Result<usize, String> {
             .and_then(|v| v.as_u64())
             .ok_or(format!("line {}: missing 'id'", i + 1))?;
         if !ok {
-            let e = doc.get("error").and_then(|v| v.as_str()).unwrap_or("<no error field>");
+            let e = doc
+                .get("error")
+                .and_then(|v| v.as_str())
+                .unwrap_or("<no error field>");
             return Err(format!("line {}: reply failed: {e}", i + 1));
         }
         if let Some(stats) = doc.get("stats") {
@@ -905,7 +937,10 @@ mod tests {
     impl Write for FailAfter {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
             if self.written.len() + buf.len() > self.budget {
-                return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "peer closed"));
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::BrokenPipe,
+                    "peer closed",
+                ));
             }
             self.written.extend_from_slice(buf);
             Ok(buf.len())
@@ -930,12 +965,18 @@ mod tests {
     fn broken_pipe_mid_batch_cancels_without_killing_the_server() {
         let mut server = test_server(2);
         let input = concat!(
-            r#"{"kernel":"twolf","scheme":"SRP","id":1}"#, "\n",
-            r#"{"kernel":"gzip","scheme":"SRP","id":2}"#, "\n",
-            r#"{"kernel":"mcf","scheme":"SRP","id":3}"#, "\n",
+            r#"{"kernel":"twolf","scheme":"SRP","id":1}"#,
+            "\n",
+            r#"{"kernel":"gzip","scheme":"SRP","id":2}"#,
+            "\n",
+            r#"{"kernel":"mcf","scheme":"SRP","id":3}"#,
+            "\n",
             "\n",
         );
-        let mut out = FailAfter { written: Vec::new(), budget: 0 };
+        let mut out = FailAfter {
+            written: Vec::new(),
+            budget: 0,
+        };
         let end = server.session(std::io::Cursor::new(input.to_string()), &mut out);
         assert_eq!(end, SessionEnd::ClientGone);
         assert!(out.written.is_empty(), "nothing landed on the dead pipe");
@@ -943,8 +984,10 @@ mod tests {
         assert_eq!(snap.counter("grp_serve_client_disconnects_total"), 1);
         // The server object survives the disconnect: a fresh session on
         // the same server still answers.
-        let replies =
-            run_session(&mut server, "{\"kernel\":\"twolf\",\"scheme\":\"none\",\"id\":9}\n\n");
+        let replies = run_session(
+            &mut server,
+            "{\"kernel\":\"twolf\",\"scheme\":\"none\",\"id\":9}\n\n",
+        );
         assert_eq!(replies.len(), 1);
         assert_eq!(reply_ok(&replies[0]), Some(true));
     }
@@ -955,7 +998,8 @@ mod tests {
         // A valid job, then a half-written line with no trailing
         // newline (the client died mid-send).
         let input = concat!(
-            r#"{"kernel":"twolf","scheme":"none","id":1}"#, "\n",
+            r#"{"kernel":"twolf","scheme":"none","id":1}"#,
+            "\n",
             r#"{"kernel":"gzip","scheme":"SR"#,
         );
         let replies = run_session(&mut server, input);
@@ -971,9 +1015,12 @@ mod tests {
     fn truncated_json_mid_batch_fails_only_that_request() {
         let mut server = test_server(1);
         let input = concat!(
-            r#"{"kernel":"twolf","scheme":"none","id":1}"#, "\n",
-            r#"{"kernel":"gzip","#, "\n",
-            r#"{"kernel":"mcf","scheme":"SRP","id":3}"#, "\n",
+            r#"{"kernel":"twolf","scheme":"none","id":1}"#,
+            "\n",
+            r#"{"kernel":"gzip","#,
+            "\n",
+            r#"{"kernel":"mcf","scheme":"SRP","id":3}"#,
+            "\n",
             "\n",
         );
         let replies = run_session(&mut server, input);
@@ -986,8 +1033,10 @@ mod tests {
     #[test]
     fn expired_request_deadline_returns_named_error_reply() {
         let mut server = test_server_opts(2, Some(Duration::ZERO), None);
-        let replies =
-            run_session(&mut server, "{\"kernel\":\"twolf\",\"scheme\":\"SRP\",\"id\":5}\n\n");
+        let replies = run_session(
+            &mut server,
+            "{\"kernel\":\"twolf\",\"scheme\":\"SRP\",\"id\":5}\n\n",
+        );
         assert_eq!(replies.len(), 1, "an expired job still gets its reply");
         assert_eq!(reply_ok(&replies[0]), Some(false));
         let e = replies[0].get("error").and_then(|v| v.as_str()).unwrap();
@@ -998,9 +1047,12 @@ mod tests {
     fn overload_sheds_excess_jobs_with_named_replies() {
         let mut server = test_server_opts(1, None, Some(1));
         let input = concat!(
-            r#"{"kernel":"twolf","scheme":"none","id":1}"#, "\n",
-            r#"{"kernel":"twolf","scheme":"SRP","id":2}"#, "\n",
-            r#"{"kernel":"gzip","scheme":"SRP","id":3}"#, "\n",
+            r#"{"kernel":"twolf","scheme":"none","id":1}"#,
+            "\n",
+            r#"{"kernel":"twolf","scheme":"SRP","id":2}"#,
+            "\n",
+            r#"{"kernel":"gzip","scheme":"SRP","id":3}"#,
+            "\n",
             "\n",
         );
         let replies = run_session(&mut server, input);
@@ -1023,9 +1075,12 @@ mod tests {
         // the ack must come after that job's reply, and the line after
         // the drain must never be read.
         let input = concat!(
-            r#"{"kernel":"twolf","scheme":"none","id":1}"#, "\n",
-            r#"{"drain":true,"id":42}"#, "\n",
-            r#"{"kernel":"gzip","scheme":"SRP","id":9}"#, "\n",
+            r#"{"kernel":"twolf","scheme":"none","id":1}"#,
+            "\n",
+            r#"{"drain":true,"id":42}"#,
+            "\n",
+            r#"{"kernel":"gzip","scheme":"SRP","id":9}"#,
+            "\n",
         );
         let mut out = Vec::new();
         let end = server.session(std::io::Cursor::new(input.to_string()), &mut out);
@@ -1035,7 +1090,11 @@ mod tests {
             .lines()
             .map(|l| Json::parse(l).unwrap())
             .collect();
-        assert_eq!(replies.len(), 2, "flushed job reply + drain ack, nothing after");
+        assert_eq!(
+            replies.len(),
+            2,
+            "flushed job reply + drain ack, nothing after"
+        );
         assert_eq!(replies[0].get("id").and_then(|v| v.as_u64()), Some(1));
         let ack = &replies[1];
         assert_eq!(ack.get("id").and_then(|v| v.as_u64()), Some(42));
@@ -1114,8 +1173,7 @@ mod tests {
             Request::Stats { id } => assert_eq!(id, 3),
             other => panic!("expected stats, got {other:?}"),
         }
-        let (_, e) =
-            parse_request(r#"{"stats":false}"#, 3, SuiteScale::Test).unwrap_err();
+        let (_, e) = parse_request(r#"{"stats":false}"#, 3, SuiteScale::Test).unwrap_err();
         assert!(e.contains("'stats' must be true"), "{e}");
         let (_, e) =
             parse_request(r#"{"stats":true,"kernel":"gzip"}"#, 4, SuiteScale::Test).unwrap_err();
@@ -1129,11 +1187,15 @@ mod tests {
         let mut server = test_server(2);
         // 3 job requests (one bad scheme), a flush, then a stats probe.
         let input = concat!(
-            r#"{"kernel":"twolf","scheme":"none","id":1}"#, "\n",
-            r#"{"kernel":"crafty","scheme":"SRP","id":2}"#, "\n",
-            r#"{"kernel":"twolf","scheme":"SPR","id":3}"#, "\n",
+            r#"{"kernel":"twolf","scheme":"none","id":1}"#,
             "\n",
-            r#"{"stats":true,"id":99}"#, "\n",
+            r#"{"kernel":"crafty","scheme":"SRP","id":2}"#,
+            "\n",
+            r#"{"kernel":"twolf","scheme":"SPR","id":3}"#,
+            "\n",
+            "\n",
+            r#"{"stats":true,"id":99}"#,
+            "\n",
         );
         let replies = run_session(&mut server, input);
         assert_eq!(replies.len(), 4, "3 job replies + 1 stats reply");
@@ -1155,8 +1217,14 @@ mod tests {
         assert_eq!(counter("grp_serve_request_errors_total"), 1);
         assert_eq!(counter("grp_serve_batches_total"), 1);
         // The batch replayed exactly the two valid cells.
-        assert_eq!(counter("grp_fleet_cells_total{bench=\"twolf\",scheme=\"none\"}"), 1);
-        assert_eq!(counter("grp_fleet_cells_total{bench=\"crafty\",scheme=\"SRP\"}"), 1);
+        assert_eq!(
+            counter("grp_fleet_cells_total{bench=\"twolf\",scheme=\"none\"}"),
+            1
+        );
+        assert_eq!(
+            counter("grp_fleet_cells_total{bench=\"crafty\",scheme=\"SRP\"}"),
+            1
+        );
         // Replies at stats time: 2 ok cells + 1 error + the stats
         // reply itself (counted before rendering the snapshot).
         assert_eq!(counter("grp_serve_replies_total{ok=\"true\"}"), 3);
@@ -1178,45 +1246,66 @@ mod tests {
             workers: 2,
             default_scale: SuiteScale::Test,
             cfg: SimConfig::paper(),
-            mode: ReplayMode { trace_cache: Some(cache), ..ReplayMode::default() },
+            mode: ReplayMode {
+                trace_cache: Some(cache),
+                ..ReplayMode::default()
+            },
             selfcheck: true,
             registry: Arc::new(Registry::new()),
             request_deadline: None,
             max_inflight: None,
         });
         let input = concat!(
-            r#"{"kernel":"gzip","scheme":"SRP"}"#, "\n",
-            r#"{"kernel":"mcf","scheme":"none"}"#, "\n",
+            r#"{"kernel":"gzip","scheme":"SRP"}"#,
+            "\n",
+            r#"{"kernel":"mcf","scheme":"none"}"#,
+            "\n",
         );
         // The first session fills the trace cache; the second is served
         // from it, replaying the packed traces.
         for _ in 0..2 {
             let replies = run_session(&mut server, input);
             assert_eq!(replies.len(), 2);
-            assert!(replies.iter().all(|r| r.get("ok").and_then(|v| v.as_bool()) == Some(true)));
+            assert!(replies
+                .iter()
+                .all(|r| r.get("ok").and_then(|v| v.as_bool()) == Some(true)));
         }
-        assert_eq!(server.mismatches(), 0, "cached fleet path matches serial replay");
+        assert_eq!(
+            server.mismatches(),
+            0,
+            "cached fleet path matches serial replay"
+        );
 
         let path = dir.join("metrics.prom");
-        server.write_metrics(path.to_str().unwrap()).expect("export");
+        server
+            .write_metrics(path.to_str().unwrap())
+            .expect("export");
         let text = std::fs::read_to_string(&path).expect("text exists");
         let parsed = exposition::validate_text(&text).expect("exposition validates");
         assert!(parsed.counters.contains_key("grp_serve_batches_total"));
         let twin = std::fs::read_to_string(format!("{}.json", path.display())).expect("json twin");
         let doc = Json::parse(&twin).expect("twin parses");
-        assert!(doc.get("scraped_at_unix_micros").and_then(|v| v.as_u64()).is_some());
+        assert!(doc
+            .get("scraped_at_unix_micros")
+            .and_then(|v| v.as_u64())
+            .is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn counter_carryover_keeps_scrapes_monotone_across_restart() {
         let mut server = test_server(1);
-        let _ = run_session(&mut server, "{\"kernel\":\"twolf\",\"scheme\":\"none\"}\n\n");
+        let _ = run_session(
+            &mut server,
+            "{\"kernel\":\"twolf\",\"scheme\":\"none\"}\n\n",
+        );
         let dir = std::env::temp_dir().join(format!("grp-serve-carry-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.prom");
-        server.write_metrics(path.to_str().unwrap()).expect("export");
+        server
+            .write_metrics(path.to_str().unwrap())
+            .expect("export");
         let before = server.registry().snapshot();
         // "Restart": a fresh registry seeded from the scrape's JSON
         // twin must never read below the dead process's last values.
@@ -1234,9 +1323,11 @@ mod tests {
     fn reply_stream_with_stats_passes_check_replies() {
         let mut server = test_server(1);
         let input = concat!(
-            r#"{"kernel":"twolf","scheme":"none"}"#, "\n",
+            r#"{"kernel":"twolf","scheme":"none"}"#,
             "\n",
-            r#"{"stats":true}"#, "\n",
+            "\n",
+            r#"{"stats":true}"#,
+            "\n",
         );
         let mut out = Vec::new();
         server.session(std::io::Cursor::new(input.to_string()), &mut out);

@@ -130,7 +130,11 @@ impl Suite {
     fn built_arc(&mut self, name: &'static str) -> &Arc<BuiltWorkload> {
         let scale = self.scale.workload_scale();
         self.built.entry(name).or_insert_with(|| {
-            Arc::new(grp_workloads::by_name(name).expect("registered").build(scale))
+            Arc::new(
+                grp_workloads::by_name(name)
+                    .expect("registered")
+                    .build(scale),
+            )
         })
     }
 
@@ -150,8 +154,10 @@ impl Suite {
         }
         let (scale, cfg, mode) = (self.scale.workload_scale(), self.cfg, self.replay.clone());
         let (r, _events, _setup, _replay) =
-            sched::run_cell(name, scale, scheme, &cfg, &mode, || Ok(self.built_arc(name).clone()))
-                .unwrap_or_else(|e| panic!("{e}"));
+            sched::run_cell(name, scale, scheme, &cfg, &mode, || {
+                Ok(self.built_arc(name).clone())
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
         self.results.insert((name, scheme), r.clone());
         r
     }
@@ -185,7 +191,9 @@ impl Suite {
         }
         let cells: Vec<CellJob> = sched::grid_jobs(names, schemes, scale, self.cfg);
         let workers = jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
         });
         let verbose = self.verbose;
         let results = &mut self.results;
@@ -291,9 +299,15 @@ mod tests {
         // now surface an error that names the valid scales.
         let err = parse_scale_args(&argv(&["all", "--scale", "papr"])).unwrap_err();
         assert!(err.contains("papr"), "error names the bad value: {err}");
-        assert!(err.contains("test, small, paper"), "error lists valid scales: {err}");
+        assert!(
+            err.contains("test, small, paper"),
+            "error lists valid scales: {err}"
+        );
         let err = parse_scale_args(&argv(&["all", "--scale"])).unwrap_err();
-        assert!(err.contains("requires a value"), "missing value is an error: {err}");
+        assert!(
+            err.contains("requires a value"),
+            "missing value is an error: {err}"
+        );
         // A duplicated flag must not silently pick one occurrence.
         let err =
             parse_scale_args(&argv(&["all", "--scale", "test", "--scale", "paper"])).unwrap_err();
@@ -320,7 +334,8 @@ mod tests {
         }
         for jobs in [Some(1), Some(3), None] {
             let mut par = Suite::new(SuiteScale::Test);
-            par.precompute_cells(&names, &schemes, jobs).expect("clean grid");
+            par.precompute_cells(&names, &schemes, jobs)
+                .expect("clean grid");
             for (name, scheme, want) in &expected {
                 let got = par.run(name, *scheme);
                 assert_eq!(
@@ -338,10 +353,17 @@ mod tests {
         // workload is crafty's program bound to another kernel's data.
         let mut s = Suite::new(SuiteScale::Test);
         let mut poisoned = grp_workloads::by_name("crafty").unwrap().build(Scale::Test);
-        poisoned.bindings = grp_workloads::by_name("mcf").unwrap().build(Scale::Test).bindings;
+        poisoned.bindings = grp_workloads::by_name("mcf")
+            .unwrap()
+            .build(Scale::Test)
+            .bindings;
         s.built.insert("crafty", Arc::new(poisoned));
         let err = s
-            .precompute_cells(&["crafty", "sphinx", "twolf"], &[Scheme::NoPrefetch], Some(2))
+            .precompute_cells(
+                &["crafty", "sphinx", "twolf"],
+                &[Scheme::NoPrefetch],
+                Some(2),
+            )
             .unwrap_err();
         assert!(err.contains("crafty"), "error names the cell: {err}");
         assert!(err.contains("panicked"), "{err}");
@@ -396,14 +418,16 @@ mod tests {
     fn replay_modes_match_the_default_suite_path() {
         let mut base = Suite::new(SuiteScale::Test);
         let want = base.run("twolf", Scheme::GrpVar);
-        let dir = std::env::temp_dir()
-            .join(format!("grp-suite-cache-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("grp-suite-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tc = Arc::new(crate::tracecache::TraceCache::new(&dir));
         // Cold cache (misses replay the interpreted trace), then a
         // second suite hitting the warm cache (hits replay the packed
         // trace) — both bit-identical to the default path.
-        let cached = ReplayMode { trace_cache: Some(tc), ..ReplayMode::default() };
+        let cached = ReplayMode {
+            trace_cache: Some(tc),
+            ..ReplayMode::default()
+        };
         let mut cold = Suite::new(SuiteScale::Test).with_replay(cached.clone());
         assert_eq!(cold.run("twolf", Scheme::GrpVar), want);
         let mut warm = Suite::new(SuiteScale::Test).with_replay(cached.clone());

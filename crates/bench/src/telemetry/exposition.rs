@@ -69,10 +69,21 @@ pub fn render_text(snap: &Snapshot) -> String {
             }
             cum += c;
             let (_, hi) = LatencyHist::bucket_range(i);
-            out.push_str(&format!("{name}_bucket{} {cum}\n", with_le(labels, &hi.to_string())));
+            out.push_str(&format!(
+                "{name}_bucket{} {cum}\n",
+                with_le(labels, &hi.to_string())
+            ));
         }
-        out.push_str(&format!("{name}_bucket{} {}\n", with_le(labels, "+Inf"), h.count()));
-        let suffix = if labels.is_empty() { String::new() } else { format!("{{{labels}}}") };
+        out.push_str(&format!(
+            "{name}_bucket{} {}\n",
+            with_le(labels, "+Inf"),
+            h.count()
+        ));
+        let suffix = if labels.is_empty() {
+            String::new()
+        } else {
+            format!("{{{labels}}}")
+        };
         out.push_str(&format!("{name}_sum{suffix} {}\n", h.sum()));
         out.push_str(&format!("{name}_count{suffix} {}\n", h.count()));
     }
@@ -117,7 +128,9 @@ pub fn snapshot_json(snap: &Snapshot, scraped_at_unix_micros: Option<u64>) -> Js
     if let Some(ts) = scraped_at_unix_micros {
         doc = doc.set("scraped_at_unix_micros", ts);
     }
-    doc.set("counters", counters).set("gauges", gauges).set("histograms", hists)
+    doc.set("counters", counters)
+        .set("gauges", gauges)
+        .set("histograms", hists)
 }
 
 /// Scrapes `registry` and writes the deterministic text exposition to
@@ -175,12 +188,20 @@ pub fn validate_text(text: &str) -> Result<ParsedExposition, String> {
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut parts = rest.split_whitespace();
-            let fam = parts.next().ok_or(format!("line {lineno}: TYPE without a family"))?;
-            let ty = parts.next().ok_or(format!("line {lineno}: TYPE without a type"))?;
+            let fam = parts
+                .next()
+                .ok_or(format!("line {lineno}: TYPE without a family"))?;
+            let ty = parts
+                .next()
+                .ok_or(format!("line {lineno}: TYPE without a type"))?;
             if !matches!(ty, "counter" | "gauge" | "histogram") {
                 return Err(format!("line {lineno}: unknown TYPE '{ty}' for {fam}"));
             }
-            if parsed.types.insert(fam.to_string(), ty.to_string()).is_some() {
+            if parsed
+                .types
+                .insert(fam.to_string(), ty.to_string())
+                .is_some()
+            {
                 return Err(format!("line {lineno}: family {fam} declared twice"));
             }
             continue;
@@ -201,10 +222,9 @@ pub fn validate_text(text: &str) -> Result<ParsedExposition, String> {
             .find_map(|s| name.strip_suffix(s).map(|b| (b, *s)))
             .filter(|(b, _)| parsed.types.get(*b).map(String::as_str) == Some("histogram"))
             .unwrap_or((name, ""));
-        let ty = parsed
-            .types
-            .get(base)
-            .ok_or(format!("line {lineno}: sample for undeclared family '{base}'"))?;
+        let ty = parsed.types.get(base).ok_or(format!(
+            "line {lineno}: sample for undeclared family '{base}'"
+        ))?;
         let num: f64 = if value == "+Inf" {
             f64::INFINITY
         } else {
@@ -213,7 +233,9 @@ pub fn validate_text(text: &str) -> Result<ParsedExposition, String> {
                 .map_err(|_| format!("line {lineno}: unparsable value '{value}'"))?
         };
         if !num.is_finite() || num < 0.0 {
-            return Err(format!("line {lineno}: non-finite or negative value '{value}'"));
+            return Err(format!(
+                "line {lineno}: non-finite or negative value '{value}'"
+            ));
         }
         match (ty.as_str(), comp) {
             ("counter", "") => {
@@ -252,10 +274,14 @@ pub fn validate_text(text: &str) -> Result<ParsedExposition, String> {
                 parsed.hist_counts.insert(series, num as u64);
             }
             (ty, "") => {
-                return Err(format!("line {lineno}: bare sample for {ty} family '{base}'"));
+                return Err(format!(
+                    "line {lineno}: bare sample for {ty} family '{base}'"
+                ));
             }
             (ty, comp) => {
-                return Err(format!("line {lineno}: {comp} sample for {ty} family '{base}'"));
+                return Err(format!(
+                    "line {lineno}: {comp} sample for {ty} family '{base}'"
+                ));
             }
         }
     }
@@ -336,8 +362,10 @@ mod tests {
     fn sample_snapshot() -> Snapshot {
         let reg = Registry::new();
         let s = reg.shard();
-        s.counter("grp_jobs_total", &[("bench", "gzip"), ("scheme", "SRP")]).add(3);
-        s.counter("grp_jobs_total", &[("bench", "mcf"), ("scheme", "none")]).add(1);
+        s.counter("grp_jobs_total", &[("bench", "gzip"), ("scheme", "SRP")])
+            .add(3);
+        s.counter("grp_jobs_total", &[("bench", "mcf"), ("scheme", "none")])
+            .add(1);
         s.counter("grp_errors_total", &[]).add(0);
         s.gauge("grp_workers", &[]).set(4.0);
         let h = s.hist("grp_wait_micros", &[]);
@@ -352,14 +380,23 @@ mod tests {
         let snap = sample_snapshot();
         let text = render_text(&snap);
         assert!(text.contains("# TYPE grp_jobs_total counter"), "{text}");
-        assert!(text.contains("grp_jobs_total{bench=\"gzip\",scheme=\"SRP\"} 3"), "{text}");
+        assert!(
+            text.contains("grp_jobs_total{bench=\"gzip\",scheme=\"SRP\"} 3"),
+            "{text}"
+        );
         assert!(text.contains("# TYPE grp_wait_micros histogram"), "{text}");
-        assert!(text.contains("grp_wait_micros_bucket{le=\"+Inf\"} 4"), "{text}");
+        assert!(
+            text.contains("grp_wait_micros_bucket{le=\"+Inf\"} 4"),
+            "{text}"
+        );
         assert!(text.contains("grp_wait_micros_count 4"), "{text}");
         // Deterministic: same snapshot renders byte-identically.
         assert_eq!(text, render_text(&snap));
         let parsed = validate_text(&text).expect("valid exposition");
-        assert_eq!(parsed.counters["grp_jobs_total{bench=\"gzip\",scheme=\"SRP\"}"], 3);
+        assert_eq!(
+            parsed.counters["grp_jobs_total{bench=\"gzip\",scheme=\"SRP\"}"],
+            3
+        );
         assert_eq!(parsed.hist_counts["grp_wait_micros"], 4);
         assert_eq!(parsed.types["grp_workers"], "gauge");
     }
@@ -371,7 +408,10 @@ mod tests {
         s.hist("h_micros", &[("w", "0")]).record(5);
         s.hist("h_micros", &[("w", "1")]).record(9);
         let text = render_text(&reg.snapshot());
-        assert!(text.contains("h_micros_bucket{w=\"0\",le=\"7\"} 1"), "{text}");
+        assert!(
+            text.contains("h_micros_bucket{w=\"0\",le=\"7\"} 1"),
+            "{text}"
+        );
         let parsed = validate_text(&text).expect("valid");
         assert_eq!(parsed.hist_counts["h_micros{w=\"0\"}"], 1);
         assert_eq!(parsed.hist_counts["h_micros{w=\"1\"}"], 1);
@@ -418,10 +458,16 @@ mod tests {
         let snap = sample_snapshot();
         let with_ts = snapshot_json(&snap, Some(123)).render();
         let without = snapshot_json(&snap, None).render();
-        assert!(with_ts.contains("\"scraped_at_unix_micros\":123"), "{with_ts}");
+        assert!(
+            with_ts.contains("\"scraped_at_unix_micros\":123"),
+            "{with_ts}"
+        );
         assert!(!without.contains("scraped_at"), "{without}");
         // Everything else is identical — the timestamp is the only
         // nondeterministic field.
-        assert_eq!(with_ts.replace("\"scraped_at_unix_micros\":123,", ""), without);
+        assert_eq!(
+            with_ts.replace("\"scraped_at_unix_micros\":123,", ""),
+            without
+        );
     }
 }

@@ -78,12 +78,8 @@ pub fn level() -> Level {
                 .and_then(|v| Level::parse(&v))
                 .unwrap_or(Level::Info);
             // A concurrent set_level wins: only replace the sentinel.
-            let _ = LEVEL.compare_exchange(
-                255,
-                from_env as u8,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
+            let _ =
+                LEVEL.compare_exchange(255, from_env as u8, Ordering::Relaxed, Ordering::Relaxed);
             from_env
         }
         0 => Level::Error,

@@ -127,7 +127,11 @@ mod tests {
         let shard = reg.shard();
         let mut obs = TelemetryObserver::new(&shard);
         obs.fault_injected(
-            &FaultAction::StallChannel { channel: 0, until: 10, demands_too: false },
+            &FaultAction::StallChannel {
+                channel: 0,
+                until: 10,
+                demands_too: false,
+            },
             1,
         );
         obs.fault_injected(&FaultAction::SetMshrSqueeze(2), 2);
@@ -136,9 +140,18 @@ mod tests {
         obs.prefetch_fill_dropped(BlockAddr(0x40), 5);
         obs.prefetch_fill_delayed(BlockAddr(0x80), 60, 6);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("grp_fault_events_total{action=\"stall_channel\"}"), 1);
-        assert_eq!(snap.counter("grp_fault_events_total{action=\"mshr_squeeze\"}"), 2);
-        assert_eq!(snap.counter("grp_fault_events_total{action=\"queue_pressure\"}"), 1);
+        assert_eq!(
+            snap.counter("grp_fault_events_total{action=\"stall_channel\"}"),
+            1
+        );
+        assert_eq!(
+            snap.counter("grp_fault_events_total{action=\"mshr_squeeze\"}"),
+            2
+        );
+        assert_eq!(
+            snap.counter("grp_fault_events_total{action=\"queue_pressure\"}"),
+            1
+        );
         assert_eq!(snap.family_total("grp_fault_events_total"), 4);
         assert_eq!(snap.counter("grp_fault_fills_dropped_total"), 1);
         assert_eq!(snap.counter("grp_fault_fills_delayed_total"), 1);

@@ -26,12 +26,22 @@ use std::time::Instant;
 use crate::json::Json;
 
 /// The canonical harness phases, in report order.
-pub const PHASES: [&str; 7] =
-    ["build", "interpret", "pack", "cache_load", "cache_store", "replay", "export"];
+pub const PHASES: [&str; 7] = [
+    "build",
+    "interpret",
+    "pack",
+    "cache_load",
+    "cache_store",
+    "replay",
+    "export",
+];
 
 fn phase_rank(path: &str) -> usize {
     let root = path.split('/').next().unwrap_or(path);
-    PHASES.iter().position(|p| *p == root).unwrap_or(PHASES.len())
+    PHASES
+        .iter()
+        .position(|p| *p == root)
+        .unwrap_or(PHASES.len())
 }
 
 /// One attribution key: the span path plus optional cell attribution.
@@ -97,7 +107,11 @@ impl Profiler {
 
     fn open(&self, phase: &'static str, kernel: &str, scheme: &str) -> Span<'_> {
         if !self.enabled() {
-            return Span { profiler: self, key: None, start: None };
+            return Span {
+                profiler: self,
+                key: None,
+                start: None,
+            };
         }
         let path = STACK.with(|s| {
             let mut s = s.borrow_mut();
@@ -106,7 +120,11 @@ impl Profiler {
         });
         Span {
             profiler: self,
-            key: Some(SpanKey { path, kernel: kernel.to_string(), scheme: scheme.to_string() }),
+            key: Some(SpanKey {
+                path,
+                kernel: kernel.to_string(),
+                scheme: scheme.to_string(),
+            }),
             start: Some(Instant::now()),
         }
     }
@@ -126,9 +144,7 @@ impl Profiler {
         let stats = self.stats.lock().expect("profiler stats");
         let mut rows: Vec<(SpanKey, SpanStat)> =
             stats.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        rows.sort_by(|a, b| {
-            (phase_rank(&a.0.path), &a.0).cmp(&(phase_rank(&b.0.path), &b.0))
-        });
+        rows.sort_by(|a, b| (phase_rank(&a.0.path), &a.0).cmp(&(phase_rank(&b.0.path), &b.0)));
         ProfileReport { rows }
     }
 
@@ -277,9 +293,12 @@ mod tests {
     fn report_order_is_canonical_and_deterministic() {
         let p = Profiler::new();
         p.set_enabled(true);
-        for (phase, kernel) in
-            [("export", ""), ("build", "mcf"), ("build", "gzip"), ("replay", "gzip")]
-        {
+        for (phase, kernel) in [
+            ("export", ""),
+            ("build", "mcf"),
+            ("build", "gzip"),
+            ("replay", "gzip"),
+        ] {
             let _s = p.span_cell(phase, kernel, "none");
             drop(_s);
         }

@@ -140,7 +140,14 @@ impl Shard {
     /// creating the cell on first use.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let id = metric_id(name, labels);
-        Counter(self.counters.lock().expect("counter map").entry(id).or_default().clone())
+        Counter(
+            self.counters
+                .lock()
+                .expect("counter map")
+                .entry(id)
+                .or_default()
+                .clone(),
+        )
     }
 
     /// The counter handle for an already-canonical id (as produced by
@@ -161,13 +168,27 @@ impl Shard {
     /// The gauge handle for `name` + `labels` in this shard.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let id = metric_id(name, labels);
-        Gauge(self.gauges.lock().expect("gauge map").entry(id).or_default().clone())
+        Gauge(
+            self.gauges
+                .lock()
+                .expect("gauge map")
+                .entry(id)
+                .or_default()
+                .clone(),
+        )
     }
 
     /// The histogram handle for `name` + `labels` in this shard.
     pub fn hist(&self, name: &str, labels: &[(&str, &str)]) -> Hist {
         let id = metric_id(name, labels);
-        Hist(self.hists.lock().expect("hist map").entry(id).or_default().clone())
+        Hist(
+            self.hists
+                .lock()
+                .expect("hist map")
+                .entry(id)
+                .or_default()
+                .clone(),
+        )
     }
 }
 
@@ -182,7 +203,11 @@ pub struct Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Registry({} shards)", self.shards.lock().map(|s| s.len()).unwrap_or(0))
+        write!(
+            f,
+            "Registry({} shards)",
+            self.shards.lock().map(|s| s.len()).unwrap_or(0)
+        )
     }
 }
 
@@ -270,7 +295,10 @@ mod tests {
             metric_id("x_total", &[("a", "1"), ("b", "2")]),
             metric_id("x_total", &[("b", "2"), ("a", "1")])
         );
-        assert_eq!(metric_id("q", &[("k", "say \"hi\"")]), "q{k=\"say \\\"hi\\\"\"}");
+        assert_eq!(
+            metric_id("q", &[("k", "say \"hi\"")]),
+            "q{k=\"say \\\"hi\\\"\"}"
+        );
         assert_eq!(family("x_total{a=\"1\"}"), "x_total");
         assert_eq!(family("x_total"), "x_total");
     }

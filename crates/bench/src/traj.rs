@@ -92,7 +92,9 @@ pub fn append_entry_with(
     let _lock = LockFile::acquire(path, Duration::from_secs(10))?;
     let mut entries = load_entries_with(faults, path)?;
     entries.push(entry);
-    let doc = Json::object().set("version", 1u64).set("entries", Json::Array(entries));
+    let doc = Json::object()
+        .set("version", 1u64)
+        .set("entries", Json::Array(entries));
     crate::artifact::atomic_write_with(faults, path, doc.render())
         .map_err(|e| format!("cannot write {path}: {e}"))
 }
@@ -289,7 +291,9 @@ fn check_fleet_entry(i: usize, e: &Json, kernel_rows: usize) -> Result<(), Strin
             .and_then(|v| v.as_f64())
             .ok_or(format!("entry {i} worker {w}: missing 'utilization'"))?;
         if !(0.0..=1.0 + 1e-9).contains(&util) {
-            return Err(format!("entry {i} worker {w}: utilization {util} out of [0,1]"));
+            return Err(format!(
+                "entry {i} worker {w}: utilization {util} out of [0,1]"
+            ));
         }
         row.get("busy_seconds")
             .and_then(|v| v.as_f64())
@@ -304,9 +308,9 @@ fn check_fleet_entry(i: usize, e: &Json, kernel_rows: usize) -> Result<(), Strin
             "entry {i}: per-worker cells sum to {worker_cells}, entry says {cells}"
         ));
     }
-    let q = e
-        .get("queue_wait_micros")
-        .ok_or(format!("entry {i}: fleet entry missing 'queue_wait_micros'"))?;
+    let q = e.get("queue_wait_micros").ok_or(format!(
+        "entry {i}: fleet entry missing 'queue_wait_micros'"
+    ))?;
     let pct = |key: &str| -> Result<f64, String> {
         q.get(key)
             .and_then(|v| v.as_f64())
@@ -319,7 +323,10 @@ fn check_fleet_entry(i: usize, e: &Json, kernel_rows: usize) -> Result<(), Strin
         ));
     }
     // Each kernels row must name the worker that ran the cell.
-    let kernels = e.get("kernels").and_then(|k| k.as_array()).expect("checked");
+    let kernels = e
+        .get("kernels")
+        .and_then(|k| k.as_array())
+        .expect("checked");
     for (j, k) in kernels.iter().enumerate() {
         let w = k
             .get("worker")
@@ -468,7 +475,11 @@ mod tests {
             let err = append_entry_with(Some(&st), p, entry("lost")).unwrap_err();
             assert!(err.contains("cannot write"), "{kind:?}: {err}");
             let entries = load_entries(p).expect("history readable");
-            assert_eq!(entries.len(), 1, "{kind:?}: history intact, entry reported lost");
+            assert_eq!(
+                entries.len(),
+                1,
+                "{kind:?}: history intact, entry reported lost"
+            );
             assert!(
                 !path.with_extension("json.lock").exists(),
                 "{kind:?}: lock released on the error path"
@@ -564,7 +575,13 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         append_entry(
             p,
-            fleet_entry("fleet-bad2", "test", &["none"], &stats, vec![fleet_cell(0), fleet_cell(1)]),
+            fleet_entry(
+                "fleet-bad2",
+                "test",
+                &["none"],
+                &stats,
+                vec![fleet_cell(0), fleet_cell(1)],
+            ),
         )
         .expect("append");
         let err = check_trajectory(p).unwrap_err();
@@ -580,7 +597,10 @@ mod tests {
         // accepting them.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
         let text = std::fs::read_to_string(path).expect("committed trajectory");
-        assert!(text.contains("\"replay_tier\""), "history keeps its packed-tier entry");
+        assert!(
+            text.contains("\"replay_tier\""),
+            "history keeps its packed-tier entry"
+        );
         let n = check_trajectory(path).expect("committed trajectory validates");
         assert!(n >= 4, "{n} entries");
     }

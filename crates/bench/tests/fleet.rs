@@ -37,7 +37,9 @@ fn fleet_grid_bit_identical_to_serial_for_every_worker_count() {
     let jobs = sched::grid_jobs(&names, &Scheme::ALL, Scale::Test, cfg);
     assert_eq!(jobs.len(), names.len() * Scheme::ALL.len());
 
-    let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let parallelism = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
     for workers in [1, 3, parallelism] {
         let cache = WorkloadCache::new();
         let mut seen: HashMap<(&'static str, Scheme), RunResult> = HashMap::new();
@@ -53,7 +55,11 @@ fn fleet_grid_bit_identical_to_serial_for_every_worker_count() {
                 cell.scheme
             );
         });
-        assert_eq!(stats.cells, jobs.len(), "cell count with {workers} worker(s)");
+        assert_eq!(
+            stats.cells,
+            jobs.len(),
+            "cell count with {workers} worker(s)"
+        );
         assert_eq!(stats.errors, 0);
         assert_eq!(
             cache.built_count(),

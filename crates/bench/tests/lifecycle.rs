@@ -92,18 +92,28 @@ fn exports_roundtrip_through_the_json_reader() {
     let parsed = Json::parse(&trace_doc.render()).expect("chrome trace parses");
     // Whole-valued floats re-parse as integers, so round-trip equality
     // is at the rendered-text level.
-    assert_eq!(parsed.render(), trace_doc.render(), "chrome trace round-trips");
+    assert_eq!(
+        parsed.render(),
+        trace_doc.render(),
+        "chrome trace round-trips"
+    );
     let events = parsed
         .get("traceEvents")
         .and_then(Json::as_array)
         .expect("traceEvents array");
-    assert!(events.len() > t.issued() as usize, "slices + metadata + counters");
+    assert!(
+        events.len() > t.issued() as usize,
+        "slices + metadata + counters"
+    );
 
     let metrics_doc = metrics_json(&t, sampler.snapshots(), Some(512));
     let parsed = Json::parse(&metrics_doc.render()).expect("metrics parse");
     assert_eq!(parsed.render(), metrics_doc.render(), "metrics round-trip");
     assert_eq!(
-        parsed.get("summary").and_then(|s| s.get("issued")).and_then(Json::as_u64),
+        parsed
+            .get("summary")
+            .and_then(|s| s.get("issued"))
+            .and_then(Json::as_u64),
         Some(t.issued())
     );
 
@@ -123,7 +133,11 @@ fn epoch_series_is_monotone_and_on_cadence() {
     let built = w.build(Scale::Test);
     let (r, sampler) = built.run_observed(Scheme::GrpVar, &cfg, EpochSampler::new(256));
     let snaps = sampler.snapshots();
-    assert!(snaps.len() >= 2, "expected several epochs, got {}", snaps.len());
+    assert!(
+        snaps.len() >= 2,
+        "expected several epochs, got {}",
+        snaps.len()
+    );
     for pair in snaps.windows(2) {
         assert!(pair[0].events <= pair[1].events);
         assert!(pair[0].cycles <= pair[1].cycles);

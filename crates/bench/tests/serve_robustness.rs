@@ -45,13 +45,17 @@ fn connect(sock: &Path, child: &mut Child) -> UnixStream {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if let Ok(conn) = UnixStream::connect(sock) {
-            conn.set_read_timeout(Some(Duration::from_secs(120))).expect("read timeout");
+            conn.set_read_timeout(Some(Duration::from_secs(120)))
+                .expect("read timeout");
             return conn;
         }
         if let Some(status) = child.try_wait().expect("try_wait") {
             panic!("serve exited before accepting: {status}");
         }
-        assert!(Instant::now() < deadline, "serve never started accepting on {sock:?}");
+        assert!(
+            Instant::now() < deadline,
+            "serve never started accepting on {sock:?}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -72,7 +76,11 @@ fn read_replies(reader: &mut BufReader<UnixStream>, n: usize) -> Vec<Json> {
     while replies.len() < n {
         line.clear();
         let got = reader.read_line(&mut line).expect("read reply line");
-        assert!(got > 0, "server closed the stream after {} of {n} replies", replies.len());
+        assert!(
+            got > 0,
+            "server closed the stream after {} of {n} replies",
+            replies.len()
+        );
         replies.push(Json::parse(line.trim()).expect("parse reply"));
     }
     replies
@@ -84,7 +92,11 @@ fn reply_by_id(replies: &[Json], id: u64) -> Json {
         .iter()
         .filter(|r| r.get("id").and_then(Json::as_u64) == Some(id))
         .collect();
-    assert_eq!(matched.len(), 1, "expected exactly one reply with id {id}: {replies:?}");
+    assert_eq!(
+        matched.len(),
+        1,
+        "expected exactly one reply with id {id}: {replies:?}"
+    );
     matched[0].clone()
 }
 
@@ -99,7 +111,11 @@ fn drain_and_wait(conn: &mut UnixStream, reader: &mut BufReader<UnixStream>, chi
     conn.flush().expect("flush drain");
     let ack = &read_replies(reader, 1)[0];
     assert!(is_ok(ack), "drain ack not ok: {ack:?}");
-    assert_eq!(ack.get("drain").and_then(Json::as_bool), Some(true), "drain ack: {ack:?}");
+    assert_eq!(
+        ack.get("drain").and_then(Json::as_bool),
+        Some(true),
+        "drain ack: {ack:?}"
+    );
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Some(status) = child.try_wait().expect("try_wait") {
@@ -136,7 +152,10 @@ fn client_disconnect_mid_batch_leaves_the_server_serving() {
     let conn = connect(&sock, &mut child);
     let mut reader = BufReader::new(conn.try_clone().expect("clone"));
     let mut conn = conn;
-    send_batch(&mut conn, &["{\"id\":2,\"kernel\":\"gzip\",\"scheme\":\"SRP\"}"]);
+    send_batch(
+        &mut conn,
+        &["{\"id\":2,\"kernel\":\"gzip\",\"scheme\":\"SRP\"}"],
+    );
     let replies = read_replies(&mut reader, 1);
     let reply = reply_by_id(&replies, 2);
     assert!(is_ok(&reply), "post-disconnect job failed: {reply:?}");
@@ -167,7 +186,10 @@ fn malformed_request_lines_fail_only_themselves() {
     );
     let replies = read_replies(&mut reader, 3);
     let good = reply_by_id(&replies, 1);
-    assert!(is_ok(&good), "valid job dragged down by its batch: {good:?}");
+    assert!(
+        is_ok(&good),
+        "valid job dragged down by its batch: {good:?}"
+    );
     let errors: Vec<&Json> = replies.iter().filter(|r| !is_ok(r)).collect();
     assert_eq!(errors.len(), 2, "expected two error replies: {replies:?}");
     for e in errors {
@@ -176,7 +198,10 @@ fn malformed_request_lines_fail_only_themselves() {
     }
 
     // The session survives: a clean follow-up batch still runs.
-    send_batch(&mut conn, &["{\"id\":4,\"kernel\":\"mcf\",\"scheme\":\"none\"}"]);
+    send_batch(
+        &mut conn,
+        &["{\"id\":4,\"kernel\":\"mcf\",\"scheme\":\"none\"}"],
+    );
     let replies = read_replies(&mut reader, 1);
     assert!(is_ok(&reply_by_id(&replies, 4)));
     drain_and_wait(&mut conn, &mut reader, &mut child);

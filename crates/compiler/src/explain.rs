@@ -52,11 +52,9 @@ pub fn explain(prog: &Program, hints: &HintMap) -> Vec<RefExplanation> {
     let mut out = Vec::new();
     for site in &model.refs {
         let shape = match site.mr {
-            MemRef::Array { array, indices, .. } => format!(
-                "array {}[{}d]",
-                prog.array(*array).name,
-                indices.len()
-            ),
+            MemRef::Array { array, indices, .. } => {
+                format!("array {}[{}d]", prog.array(*array).name, indices.len())
+            }
             MemRef::PtrIndex { elem, .. } => format!("ptr-index ({:?})", elem),
             MemRef::Field { strct, field, .. } => format!(
                 "field {}.{}",

@@ -216,10 +216,7 @@ mod tests {
             c(0),
             c(512),
             1,
-            vec![assign(
-                s,
-                load(arr(a, vec![load(arr(b, vec![var(i)]))])),
-            )],
+            vec![assign(s, load(arr(a, vec![load(arr(b, vec![var(i)]))])))],
         )]);
         let h = analyze(&prog, &cfg());
         assert!(h.indirect(RefId(0)).is_none());
@@ -265,10 +262,7 @@ mod tests {
                 s,
                 load(arr(
                     a,
-                    vec![add(
-                        load(arr(b, vec![var(i)])),
-                        load(arr(d, vec![var(i)])),
-                    )],
+                    vec![add(load(arr(b, vec![var(i)])), load(arr(d, vec![var(i)])))],
                 )),
             )],
         )]);
@@ -289,10 +283,7 @@ mod tests {
             c(0),
             c(512),
             1,
-            vec![assign(
-                s,
-                load(arr(a, vec![load(arr(b, vec![var(i)]))])),
-            )],
+            vec![assign(s, load(arr(a, vec![load(arr(b, vec![var(i)]))])))],
         )]);
         let mut conf = cfg();
         conf.indirect = false;

@@ -260,9 +260,7 @@ impl<'p> ProgramModel<'p> {
                 if let Expr::Var(pv) = base.as_ref() {
                     if *pv == v {
                         let decl = self.prog.strct(*strct);
-                        let is_recursive = decl
-                            .recursive_fields(*strct)
-                            .contains(field);
+                        let is_recursive = decl.recursive_fields(*strct).contains(field);
                         if is_recursive {
                             self.updates[uid].recurrent.insert(v, *ref_id);
                         }
@@ -552,8 +550,8 @@ pub fn ref_byte_stride(model: &ProgramModel<'_>, site: &RefSite<'_>, iv: VarId) 
 mod tests {
     use super::*;
     use grp_ir::build::*;
-    use grp_ir::{ElemTy, ProgramBuilder};
     use grp_ir::types::field;
+    use grp_ir::{ElemTy, ProgramBuilder};
 
     #[test]
     fn const_fold_arithmetic() {
@@ -695,7 +693,13 @@ mod tests {
         let k = pb.var("k");
         let s = pb.var("s");
         let prog = pb.finish(vec![
-            for_(i, c(0), c(64), 1, vec![assign(s, load(arr(a, vec![var(i)])))]),
+            for_(
+                i,
+                c(0),
+                c(64),
+                1,
+                vec![assign(s, load(arr(a, vec![var(i)])))],
+            ),
             for_(
                 j,
                 c(0),

@@ -110,7 +110,10 @@ mod tests {
 
     #[test]
     fn policy_variants() {
-        assert_eq!(AnalysisConfig::aggressive().policy, SpatialPolicy::Aggressive);
+        assert_eq!(
+            AnalysisConfig::aggressive().policy,
+            SpatialPolicy::Aggressive
+        );
         assert_eq!(
             AnalysisConfig::conservative().policy,
             SpatialPolicy::Conservative

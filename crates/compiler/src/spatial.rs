@@ -64,8 +64,8 @@ fn mark_inter_nest(model: &ProgramModel<'_>, cfg: &AnalysisConfig, hints: &mut H
     // Arrays accessed per nest (affine references only).
     use std::collections::HashMap;
     let mut last_access: HashMap<u32, usize> = HashMap::new(); // array → nest order
-    // Walk sites in RefId order, which the builder assigns in program
-    // pre-order — so earlier nests come first.
+                                                               // Walk sites in RefId order, which the builder assigns in program
+                                                               // pre-order — so earlier nests come first.
     for site in &model.refs {
         let MemRef::Array { array, .. } = site.mr else {
             continue;
@@ -201,9 +201,7 @@ fn reuse_distance(model: &ProgramModel<'_>, uid: usize) -> Option<u64> {
         let mut footprint = per_touch_bytes(model, site);
         for &inner in &site.loop_path[pos + 1..] {
             match model.loops[inner].kind {
-                LoopKind::For {
-                    trip: Some(t), ..
-                } => footprint = footprint.saturating_mul(t),
+                LoopKind::For { trip: Some(t), .. } => footprint = footprint.saturating_mul(t),
                 _ => return None, // symbolic trip or while: unknown
             }
         }
@@ -487,11 +485,7 @@ mod tests {
                 1,
                 vec![assign(
                     s,
-                    load(ptr_index(
-                        load(arr(buf, vec![var(i)])),
-                        ElemTy::F64,
-                        var(j),
-                    )),
+                    load(ptr_index(load(arr(buf, vec![var(i)])), ElemTy::F64, var(j))),
                 )],
             )],
         )]);
@@ -522,10 +516,7 @@ mod tests {
                     c(0),
                     c(64),
                     1,
-                    vec![assign(
-                        s,
-                        load(ptr_index(var(row), ElemTy::F64, var(j))),
-                    )],
+                    vec![assign(s, load(ptr_index(var(row), ElemTy::F64, var(j))))],
                 ),
             ],
         )]);
@@ -569,8 +560,20 @@ mod tests {
         let j = pb.var("j");
         let s = pb.var("s");
         let prog = pb.finish(vec![
-            for_(i, c(0), c(4096), 1, vec![assign(s, load(arr(a, vec![var(i)])))]),
-            for_(j, c(0), c(512), 1, vec![assign(s, load(arr(a, vec![mul(c(8), var(j))])))]),
+            for_(
+                i,
+                c(0),
+                c(4096),
+                1,
+                vec![assign(s, load(arr(a, vec![var(i)])))],
+            ),
+            for_(
+                j,
+                c(0),
+                c(512),
+                1,
+                vec![assign(s, load(arr(a, vec![mul(c(8), var(j))])))],
+            ),
         ]);
         let h = analyze(&prog, &cfg());
         assert!(h.hint(RefId(0)).spatial(), "first nest: unit stride");
@@ -596,12 +599,33 @@ mod tests {
         let j = pb.var("j");
         let s = pb.var("s");
         let prog = pb.finish(vec![
-            for_(i, c(0), c(4096), 1, vec![assign(s, load(arr(a, vec![var(i)])))]),
-            for_(k, c(0), c(1 << 19), 1, vec![assign(s, load(arr(big, vec![var(k)])))]),
-            for_(j, c(0), c(512), 1, vec![assign(s, load(arr(a, vec![mul(c(8), var(j))])))]),
+            for_(
+                i,
+                c(0),
+                c(4096),
+                1,
+                vec![assign(s, load(arr(a, vec![var(i)])))],
+            ),
+            for_(
+                k,
+                c(0),
+                c(1 << 19),
+                1,
+                vec![assign(s, load(arr(big, vec![var(k)])))],
+            ),
+            for_(
+                j,
+                c(0),
+                c(512),
+                1,
+                vec![assign(s, load(arr(a, vec![mul(c(8), var(j))])))],
+            ),
         ]);
         let h = analyze(&prog, &cfg());
-        assert!(!h.hint(RefId(2)).spatial(), "4 MB intervening volume breaks reuse");
+        assert!(
+            !h.hint(RefId(2)).spatial(),
+            "4 MB intervening volume breaks reuse"
+        );
         let h = analyze(&prog, &AnalysisConfig::aggressive());
         assert!(h.hint(RefId(2)).spatial(), "aggressive ignores the bound");
     }

@@ -16,11 +16,7 @@ use crate::policy::AnalysisConfig;
 /// Runs the variable-size-region pass. Must run after the spatial pass
 /// (only spatially-hinted references get size coefficients — unhinted
 /// references never trigger region prefetches under GRP).
-pub fn mark_variable_regions(
-    model: &ProgramModel<'_>,
-    _cfg: &AnalysisConfig,
-    hints: &mut HintMap,
-) {
+pub fn mark_variable_regions(model: &ProgramModel<'_>, _cfg: &AnalysisConfig, hints: &mut HintMap) {
     for site in &model.refs {
         // Only spatial references participate.
         if !hints.hint(site.ref_id).spatial() {
@@ -44,9 +40,7 @@ pub fn mark_variable_regions(
         // extent is genuinely short. Symbolic inner bounds (sparse-row
         // lengths) keep the full region: the rows may well be contiguous
         // and the stream continue across them.
-        if !model.is_singly_nested(uid)
-            && (trip.is_none() || uses_outer_iv(model, site, iv))
-        {
+        if !model.is_singly_nested(uid) && (trip.is_none() || uses_outer_iv(model, site, iv)) {
             continue;
         }
         let Some(loop_id) = model.loops[uid].id else {
@@ -69,7 +63,9 @@ pub fn mark_variable_regions(
                 if !model.is_singly_nested(uid) {
                     continue;
                 }
-                let Expr::Var(p) = base.as_ref() else { continue };
+                let Expr::Var(p) = base.as_ref() else {
+                    continue;
+                };
                 match model.updates[uid].induction.get(p) {
                     Some(c) => c.unsigned_abs(),
                     None => continue,
@@ -142,7 +138,11 @@ mod tests {
         assert_eq!(closest_pow2_exponent(4), 2);
         assert_eq!(closest_pow2_exponent(8), 3);
         assert_eq!(closest_pow2_exponent(10), 3);
-        assert_eq!(closest_pow2_exponent(48), 5, "tie between 32 and 64 takes the smaller");
+        assert_eq!(
+            closest_pow2_exponent(48),
+            5,
+            "tie between 32 and 64 takes the smaller"
+        );
         assert_eq!(closest_pow2_exponent(1000), 6, "clamped at 2^6");
     }
 
@@ -160,7 +160,11 @@ mod tests {
             vec![assign(s, add(var(s), load(arr(a, vec![var(i)]))))],
         )]);
         let h = analyze(&prog, &cfg());
-        assert_eq!(h.hint(RefId(0)).size_coeff(), Some(3), "8-byte stride → x=3");
+        assert_eq!(
+            h.hint(RefId(0)).size_coeff(),
+            Some(3),
+            "8-byte stride → x=3"
+        );
         assert!(h.emits_bound(LoopId(0)));
     }
 

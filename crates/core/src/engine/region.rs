@@ -9,8 +9,7 @@
 
 use grp_cpu::{HintSet, RefId};
 use grp_mem::{
-    Addr, BlockAddr, Cache, Dram, FastMap, HeapRange, Memory, MshrFile, RegionAddr,
-    REGION_BLOCKS,
+    Addr, BlockAddr, Cache, Dram, FastMap, HeapRange, Memory, MshrFile, RegionAddr, REGION_BLOCKS,
 };
 
 use super::{Candidate, EngineStats, Prefetcher};
@@ -412,7 +411,8 @@ impl RegionPrefetcher {
         if let Some(&id) = self.index.get(&region.0) {
             let mut e = self.remove_slot(id);
             if self.trace && e.bits & (1u64 << miss_idx) != 0 {
-                self.events.push(EngineEvent::squashed(miss, SquashReason::DemandHit));
+                self.events
+                    .push(EngineEvent::squashed(miss, SquashReason::DemandHit));
             }
             e.clear(miss_idx);
             e.index = next_idx;
@@ -591,8 +591,7 @@ impl RegionPrefetcher {
                 let bit = ((start + off) % REGION_BLOCKS as u32) as u8;
                 let mask = 1u64 << bit;
                 if e.checked & mask == 0 {
-                    let infl =
-                        *inflight.get_or_insert_with(|| mshrs.region_mask(e.region));
+                    let infl = *inflight.get_or_insert_with(|| mshrs.region_mask(e.region));
                     let block = e.region.block(bit as usize);
                     if infl & mask != 0 || l2.contains(block) {
                         // Stale candidate: already resident or in flight.
@@ -609,8 +608,7 @@ impl RegionPrefetcher {
                     Some(allowed) => allowed & mask != 0,
                     None => {
                         let block = e.region.block(bit as usize);
-                        dram.channel_idle(block, now)
-                            && (!require_open || dram.row_is_open(block))
+                        dram.channel_idle(block, now) && (!require_open || dram.row_is_open(block))
                     }
                 };
                 if !issuable {
@@ -671,7 +669,8 @@ impl Prefetcher for RegionPrefetcher {
             // candidate bit (the demand fetch is already underway).
             let bit = block.index_in_region() as u8;
             if self.trace && self.slots[id as usize].entry.bits & (1u64 << bit) != 0 {
-                self.events.push(EngineEvent::squashed(block, SquashReason::DemandHit));
+                self.events
+                    .push(EngineEvent::squashed(block, SquashReason::DemandHit));
             }
             self.slots[id as usize].entry.clear(bit);
         }
@@ -909,7 +908,11 @@ mod tests {
         let miss = region.block(10);
         p.on_demand_miss(miss, miss.base(), RefId(0), HintSet::none(), false, &l2);
         let c = p.next_candidate(&l2, &mshrs, &dram, 0).unwrap();
-        assert_eq!(c.block, region.block(11), "index starts after the miss block");
+        assert_eq!(
+            c.block,
+            region.block(11),
+            "index starts after the miss block"
+        );
     }
 
     #[test]
@@ -917,7 +920,10 @@ mod tests {
         let (mut p, l2, _mshrs, _dram, _m) = fresh(RegionConfig::grp(32, false, 6));
         let miss = Addr(0x40_0000).block();
         p.on_demand_miss(miss, miss.base(), RefId(0), HintSet::none(), false, &l2);
-        assert!(!p.has_candidates(), "unhinted miss triggers nothing under GRP");
+        assert!(
+            !p.has_candidates(),
+            "unhinted miss triggers nothing under GRP"
+        );
         p.on_demand_miss(
             miss,
             miss.base(),
@@ -934,10 +940,31 @@ mod tests {
         let (mut p, l2, mshrs, dram, _m) = fresh(RegionConfig::srp(32));
         let r1 = RegionAddr(1);
         let r2 = RegionAddr(2);
-        p.on_demand_miss(r1.block(0), r1.block(0).base(), RefId(0), HintSet::none(), false, &l2);
-        p.on_demand_miss(r2.block(0), r2.block(0).base(), RefId(0), HintSet::none(), false, &l2);
+        p.on_demand_miss(
+            r1.block(0),
+            r1.block(0).base(),
+            RefId(0),
+            HintSet::none(),
+            false,
+            &l2,
+        );
+        p.on_demand_miss(
+            r2.block(0),
+            r2.block(0).base(),
+            RefId(0),
+            HintSet::none(),
+            false,
+            &l2,
+        );
         // LIFO: r2 is at the head now. A miss to r1 block 5 moves r1 back up.
-        p.on_demand_miss(r1.block(5), r1.block(5).base(), RefId(0), HintSet::none(), false, &l2);
+        p.on_demand_miss(
+            r1.block(5),
+            r1.block(5).base(),
+            RefId(0),
+            HintSet::none(),
+            false,
+            &l2,
+        );
         let c = p.next_candidate(&l2, &mshrs, &dram, 0).unwrap();
         assert_eq!(c.block.region(), r1, "refreshed region issues first");
         assert_eq!(c.block, r1.block(6), "index moved past the new miss");
@@ -1003,7 +1030,14 @@ mod tests {
         for i in 1..32 {
             l2.fill(region.block(i), grp_mem::InsertPriority::Mru, false, false);
         }
-        p.on_demand_miss(region.block(0), region.block(0).base(), RefId(0), HintSet::none(), false, &l2);
+        p.on_demand_miss(
+            region.block(0),
+            region.block(0).base(),
+            RefId(0),
+            HintSet::none(),
+            false,
+            &l2,
+        );
         let mut count = 0;
         let mut now = 0;
         while p.next_candidate(&l2, &mshrs, &dram, now).is_some() {
@@ -1125,7 +1159,11 @@ mod tests {
         }
         let base = Addr(0x60_0000);
         p.indirect_prefetch(base, 8, index_addr, &m, &l2);
-        assert_eq!(p.stats().indirect_dropped, 2, "both wrapped targets dropped");
+        assert_eq!(
+            p.stats().indirect_dropped,
+            2,
+            "both wrapped targets dropped"
+        );
         assert_eq!(p.stats().indirect_entries, 14);
         let mut targets = Vec::new();
         let mut now = 0;
@@ -1218,8 +1256,22 @@ mod tests {
         // Two regions queued; the second one's row gets opened.
         let r1 = RegionAddr(0x100);
         let r2 = RegionAddr(0x200);
-        p.on_demand_miss(r1.block(0), r1.block(0).base(), RefId(0), HintSet::none(), false, &l2);
-        p.on_demand_miss(r2.block(0), r2.block(0).base(), RefId(0), HintSet::none(), false, &l2);
+        p.on_demand_miss(
+            r1.block(0),
+            r1.block(0).base(),
+            RefId(0),
+            HintSet::none(),
+            false,
+            &l2,
+        );
+        p.on_demand_miss(
+            r2.block(0),
+            r2.block(0).base(),
+            RefId(0),
+            HintSet::none(),
+            false,
+            &l2,
+        );
         // Open the row for r1's early blocks; pick a time when channels idle.
         let req = dram.issue(r1.block(1), grp_mem::RequestKind::Demand, 0);
         let now = req.complete_at + 1;

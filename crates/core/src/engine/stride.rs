@@ -168,9 +168,7 @@ impl StridePrefetcher {
             s.valid && s.stride == stride && {
                 // The miss falls on the stream's recent path.
                 let diff = addr.wrapping_sub(s.next) as i64;
-                stride != 0
-                    && diff % stride == 0
-                    && (diff / stride).unsigned_abs() <= depth
+                stride != 0 && diff % stride == 0 && (diff / stride).unsigned_abs() <= depth
             }
         }) {
             s.next = addr.wrapping_add(stride as u64);
@@ -268,7 +266,8 @@ impl Prefetcher for StridePrefetcher {
                 let block = Addr(s.next).block();
                 if l2.contains(block) || mshrs.contains(block) {
                     if self.trace {
-                        self.events.push(EngineEvent::squashed(block, SquashReason::Stale));
+                        self.events
+                            .push(EngineEvent::squashed(block, SquashReason::Stale));
                     }
                     s.next = s.next.wrapping_add(s.stride as u64);
                     s.credits -= 1;
@@ -319,7 +318,10 @@ impl Prefetcher for StridePrefetcher {
     }
 
     fn queue_occupancy(&self) -> usize {
-        self.streams.iter().filter(|s| s.valid && s.credits > 0).count()
+        self.streams
+            .iter()
+            .filter(|s| s.valid && s.credits > 0)
+            .count()
     }
 }
 
@@ -360,7 +362,11 @@ mod tests {
         miss(&mut p, &l2, 1, 0x10_0300);
         assert!(p.has_candidates());
         let c = p.next_candidate(&l2, &mshrs, &dram, 0).unwrap();
-        assert_eq!(c.block, Addr(0x10_0400).block(), "prefetches ahead of the stream");
+        assert_eq!(
+            c.block,
+            Addr(0x10_0400).block(),
+            "prefetches ahead of the stream"
+        );
     }
 
     #[test]
@@ -470,8 +476,18 @@ mod tests {
             miss(&mut p, &l2, 1, 0x10_0000 + k * 64);
         }
         // Make the next two stream blocks resident.
-        l2.fill(Addr(0x10_0100).block(), grp_mem::InsertPriority::Mru, false, false);
-        l2.fill(Addr(0x10_0140).block(), grp_mem::InsertPriority::Mru, false, false);
+        l2.fill(
+            Addr(0x10_0100).block(),
+            grp_mem::InsertPriority::Mru,
+            false,
+            false,
+        );
+        l2.fill(
+            Addr(0x10_0140).block(),
+            grp_mem::InsertPriority::Mru,
+            false,
+            false,
+        );
         let c = p.next_candidate(&l2, &mshrs, &dram, 0).unwrap();
         assert_eq!(c.block, Addr(0x10_0180).block());
     }

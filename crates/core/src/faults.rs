@@ -518,7 +518,9 @@ mod tests {
         assert_eq!(a, b);
         // Different seeds give different plans (with overwhelming odds
         // over the tiny set of tried seeds).
-        let plans: Vec<FaultPlan> = (0..16).map(|i| FaultPlan::generate(0x5eed_fa00 + i)).collect();
+        let plans: Vec<FaultPlan> = (0..16)
+            .map(|i| FaultPlan::generate(0x5eed_fa00 + i))
+            .collect();
         assert!(plans.iter().any(|p| !p.is_empty()));
         assert!(plans.windows(2).any(|w| w[0] != w[1]));
     }
@@ -616,10 +618,7 @@ mod tests {
         for s in &shrinks {
             assert!(
                 s.events.len() < plan.events.len()
-                    || s.events
-                        .iter()
-                        .zip(plan.events.iter())
-                        .any(|(a, b)| a != b),
+                    || s.events.iter().zip(plan.events.iter()).any(|(a, b)| a != b),
                 "every shrink differs from the original"
             );
         }
@@ -633,11 +632,21 @@ mod tests {
             .iter()
             .flat_map(|(_, p)| p.events.iter().map(|e| e.kind))
             .collect();
-        assert!(all.iter().any(|k| matches!(k, FaultKind::ChannelStall { .. })));
-        assert!(all.iter().any(|k| matches!(k, FaultKind::ChannelOutage { .. })));
-        assert!(all.iter().any(|k| matches!(k, FaultKind::DelayFills { .. })));
+        assert!(all
+            .iter()
+            .any(|k| matches!(k, FaultKind::ChannelStall { .. })));
+        assert!(all
+            .iter()
+            .any(|k| matches!(k, FaultKind::ChannelOutage { .. })));
+        assert!(all
+            .iter()
+            .any(|k| matches!(k, FaultKind::DelayFills { .. })));
         assert!(all.iter().any(|k| matches!(k, FaultKind::DropFills { .. })));
-        assert!(all.iter().any(|k| matches!(k, FaultKind::MshrSqueeze { .. })));
-        assert!(all.iter().any(|k| matches!(k, FaultKind::QueuePressure { .. })));
+        assert!(all
+            .iter()
+            .any(|k| matches!(k, FaultKind::MshrSqueeze { .. })));
+        assert!(all
+            .iter()
+            .any(|k| matches!(k, FaultKind::QueuePressure { .. })));
     }
 }

@@ -110,16 +110,32 @@ impl InvariantObserver {
                 prev.l2_demand_accesses,
                 snap.l2_demand_accesses,
             ),
-            ("l2_demand_misses", prev.l2_demand_misses, snap.l2_demand_misses),
-            ("useful_prefetches", prev.useful_prefetches, snap.useful_prefetches),
+            (
+                "l2_demand_misses",
+                prev.l2_demand_misses,
+                snap.l2_demand_misses,
+            ),
+            (
+                "useful_prefetches",
+                prev.useful_prefetches,
+                snap.useful_prefetches,
+            ),
             (
                 "late_prefetch_merges",
                 prev.late_prefetch_merges,
                 snap.late_prefetch_merges,
             ),
-            ("prefetches_issued", prev.prefetches_issued, snap.prefetches_issued),
+            (
+                "prefetches_issued",
+                prev.prefetches_issued,
+                snap.prefetches_issued,
+            ),
             ("demand_blocks", prev.demand_blocks, snap.demand_blocks),
-            ("prefetch_blocks", prev.prefetch_blocks, snap.prefetch_blocks),
+            (
+                "prefetch_blocks",
+                prev.prefetch_blocks,
+                snap.prefetch_blocks,
+            ),
             ("row_hits", prev.row_hits, snap.row_hits),
             ("row_misses", prev.row_misses, snap.row_misses),
         ];
@@ -325,9 +341,16 @@ mod tests {
         let mem = Memory::new();
         let cfg = SimConfig::paper();
         let trace = hinted_stream(20_000);
-        for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
+        for scheme in [
+            Scheme::NoPrefetch,
+            Scheme::Srp,
+            Scheme::GrpVar,
+            Scheme::Stride,
+        ] {
             let obs = InvariantObserver::new(&cfg).with_interval(256);
-            let (_, obs) = Replay::new(&mem, heap(), scheme, &cfg).observer(obs).run(&trace);
+            let (_, obs) = Replay::new(&mem, heap(), scheme, &cfg)
+                .observer(obs)
+                .run(&trace);
             assert!(
                 obs.ok(),
                 "{scheme:?} violates invariants: {:?}",
@@ -360,8 +383,10 @@ mod tests {
         let mut engine = engine_for(Scheme::Srp, &cfg);
         engine.inject_fault_unbounded_queue();
         let obs = InvariantObserver::new(&cfg).with_interval(64);
-        let (_, obs) =
-            Replay::new(&mem, heap(), Scheme::Srp, &cfg).engine(engine).observer(obs).run(&t);
+        let (_, obs) = Replay::new(&mem, heap(), Scheme::Srp, &cfg)
+            .engine(engine)
+            .observer(obs)
+            .run(&t);
         assert!(!obs.ok(), "unbounded queue must be detected");
         assert!(
             obs.violations()

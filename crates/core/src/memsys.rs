@@ -87,8 +87,11 @@ impl Ord for PendingFill {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Min-heap by time via Reverse at the call sites; tie-break on
         // block/level for determinism.
-        (self.time, self.block.0, matches!(self.level, FillLevel::L2))
-            .cmp(&(other.time, other.block.0, matches!(other.level, FillLevel::L2)))
+        (self.time, self.block.0, matches!(self.level, FillLevel::L2)).cmp(&(
+            other.time,
+            other.block.0,
+            matches!(other.level, FillLevel::L2),
+        ))
     }
 }
 
@@ -530,8 +533,13 @@ impl<'m, O: Observer> MemSystem<'m, O> {
                     self.insert_l1(f.block, entry.dirty_on_fill, f.time);
                 }
                 if entry.pointer_level > 0 {
-                    self.engine
-                        .on_fill(f.block, entry.pointer_level, self.mem, self.heap, &self.l2);
+                    self.engine.on_fill(
+                        f.block,
+                        entry.pointer_level,
+                        self.mem,
+                        self.heap,
+                        &self.l2,
+                    );
                     if O::ENABLED {
                         self.drain_engine_events(f.time);
                     }
@@ -581,9 +589,9 @@ impl<'m, O: Observer> MemSystem<'m, O> {
         let Some(c) = cand else {
             return false;
         };
-        let outcome =
-            self.l2_mshrs
-                .allocate_or_merge(c.block, false, None, c.pointer_level, false);
+        let outcome = self
+            .l2_mshrs
+            .allocate_or_merge(c.block, false, None, c.pointer_level, false);
         debug_assert_eq!(outcome, MshrOutcome::Allocated);
         let req = self.dram.issue(c.block, RequestKind::Prefetch, now);
         self.prefetches_issued += 1;
@@ -693,8 +701,7 @@ impl<'m, O: Observer> MemSystem<'m, O> {
         }
         // Merge into an outstanding L1-level fetch.
         if let Some(ft) = self.l1_mshrs.fill_time(block) {
-            self.l1_mshrs
-                .allocate_or_merge(block, true, None, 0, write);
+            self.l1_mshrs.allocate_or_merge(block, true, None, 0, write);
             return ft.max(now + self.cfg.l1_latency);
         }
         // Wait out a full L1 MSHR file.

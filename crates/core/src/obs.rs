@@ -75,12 +75,18 @@ pub struct EngineEvent {
 impl EngineEvent {
     /// A queued-candidate event.
     pub fn queued(block: BlockAddr) -> Self {
-        EngineEvent { block, kind: EngineEventKind::Queued }
+        EngineEvent {
+            block,
+            kind: EngineEventKind::Queued,
+        }
     }
 
     /// A squashed-candidate event.
     pub fn squashed(block: BlockAddr, reason: SquashReason) -> Self {
-        EngineEvent { block, kind: EngineEventKind::Squashed(reason) }
+        EngineEvent {
+            block,
+            kind: EngineEventKind::Squashed(reason),
+        }
     }
 }
 
@@ -132,7 +138,11 @@ pub struct EpochSnapshot {
 impl EpochSnapshot {
     /// Instructions per cycle so far (0.0 before the first cycle).
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 { 0.0 } else { self.instructions as f64 / self.cycles as f64 }
+        if self.cycles == 0 {
+            0.0
+        } else {
+            self.instructions as f64 / self.cycles as f64
+        }
     }
 
     /// L2 demand miss rate so far (0.0 with no accesses).
@@ -151,7 +161,11 @@ impl EpochSnapshot {
     pub fn running_accuracy(&self) -> f64 {
         let good = self.useful_prefetches + self.late_prefetch_merges;
         let denom = good + self.useless_prefetches;
-        if denom == 0 { 0.0 } else { good as f64 / denom as f64 }
+        if denom == 0 {
+            0.0
+        } else {
+            good as f64 / denom as f64
+        }
     }
 
     /// Running prefetch coverage in the canonical sense: the fraction of
@@ -159,7 +173,11 @@ impl EpochSnapshot {
     /// useful / (useful + demand misses).
     pub fn running_coverage(&self) -> f64 {
         let denom = self.useful_prefetches + self.l2_demand_misses;
-        if denom == 0 { 0.0 } else { self.useful_prefetches as f64 / denom as f64 }
+        if denom == 0 {
+            0.0
+        } else {
+            self.useful_prefetches as f64 / denom as f64
+        }
     }
 
     /// Fraction of cycles so far that channel `ch`'s data bus was busy.
@@ -329,8 +347,10 @@ impl<A: Observer, B: Observer> Observer for ObserverPair<A, B> {
         row_hit: bool,
         complete_at: u64,
     ) {
-        self.0.prefetch_issued(block, now, channel, row_hit, complete_at);
-        self.1.prefetch_issued(block, now, channel, row_hit, complete_at);
+        self.0
+            .prefetch_issued(block, now, channel, row_hit, complete_at);
+        self.1
+            .prefetch_issued(block, now, channel, row_hit, complete_at);
     }
 
     fn l2_fill(&mut self, block: BlockAddr, prefetch: bool, now: u64) {
@@ -413,7 +433,12 @@ impl LatencyHist {
     /// counters) bucket identically and can merge via
     /// [`LatencyHist::absorb_parts`].
     pub fn bucket_index(v: u64) -> usize {
-        if v == 0 { 0 } else { (64 - v.leading_zeros()) as usize }.min(31)
+        if v == 0 {
+            0
+        } else {
+            (64 - v.leading_zeros()) as usize
+        }
+        .min(31)
     }
 
     /// Record one latency sample (in cycles).
@@ -441,7 +466,11 @@ impl LatencyHist {
 
     /// Mean sample (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 { 0.0 } else { self.sum as f64 / self.count as f64 }
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
     }
 
     /// Approximate `p`-quantile (`0.0..=1.0`): the inclusive upper
@@ -514,7 +543,13 @@ impl LatencyHist {
 
 impl fmt::Display for LatencyHist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n={} mean={:.1} max={}", self.count, self.mean(), self.max)?;
+        write!(
+            f,
+            "n={} mean={:.1} max={}",
+            self.count,
+            self.mean(),
+            self.max
+        )?;
         for (i, &c) in self.buckets.iter().enumerate() {
             if c == 0 {
                 continue;
@@ -715,7 +750,11 @@ impl LifecycleTracer {
     pub fn accuracy(&self) -> f64 {
         let good = self.first_used + self.late;
         let denom = good + self.evicted_unused + self.resident_at_end;
-        if denom == 0 { 0.0 } else { good as f64 / denom as f64 }
+        if denom == 0 {
+            0.0
+        } else {
+            good as f64 / denom as f64
+        }
     }
 
     /// Miss coverage versus a baseline's demand-miss count: identical
@@ -803,7 +842,9 @@ impl Observer for LifecycleTracer {
         // reported for a block whose open record is already in flight
         // refer to a redundant engine-side candidate, not the tracked
         // prefetch.
-        let Some(&idx) = self.open.get(&block.0) else { return };
+        let Some(&idx) = self.open.get(&block.0) else {
+            return;
+        };
         if self.records[idx].issued_at.is_some() {
             return;
         }
@@ -841,7 +882,11 @@ impl Observer for LifecycleTracer {
             self.open.insert(block.0, idx);
         }
         let r = self.open_record(block).expect("record just ensured");
-        debug_assert!(r.issued_at.is_none(), "double issue for block {:#x}", block.0);
+        debug_assert!(
+            r.issued_at.is_none(),
+            "double issue for block {:#x}",
+            block.0
+        );
         r.issued_at = Some(now);
         r.channel = Some(channel);
         r.row_hit = Some(row_hit);
@@ -854,7 +899,9 @@ impl Observer for LifecycleTracer {
 
     fn l2_fill(&mut self, block: BlockAddr, prefetch: bool, now: u64) {
         let _ = prefetch;
-        let Some(&idx) = self.open.get(&block.0) else { return };
+        let Some(&idx) = self.open.get(&block.0) else {
+            return;
+        };
         let r = &mut self.records[idx];
         if r.issued_at.is_none() || r.filled_at.is_some() {
             return;
@@ -892,7 +939,11 @@ impl Observer for LifecycleTracer {
 
     fn prefetch_evicted_unused(&mut self, block: BlockAddr, now: u64) {
         let Some(&idx) = self.open.get(&block.0) else {
-            debug_assert!(false, "unused eviction without open record for {:#x}", block.0);
+            debug_assert!(
+                false,
+                "unused eviction without open record for {:#x}",
+                block.0
+            );
             return;
         };
         let r = &mut self.records[idx];
@@ -995,7 +1046,10 @@ impl EpochSampler {
     /// Panics if `interval` is zero.
     pub fn new(interval: u64) -> Self {
         assert!(interval > 0, "epoch interval must be positive");
-        EpochSampler { interval, snapshots: Vec::new() }
+        EpochSampler {
+            interval,
+            snapshots: Vec::new(),
+        }
     }
 
     /// The configured epoch length in events.
@@ -1046,7 +1100,7 @@ mod tests {
         assert_eq!(h.buckets()[3], 1); // 4..7
         assert_eq!(h.buckets()[7], 1); // 64..127
         assert_eq!(h.buckets()[21], 1); // 2^20
-        // Percentiles resolve to bucket upper bounds, clamped to max.
+                                        // Percentiles resolve to bucket upper bounds, clamped to max.
         assert_eq!(LatencyHist::default().percentile(0.5), 0, "empty hist");
         assert_eq!(h.percentile(0.0), 0); // rank clamps to the first sample
         assert_eq!(h.percentile(0.5), 3); // 4th of 7 samples sits in bucket 2..3

@@ -169,11 +169,7 @@ impl OracleSystem {
     }
 
     fn pop_fill_due(&mut self, t: u64) -> Option<OracleFill> {
-        let (i, f) = self
-            .fills
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, f)| f.key())?;
+        let (i, f) = self.fills.iter().enumerate().min_by_key(|(_, f)| f.key())?;
         if f.time > t {
             return None;
         }
@@ -603,13 +599,24 @@ mod tests {
         for i in 0..4_000u64 {
             t.push_load(Addr(0x20_0000 + i * 8), 8, RefId(0), HintSet::none(), None);
             if i % 3 == 0 {
-                t.push_store(Addr(0x40_0000 + (i % 512) * 64), 8, RefId(1), HintSet::none());
+                t.push_store(
+                    Addr(0x40_0000 + (i % 512) * 64),
+                    8,
+                    RefId(1),
+                    HintSet::none(),
+                );
             }
             t.push_compute((i % 7) as u32);
         }
         let mut prev = None;
         for i in 0..256u64 {
-            let s = t.push_load(Addr(0x60_0000 + i * 4096), 8, RefId(2), HintSet::none(), prev);
+            let s = t.push_load(
+                Addr(0x60_0000 + i * 4096),
+                8,
+                RefId(2),
+                HintSet::none(),
+                prev,
+            );
             prev = Some(s);
         }
         t.finish();
@@ -638,7 +645,13 @@ mod tests {
         let mem = Memory::new();
         let mut t = Trace::new();
         for i in 0..2_000u64 {
-            t.push_load(Addr(0x20_0000 + i * 4096), 8, RefId(0), HintSet::none(), None);
+            t.push_load(
+                Addr(0x20_0000 + i * 4096),
+                8,
+                RefId(0),
+                HintSet::none(),
+                None,
+            );
         }
         t.finish();
         differential_check(&t, &mem, heap(), &SimConfig::paper(), OracleFault::None)
@@ -676,9 +689,6 @@ mod tests {
             OracleFault::EvictMru,
         )
         .expect_err("evict-MRU fault must be detected");
-        assert!(
-            err.contains("diverge"),
-            "error names the divergence: {err}"
-        );
+        assert!(err.contains("diverge"), "error names the divergence: {err}");
     }
 }

@@ -372,7 +372,13 @@ mod tests {
         // prefetcher): the stride engine must learn and cover it.
         let mut t = Trace::new();
         for i in 0..20_000u64 {
-            t.push_load(Addr(0x20_0000 + i * 256), 8, RefId(0), HintSet::none(), None);
+            t.push_load(
+                Addr(0x20_0000 + i * 256),
+                8,
+                RefId(0),
+                HintSet::none(),
+                None,
+            );
             t.push_compute(48);
         }
         t.finish();
@@ -393,7 +399,13 @@ mod tests {
         // Independent loads to distinct blocks.
         let mut ind = Trace::new();
         for i in 0..512u64 {
-            ind.push_load(Addr(0x20_0000 + i * 4096), 8, RefId(0), HintSet::none(), None);
+            ind.push_load(
+                Addr(0x20_0000 + i * 4096),
+                8,
+                RefId(0),
+                HintSet::none(),
+                None,
+            );
             ind.push_compute(2);
         }
         ind.finish();
@@ -430,7 +442,13 @@ mod tests {
         // 63 useless blocks per miss.
         let mut t = Trace::new();
         for i in 0..2_000u64 {
-            t.push_load(Addr(0x20_0000 + i * 4096), 8, RefId(0), HintSet::none(), None);
+            t.push_load(
+                Addr(0x20_0000 + i * 4096),
+                8,
+                RefId(0),
+                HintSet::none(),
+                None,
+            );
             t.push_compute(64);
         }
         t.finish();
@@ -525,10 +543,18 @@ mod tests {
         let mem = Memory::new();
         let cfg = SimConfig::paper();
         let trace = stream_trace(5_000, 4, HintSet::none().with_spatial());
-        for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar, Scheme::Stride] {
+        for scheme in [
+            Scheme::NoPrefetch,
+            Scheme::Srp,
+            Scheme::GrpVar,
+            Scheme::Stride,
+        ] {
             let plain = run_trace(&trace, &mem, heap(), scheme, &cfg);
             let none = FaultPlan::none();
-            let faulted = Replay::new(&mem, heap(), scheme, &cfg).faults(&none).run(&trace).0;
+            let faulted = Replay::new(&mem, heap(), scheme, &cfg)
+                .faults(&none)
+                .run(&trace)
+                .0;
             assert_eq!(plain, faulted, "{scheme:?}: empty plan must be inert");
         }
     }
@@ -540,12 +566,18 @@ mod tests {
         let trace = stream_trace(10_000, 4, HintSet::none().with_spatial());
         let srp = run_trace(&trace, &mem, heap(), Scheme::Srp, &cfg);
         for (name, plan) in FaultPlan::builtin() {
-            let faulted = Replay::new(&mem, heap(), Scheme::Srp, &cfg).faults(&plan).run(&trace).0;
+            let faulted = Replay::new(&mem, heap(), Scheme::Srp, &cfg)
+                .faults(&plan)
+                .run(&trace)
+                .0;
             // Demand correctness: the same loads retire, stats stay sane.
             assert_eq!(faulted.instructions, srp.instructions, "{name}");
             // Faults only remove capacity/timeliness, so a faulted
             // prefetcher never beats its unfaulted self.
-            assert!(faulted.cycles >= srp.cycles, "{name}: faults cannot speed up a run");
+            assert!(
+                faulted.cycles >= srp.cycles,
+                "{name}: faults cannot speed up a run"
+            );
             // Graceful degradation: under the same fault plan, the
             // prefetching scheme lands in the vicinity of the
             // no-prefetch baseline — faults take away the benefit but
@@ -554,8 +586,10 @@ mod tests {
             // actively hurt: a demand merging into an in-flight
             // prefetch MSHR inherits the delayed fill time (the block
             // is held hostage), so those plans get a wider bound.
-            let faulted_base =
-                Replay::new(&mem, heap(), Scheme::NoPrefetch, &cfg).faults(&plan).run(&trace).0;
+            let faulted_base = Replay::new(&mem, heap(), Scheme::NoPrefetch, &cfg)
+                .faults(&plan)
+                .run(&trace)
+                .0;
             let delays_fills = plan
                 .events
                 .iter()
@@ -580,7 +614,10 @@ mod tests {
             .find(|(n, _)| *n == "dropped-fills")
             .unwrap();
         let srp = run_trace(&trace, &mem, heap(), Scheme::Srp, &cfg);
-        let dropped = Replay::new(&mem, heap(), Scheme::Srp, &cfg).faults(&plan).run(&trace).0;
+        let dropped = Replay::new(&mem, heap(), Scheme::Srp, &cfg)
+            .faults(&plan)
+            .run(&trace)
+            .0;
         // Every prefetch loses its data, so the stream's misses come
         // back; the run degrades toward (and lands near) no-prefetch.
         assert!(

@@ -74,7 +74,13 @@ fn mru_insertion_pollutes_more_than_lru() {
     }
     // Sparse far misses: one block per region over 512 regions.
     for i in 0..512u64 {
-        t.push_load(Addr(0x80_0000 + i * 4096), 8, RefId(1), HintSet::none(), None);
+        t.push_load(
+            Addr(0x80_0000 + i * 4096),
+            8,
+            RefId(1),
+            HintSet::none(),
+            None,
+        );
         t.push_compute(64);
     }
     // Re-touch the working set.
@@ -119,7 +125,10 @@ fn custom_engine_injection_works() {
     let mut rc = RegionConfig::grp(32, false, 6);
     rc.probe_depth = 1;
     let engine = Box::new(RegionPrefetcher::new(rc));
-    let r = Replay::new(&mem, heap(), Scheme::GrpFix, &cfg).engine(engine).run(&t).0;
+    let r = Replay::new(&mem, heap(), Scheme::GrpFix, &cfg)
+        .engine(engine)
+        .run(&t)
+        .0;
     assert!(r.prefetches_issued > 0);
     assert_eq!(r.instructions, t.instructions());
 }
@@ -171,5 +180,8 @@ fn shallow_recursion_chases_less_than_deep() {
         deep.engine.pointer_entries,
         shallow.engine.pointer_entries
     );
-    assert!(deep.cycles <= shallow.cycles, "deeper chase never slower here");
+    assert!(
+        deep.cycles <= shallow.cycles,
+        "deeper chase never slower here"
+    );
 }

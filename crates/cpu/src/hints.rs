@@ -81,7 +81,10 @@ impl HintSet {
     ///
     /// Panics if `coeff >= 7`; 7 is reserved for fixed-size prefetching.
     pub fn with_size_coeff(mut self, coeff: u8) -> Self {
-        assert!(coeff < COEFF_FIXED, "coefficient 7 is reserved for fixed-size");
+        assert!(
+            coeff < COEFF_FIXED,
+            "coefficient 7 is reserved for fixed-size"
+        );
         self.coeff = coeff;
         self
     }

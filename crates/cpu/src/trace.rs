@@ -317,7 +317,11 @@ mod tests {
         t.push_compute(7);
         t.finish();
         let summed: u64 = t.events().iter().map(|e| e.instruction_count()).sum();
-        assert_eq!(t.instructions(), summed, "sum identity must hold at the boundary");
+        assert_eq!(
+            t.instructions(),
+            summed,
+            "sum identity must hold at the boundary"
+        );
         assert_eq!(t.instructions(), (u32::MAX - 10) as u64 + 25 + 7);
         assert_eq!(t.events()[0], TraceEvent::Compute(u32::MAX));
         assert_eq!(t.events()[1], TraceEvent::Compute(22));
@@ -333,16 +337,16 @@ mod tests {
         t.finish();
         let summed: u64 = t.events().iter().map(|e| e.instruction_count()).sum();
         assert_eq!(t.instructions(), summed);
-        assert_eq!(t.events(), &[TraceEvent::Compute(u32::MAX), TraceEvent::Compute(1)]);
+        assert_eq!(
+            t.events(),
+            &[TraceEvent::Compute(u32::MAX), TraceEvent::Compute(1)]
+        );
     }
 
     #[test]
     fn instruction_count_per_event() {
         assert_eq!(TraceEvent::Compute(9).instruction_count(), 9);
-        assert_eq!(
-            TraceEvent::SetLoopBound(1).instruction_count(),
-            1
-        );
+        assert_eq!(TraceEvent::SetLoopBound(1).instruction_count(), 1);
         assert!(TraceEvent::Load {
             addr: Addr(0),
             size: 8,

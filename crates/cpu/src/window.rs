@@ -80,7 +80,10 @@ impl Window {
         assert!(cfg.width > 0 && cfg.capacity > 0);
         Self {
             cfg,
-            width_shift: cfg.width.is_power_of_two().then(|| cfg.width.trailing_zeros()),
+            width_shift: cfg
+                .width
+                .is_power_of_two()
+                .then(|| cfg.width.trailing_zeros()),
             entries: VecDeque::new(),
             occupancy: 0,
             dispatch_cycle: 0,
@@ -239,9 +242,12 @@ mod tests {
         assert_eq!(d, 0);
         win.push(1, 200); // load completing at cycle 200
         win.dispatch_compute(63); // fill the window behind it
-        // Window is now full; the next instruction waits for the load.
+                                  // Window is now full; the next instruction waits for the load.
         let d2 = win.prepare_dispatch(1);
-        assert!(d2 >= 200, "dispatch stalled until the load retires, got {d2}");
+        assert!(
+            d2 >= 200,
+            "dispatch stalled until the load retires, got {d2}"
+        );
         win.push(1, d2 + 1);
         let total = win.finish();
         assert!(total >= 200);

@@ -393,10 +393,7 @@ mod tests {
             1,
             vec![assign(
                 s,
-                add(
-                    var(s),
-                    load(arr(a, vec![load(arr(b, vec![var(i)]))])),
-                ),
+                add(var(s), load(arr(a, vec![load(arr(b, vec![var(i)]))]))),
             )],
         )];
         let p = pb.finish(body);
@@ -406,7 +403,10 @@ mod tests {
         if let Stmt::For { body, id, .. } = &p.body[0] {
             assert_eq!(*id, LoopId(0));
             if let Stmt::Assign(_, Expr::Bin(_, _, rhs)) = &body[0] {
-                if let Expr::Load(MemRef::Array { ref_id, indices, .. }) = rhs.as_ref() {
+                if let Expr::Load(MemRef::Array {
+                    ref_id, indices, ..
+                }) = rhs.as_ref()
+                {
                     assert_eq!(*ref_id, RefId(1));
                     if let Expr::Load(inner) = &indices[0] {
                         assert_eq!(inner.ref_id(), RefId(0));
@@ -459,13 +459,7 @@ mod tests {
         let mut pb = ProgramBuilder::new("t");
         let i = pb.var("i");
         let j = pb.var("j");
-        let body = vec![for_(
-            i,
-            c(0),
-            c(2),
-            1,
-            vec![for_(j, c(0), c(2), 1, vec![])],
-        )];
+        let body = vec![for_(i, c(0), c(2), 1, vec![for_(j, c(0), c(2), 1, vec![])])];
         let p = pb.finish(body);
         assert_eq!(p.num_loops, 2);
     }

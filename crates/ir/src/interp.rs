@@ -251,10 +251,13 @@ impl<'a> Interpreter<'a> {
                             + u64::from(!((hi_v - lo_v).max(0) as u64).is_multiple_of(*step as u64))
                     } else {
                         (lo_v - hi_v).max(0) as u64 / step.unsigned_abs()
-                            + u64::from(!((lo_v - hi_v).max(0) as u64).is_multiple_of(step.unsigned_abs()))
+                            + u64::from(
+                                !((lo_v - hi_v).max(0) as u64).is_multiple_of(step.unsigned_abs()),
+                            )
                     };
                     self.flush_ops();
-                    self.trace.push_set_loop_bound(trip.min(u32::MAX as u64) as u32);
+                    self.trace
+                        .push_set_loop_bound(trip.min(u32::MAX as u64) as u32);
                 }
                 let mut i = lo_v;
                 loop {
@@ -291,7 +294,11 @@ impl<'a> Interpreter<'a> {
             } => {
                 let c = self.eval(cond, mem)?;
                 self.ops += 1; // branch
-                let branch = if c.as_i64() != 0 { then_body } else { else_body };
+                let branch = if c.as_i64() != 0 {
+                    then_body
+                } else {
+                    else_body
+                };
                 for st in branch {
                     self.exec(st, mem)?;
                 }
@@ -452,9 +459,8 @@ impl<'a> Interpreter<'a> {
                     lin = lin.wrapping_add(v.as_i64()).wrapping_mul(extent.max(1));
                     self.ops += 2; // multiply-add address arithmetic
                 }
-                let addr = Addr(
-                    (base.0 as i64).wrapping_add(lin.wrapping_mul(elem.size() as i64)) as u64,
-                );
+                let addr =
+                    Addr((base.0 as i64).wrapping_add(lin.wrapping_mul(elem.size() as i64)) as u64);
                 RefInfo {
                     addr,
                     elem,
@@ -598,12 +604,7 @@ mod tests {
     use grp_cpu::TraceEvent;
     use grp_mem::HeapAllocator;
 
-    fn run_with(
-        prog: &Program,
-        bind: &Bindings,
-        hints: &HintMap,
-        mem: &mut Memory,
-    ) -> Trace {
+    fn run_with(prog: &Program, bind: &Bindings, hints: &HintMap, mem: &mut Memory) -> Trace {
         Interpreter::new(prog, bind, hints).run(mem).unwrap()
     }
 
@@ -692,10 +693,7 @@ mod tests {
         let sid = pb.peek_struct_id();
         let node = pb.add_struct(
             "node",
-            vec![
-                field("next", ElemTy::ptr_to(sid)),
-                field("v", ElemTy::I64),
-            ],
+            vec![field("next", ElemTy::ptr_to(sid)), field("v", ElemTy::I64)],
         );
         let p = pb.var("p");
         let s = pb.var("s");
@@ -735,7 +733,11 @@ mod tests {
             })
             .collect();
         assert_eq!(deps[0], None, "first value load: head pointer from setup");
-        assert_eq!(deps[2], Some(1), "second node's loads depend on first next-load");
+        assert_eq!(
+            deps[2],
+            Some(1),
+            "second node's loads depend on first next-load"
+        );
         assert_eq!(deps[7], Some(5));
     }
 
@@ -845,7 +847,10 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, TraceEvent::Load { dep: Some(_), .. }))
             .count();
-        assert_eq!(dep_count, 64, "every a[b[i]] load depends on its index load");
+        assert_eq!(
+            dep_count, 64,
+            "every a[b[i]] load depends on its index load"
+        );
     }
 
     #[test]
@@ -903,10 +908,7 @@ mod tests {
         let mut pb2 = ProgramBuilder::new("w2");
         let a2 = pb2.array("a", ElemTy::I64, &[2]);
         let s2 = pb2.var("s");
-        let worked = pb2.finish(vec![
-            work(100),
-            assign(s2, load(arr(a2, vec![c(0)]))),
-        ]);
+        let worked = pb2.finish(vec![work(100), assign(s2, load(arr(a2, vec![c(0)])))]);
         let mut mem = Memory::new();
         let mut b1 = plain.bindings();
         b1.bind_array(a, Addr(0x1000));

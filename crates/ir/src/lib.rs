@@ -62,7 +62,7 @@ pub mod types;
 pub use build::ProgramBuilder;
 pub use hintmap::{HintMap, IndirectSpec};
 pub use program::{
-    ArrayDecl, ArrayId, Bindings, BinOp, CmpOp, Dim, Expr, LoopId, MemRef, Program, Stmt, UnOp,
+    ArrayDecl, ArrayId, BinOp, Bindings, CmpOp, Dim, Expr, LoopId, MemRef, Program, Stmt, UnOp,
     VarId,
 };
 pub use types::{ElemTy, Field, FieldId, StructDecl, StructId};

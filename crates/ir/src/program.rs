@@ -354,7 +354,12 @@ impl Bindings {
     pub fn resolve_dims(&self, a: ArrayId, decl: &ArrayDecl) -> Vec<u64> {
         match self.array_dims(a) {
             Some(d) => {
-                assert_eq!(d.len(), decl.dims.len(), "dim arity mismatch for {}", decl.name);
+                assert_eq!(
+                    d.len(),
+                    decl.dims.len(),
+                    "dim arity mismatch for {}",
+                    decl.name
+                );
                 d.to_vec()
             }
             None => decl

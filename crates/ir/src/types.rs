@@ -165,7 +165,9 @@ impl StructDecl {
         self.fields
             .iter()
             .enumerate()
-            .filter(|(_, f)| matches!(f.ty, ElemTy::Ptr { points_to_struct: Some(s) } if s == self_id))
+            .filter(
+                |(_, f)| matches!(f.ty, ElemTy::Ptr { points_to_struct: Some(s) } if s == self_id),
+            )
             .map(|(i, _)| FieldId(i as u32))
             .collect()
     }
@@ -220,10 +222,7 @@ mod tests {
 
     #[test]
     fn struct_size_pads_to_max_alignment() {
-        let s = StructDecl::new(
-            "odd",
-            vec![field("a", ElemTy::I64), field("b", ElemTy::I8)],
-        );
+        let s = StructDecl::new("odd", vec![field("a", ElemTy::I64), field("b", ElemTy::I8)]);
         assert_eq!(s.size(), 16);
     }
 

@@ -74,7 +74,11 @@ fn integer_comparisons() {
 fn float_arithmetic_and_coercion() {
     assert_eq!(eval_f64(add(f(1.5), f(2.25))), 3.75);
     assert_eq!(eval_f64(mul(f(1.5), c(4))), 6.0, "mixed int/float coerces");
-    assert_eq!(eval_f64(div_(f(1.0), f(0.0))), 0.0, "guarded float division");
+    assert_eq!(
+        eval_f64(div_(f(1.0), f(0.0))),
+        0.0,
+        "guarded float division"
+    );
     assert_eq!(eval_f64(min_(f(1.5), f(-2.0))), -2.0);
     assert_eq!(eval_f64(max_(f(1.5), f(-2.0))), 1.5);
     assert_eq!(eval_f64(neg(f(2.5))), -2.5);

@@ -162,7 +162,10 @@ mod tests {
         assert_eq!(REGION_BLOCKS, 64);
         let r = RegionAddr(3);
         assert_eq!(r.block(0).base(), Addr(3 * REGION_BYTES));
-        assert_eq!(r.block(63).base(), Addr(3 * REGION_BYTES + 63 * BLOCK_BYTES));
+        assert_eq!(
+            r.block(63).base(),
+            Addr(3 * REGION_BYTES + 63 * BLOCK_BYTES)
+        );
     }
 
     #[test]

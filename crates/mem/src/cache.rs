@@ -188,7 +188,10 @@ impl Cache {
     /// number of sets.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
-        assert!(sets > 0 && sets.is_power_of_two(), "sets must be a power of two");
+        assert!(
+            sets > 0 && sets.is_power_of_two(),
+            "sets must be a power of two"
+        );
         assert!(cfg.ways > 0);
         Self {
             cfg,
@@ -422,7 +425,10 @@ impl Cache {
     /// Number of valid lines currently marked prefetched-and-untouched.
     /// The harness folds these into the accuracy denominator at run end.
     pub fn resident_unused_prefetches(&self) -> u64 {
-        self.lines.iter().filter(|l| l.valid && l.prefetched).count() as u64
+        self.lines
+            .iter()
+            .filter(|l| l.valid && l.prefetched)
+            .count() as u64
     }
 
     /// Number of valid lines.
@@ -458,10 +464,7 @@ impl Cache {
                     continue;
                 }
                 if lines[i + 1..].iter().any(|b| b.valid && b.tag == a.tag) {
-                    return Err(format!(
-                        "cache set {set}: duplicate valid tag {:#x}",
-                        a.tag
-                    ));
+                    return Err(format!("cache set {set}: duplicate valid tag {:#x}", a.tag));
                 }
             }
         }
@@ -472,7 +475,8 @@ impl Cache {
                 s.demand_misses, s.demand_accesses
             ));
         }
-        let classified = s.useful_prefetches + s.useless_prefetches + self.resident_unused_prefetches();
+        let classified =
+            s.useful_prefetches + s.useless_prefetches + self.resident_unused_prefetches();
         if classified > s.prefetch_fills {
             return Err(format!(
                 "cache stats: classified prefetches {} exceed prefetch fills {}",
@@ -524,7 +528,9 @@ mod tests {
         c.fill(b1, InsertPriority::Mru, false, false);
         // b0 is LRU; touching it promotes it.
         assert_eq!(c.access(b0, false), LookupResult::Hit);
-        let v = c.fill(b2, InsertPriority::Mru, false, false).expect("eviction");
+        let v = c
+            .fill(b2, InsertPriority::Mru, false, false)
+            .expect("eviction");
         assert_eq!(v.block, b1);
         assert!(c.contains(b0));
         assert!(!c.contains(b1));
@@ -538,8 +544,13 @@ mod tests {
         let new = BlockAddr(8);
         c.fill(demand, InsertPriority::Mru, false, false);
         c.fill(pf, InsertPriority::Lru, true, false);
-        let v = c.fill(new, InsertPriority::Mru, false, false).expect("evict");
-        assert_eq!(v.block, pf, "LRU-inserted prefetch evicted before demand line");
+        let v = c
+            .fill(new, InsertPriority::Mru, false, false)
+            .expect("evict");
+        assert_eq!(
+            v.block, pf,
+            "LRU-inserted prefetch evicted before demand line"
+        );
         assert!(v.was_unused_prefetch);
         assert_eq!(c.stats().useless_prefetches, 1);
     }
@@ -554,7 +565,9 @@ mod tests {
         // The line now behaves as a demand line: when it is eventually
         // evicted it no longer counts as an unused prefetch.
         c.fill(BlockAddr(0), InsertPriority::Mru, false, false); // pf becomes LRU
-        let v = c.fill(BlockAddr(8), InsertPriority::Mru, false, false).unwrap();
+        let v = c
+            .fill(BlockAddr(8), InsertPriority::Mru, false, false)
+            .unwrap();
         assert_eq!(v.block, pf);
         assert!(!v.was_unused_prefetch);
         assert_eq!(c.stats().useless_prefetches, 0);
@@ -567,7 +580,9 @@ mod tests {
         c.fill(b, InsertPriority::Mru, false, false);
         c.access(b, true); // dirties b
         c.fill(BlockAddr(4), InsertPriority::Mru, false, false); // b becomes LRU
-        let v = c.fill(BlockAddr(8), InsertPriority::Mru, false, false).unwrap();
+        let v = c
+            .fill(BlockAddr(8), InsertPriority::Mru, false, false)
+            .unwrap();
         assert_eq!(v.block, b);
         assert!(v.dirty, "store-touched line writes back on eviction");
     }
@@ -578,7 +593,9 @@ mod tests {
         let b = BlockAddr(0);
         c.fill(b, InsertPriority::Mru, false, true); // write-allocate fill
         c.fill(BlockAddr(4), InsertPriority::Mru, false, false);
-        let v = c.fill(BlockAddr(8), InsertPriority::Mru, false, false).unwrap();
+        let v = c
+            .fill(BlockAddr(8), InsertPriority::Mru, false, false)
+            .unwrap();
         assert_eq!(v.block, b);
         assert!(v.dirty);
         assert_eq!(c.stats().writebacks, 1);
@@ -616,7 +633,9 @@ mod tests {
         assert!(c.contains(b0));
         assert_eq!(*c.stats(), before);
         // b0 is still LRU despite the probe.
-        let v = c.fill(BlockAddr(8), InsertPriority::Mru, false, false).unwrap();
+        let v = c
+            .fill(BlockAddr(8), InsertPriority::Mru, false, false)
+            .unwrap();
         assert_eq!(v.block, b0);
     }
 
@@ -630,7 +649,9 @@ mod tests {
         assert!(c.set_dirty(b));
         assert_eq!(*c.stats(), before);
         c.fill(BlockAddr(0), InsertPriority::Mru, false, false);
-        let v = c.fill(BlockAddr(8), InsertPriority::Mru, false, false).unwrap();
+        let v = c
+            .fill(BlockAddr(8), InsertPriority::Mru, false, false)
+            .unwrap();
         assert_eq!(v.block, b);
         assert!(v.dirty);
     }

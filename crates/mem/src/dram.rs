@@ -645,7 +645,11 @@ mod tests {
         let q = d2.issue(BlockAddr(0), RequestKind::Demand, 500);
         assert_eq!(
             q.complete_at,
-            500 + cfg.t_preempt + cfg.t_overhead + cfg.t_row_hit + cfg.t_row_miss_extra + cfg.t_burst
+            500 + cfg.t_preempt
+                + cfg.t_overhead
+                + cfg.t_row_hit
+                + cfg.t_row_miss_extra
+                + cfg.t_burst
         );
         d2.check_invariants().unwrap();
     }

@@ -108,7 +108,11 @@ mod tests {
             s.write(b);
             s.finish()
         };
-        assert_ne!(h(b"abcdefgh"), h(b"abcdefg"), "tail padding still distinguishes");
+        assert_ne!(
+            h(b"abcdefgh"),
+            h(b"abcdefg"),
+            "tail padding still distinguishes"
+        );
         assert_eq!(h(b"0123456789"), h(b"0123456789"));
     }
 }

@@ -309,7 +309,11 @@ mod tests {
         assert_eq!(restored.read_u64(Addr(0x9000)), 7);
         assert_eq!(restored.read_u64(Addr(0x2000)), 5);
         assert_eq!(restored.read_u64(Addr(0x5ffc)), 6);
-        assert_eq!(restored.read_u64(Addr(0x4242_0000)), 0, "untouched stays zero");
+        assert_eq!(
+            restored.read_u64(Addr(0x4242_0000)),
+            0,
+            "untouched stays zero"
+        );
     }
 
     #[test]

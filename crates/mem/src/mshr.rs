@@ -322,7 +322,10 @@ mod tests {
         m.allocate_or_merge(BlockAddr(3), true, Some(9), 0, false);
         let e = m.get(BlockAddr(3)).unwrap();
         assert!(e.demand);
-        assert!(!e.prefetch_fill, "merged demand clears prefetch-fill status");
+        assert!(
+            !e.prefetch_fill,
+            "merged demand clears prefetch-fill status"
+        );
         assert_eq!(e.pointer_level, 1, "pointer level survives the merge");
         assert_eq!(m.late_prefetch_merges(), 1);
     }

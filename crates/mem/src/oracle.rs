@@ -264,7 +264,12 @@ impl OracleMshr {
     /// Allocates or merges, mirroring [`crate::MshrFile::allocate_or_merge`]
     /// for the demand-only paths the oracle exercises. Returns false when
     /// the file was full and nothing was allocated.
-    pub fn allocate_or_merge(&mut self, block: BlockAddr, demand: bool, dirty_on_fill: bool) -> bool {
+    pub fn allocate_or_merge(
+        &mut self,
+        block: BlockAddr,
+        demand: bool,
+        dirty_on_fill: bool,
+    ) -> bool {
         if let Some(e) = self.entries.iter_mut().find(|e| e.block == block) {
             if demand {
                 e.demand = true;
@@ -367,7 +372,8 @@ impl OracleDram {
                 base
             }
         } else {
-            now.max(self.bus_free_at[ch]).max(self.bank_ready_at[ch][bank])
+            now.max(self.bus_free_at[ch])
+                .max(self.bank_ready_at[ch][bank])
         };
         let row_hit = self.open_row[ch][bank] == Some(row);
         let access = if row_hit {
@@ -379,7 +385,12 @@ impl OracleDram {
 
         self.open_row[ch][bank] = Some(row);
         self.bank_ready_at[ch][bank] = complete_at;
-        let occupancy = self.cfg.t_burst + if row_hit { 0 } else { self.cfg.t_row_miss_extra };
+        let occupancy = self.cfg.t_burst
+            + if row_hit {
+                0
+            } else {
+                self.cfg.t_row_miss_extra
+            };
         self.bus_free_at[ch] = self.bus_free_at[ch].max(start + occupancy);
         if kind == RequestKind::Demand {
             self.demand_bus_free_at[ch] = self.demand_bus_free_at[ch].max(start + occupancy);
@@ -435,7 +446,9 @@ mod tests {
         let mut real = Cache::new(tiny_cfg());
         let mut x = 0x1234_5678_u64;
         for step in 0..4000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let b = BlockAddr((x >> 33) % 32);
             let write = (x >> 7) & 1 == 1;
             if step % 3 == 0 {
@@ -474,7 +487,9 @@ mod tests {
         let mut x = 0xdead_beef_u64;
         let mut now = 0u64;
         for _ in 0..2000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let b = BlockAddr((x >> 30) % 10_000);
             let kind = match (x >> 5) % 3 {
                 0 => RequestKind::Demand,
@@ -525,6 +540,10 @@ mod tests {
             .fill(BlockAddr(8), InsertPriority::Mru, false, false)
             .map(|v| (v.block, v.dirty, v.was_unused_prefetch));
         assert_eq!(vn, vr);
-        assert_eq!(vn.expect("evicts").0, BlockAddr(4), "newest LRU insert evicted first");
+        assert_eq!(
+            vn.expect("evicts").0,
+            BlockAddr(4),
+            "newest LRU insert evicted first"
+        );
     }
 }

@@ -52,10 +52,7 @@ pub fn build(scale: Scale) -> BuiltWorkload {
                 vec![
                     assign(
                         e,
-                        add(
-                            load(fld(var(p), atom, x_f)),
-                            load(fld(var(p), atom, y_f)),
-                        ),
+                        add(load(fld(var(p), atom, x_f)), load(fld(var(p), atom, y_f))),
                     ),
                     store(fld(var(p), atom, fx_f), var(e)),
                     work(20),

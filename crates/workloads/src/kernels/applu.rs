@@ -25,11 +25,7 @@ pub fn build(scale: Scale) -> BuiltWorkload {
     let fld = |a: ArrayId, di: i64, dj: i64, dk: i64| {
         arr(
             a,
-            vec![
-                add(var(i), c(di)),
-                add(var(j), c(dj)),
-                add(var(k), c(dk)),
-            ],
+            vec![add(var(i), c(di)), add(var(j), c(dj)), add(var(k), c(dk))],
         )
     };
 

@@ -122,6 +122,10 @@ mod tests {
         let cfg = SimConfig::paper();
         let base = b.run(Scheme::NoPrefetch, &cfg);
         let grp = b.run(Scheme::GrpVar, &cfg);
-        assert!(grp.speedup_vs(&base) > 1.02, "speedup {}", grp.speedup_vs(&base));
+        assert!(
+            grp.speedup_vs(&base) > 1.02,
+            "speedup {}",
+            grp.speedup_vs(&base)
+        );
     }
 }

@@ -60,7 +60,9 @@ pub fn build(scale: Scale) -> BuiltWorkload {
     let o_base = heap.alloc_array(block as u64, 8);
     let mut r = util::rng(256);
     let perm = util::permutation(&mut r, block as u64);
-    util::fill_i32(&mut memory, p_base, block as u64, |k| perm[k as usize] as i32);
+    util::fill_i32(&mut memory, p_base, block as u64, |k| {
+        perm[k as usize] as i32
+    });
     bindings.bind_array(quadrant, q_base);
     bindings.bind_array(ptrs, p_base);
     bindings.bind_array(out, o_base);

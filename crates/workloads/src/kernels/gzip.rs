@@ -45,10 +45,7 @@ pub fn build(scale: Scale) -> BuiltWorkload {
             c(probes),
             1,
             vec![
-                assign(
-                    h,
-                    and_(mul(var(i), c(2654435761)), c(window - 1)),
-                ),
+                assign(h, and_(mul(var(i), c(2654435761)), c(window - 1))),
                 work(24),
                 assign(acc, add(var(acc), load(arr(win, vec![var(h)])))),
                 // Each probe also reads the following match candidate.

@@ -38,11 +38,11 @@ pub fn build(scale: Scale) -> BuiltWorkload {
     let arc_struct = pb.add_struct(
         "arc",
         vec![
-            field("cost", ElemTy::I64),            // 0
-            field("tail", ElemTy::ptr_to(nid)),    // 8
-            field("head", ElemTy::ptr_to(nid)),    // 16
-            field("flow", ElemTy::I64),            // 24
-            field("ident", ElemTy::I64),           // 32
+            field("cost", ElemTy::I64),         // 0
+            field("tail", ElemTy::ptr_to(nid)), // 8
+            field("head", ElemTy::ptr_to(nid)), // 16
+            field("flow", ElemTy::I64),         // 24
+            field("ident", ElemTy::I64),        // 32
         ],
     );
     let cost_f = FieldId(0);

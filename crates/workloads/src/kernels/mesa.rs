@@ -101,8 +101,7 @@ mod tests {
         let fix = b.run(Scheme::GrpFix, &cfg);
         let var = b.run(Scheme::GrpVar, &cfg);
         assert!(
-            (var.traffic.total_blocks() as f64)
-                < fix.traffic.total_blocks() as f64 * 0.7,
+            (var.traffic.total_blocks() as f64) < fix.traffic.total_blocks() as f64 * 0.7,
             "GRP/Var traffic {} vs GRP/Fix {}",
             var.traffic.total_blocks(),
             fix.traffic.total_blocks()
@@ -119,9 +118,6 @@ mod tests {
         let hist = var.engine.region_size_hist;
         let small: u64 = hist[0..=2].iter().sum(); // ≤4-block regions
         let big = hist[6];
-        assert!(
-            small > big,
-            "small regions dominate (Table 4): {hist:?}"
-        );
+        assert!(small > big, "small regions dominate (Table 4): {hist:?}");
     }
 }

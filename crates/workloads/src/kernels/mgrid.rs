@@ -16,7 +16,11 @@ pub fn build(scale: Scale) -> BuiltWorkload {
     let mut pb = ProgramBuilder::new("mgrid");
     let u = pb.array("u", ElemTy::F64, &[n as u64, n as u64, n as u64]);
     let r = pb.array("r", ElemTy::F64, &[n as u64, n as u64, n as u64]);
-    let cz = pb.array("cz", ElemTy::F64, &[(n / 2) as u64, (n / 2) as u64, (n / 2) as u64]);
+    let cz = pb.array(
+        "cz",
+        ElemTy::F64,
+        &[(n / 2) as u64, (n / 2) as u64, (n / 2) as u64],
+    );
     let i = pb.var("i");
     let j = pb.var("j");
     let k = pb.var("k");
@@ -130,7 +134,11 @@ mod tests {
         let cfg = SimConfig::paper();
         let base = b.run(Scheme::NoPrefetch, &cfg);
         let srp = b.run(Scheme::Srp, &cfg);
-        assert!(srp.coverage_vs(&base) > 0.5, "coverage {}", srp.coverage_vs(&base));
+        assert!(
+            srp.coverage_vs(&base) > 0.5,
+            "coverage {}",
+            srp.coverage_vs(&base)
+        );
         assert!(srp.speedup_vs(&base) > 1.05);
     }
 }

@@ -113,8 +113,16 @@ mod tests {
         let base = b.run(Scheme::NoPrefetch, &cfg);
         let srp = b.run(Scheme::Srp, &cfg);
         let grp = b.run(Scheme::GrpVar, &cfg);
-        assert!(srp.speedup_vs(&base) > 1.05, "SRP {}", srp.speedup_vs(&base));
-        assert!(grp.speedup_vs(&base) > 1.05, "GRP {}", grp.speedup_vs(&base));
+        assert!(
+            srp.speedup_vs(&base) > 1.05,
+            "SRP {}",
+            srp.speedup_vs(&base)
+        );
+        assert!(
+            grp.speedup_vs(&base) > 1.05,
+            "GRP {}",
+            grp.speedup_vs(&base)
+        );
         // GRP's traffic stays in SRP's neighbourhood or below (the pool
         // allocator makes SRP's regions efficient here; GRP adds the
         // two-blocks-per-pointer chase, so allow a small overshoot).

@@ -226,6 +226,9 @@ mod tests {
     fn permuted_sweep_is_fully_spatial() {
         let b = build_permuted(Scale::Test);
         let cs = census(&b.program, &b.hints(&AnalysisConfig::default()));
-        assert_eq!(cs.spatial, cs.mem_refs, "every ref unit-stride after permutation");
+        assert_eq!(
+            cs.spatial, cs.mem_refs,
+            "every ref unit-stride after permutation"
+        );
     }
 }

@@ -22,10 +22,7 @@ pub fn build(scale: Scale) -> BuiltWorkload {
     let sid = pb.peek_struct_id();
     let term = pb.add_struct(
         "termbox",
-        vec![
-            field("next", ElemTy::ptr_to(sid)),
-            field("xy", ElemTy::I64),
-        ],
+        vec![field("next", ElemTy::ptr_to(sid)), field("xy", ElemTy::I64)],
     );
     let next_f = FieldId(0);
     let xy_f = FieldId(1);
@@ -42,7 +39,10 @@ pub fn build(scale: Scale) -> BuiltWorkload {
         1,
         vec![
             // Pseudo-random bucket choice (non-affine).
-            assign(h, and_(mul(var(i), c(0x9E3779B1u32 as i64)), c(buckets - 1))),
+            assign(
+                h,
+                and_(mul(var(i), c(0x9E3779B1u32 as i64)), c(buckets - 1)),
+            ),
             assign(p, load(arr(table, vec![var(h)]))),
             work(14),
             while_(

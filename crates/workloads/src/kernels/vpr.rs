@@ -99,10 +99,7 @@ mod tests {
         let grp = b.run(Scheme::GrpVar, &cfg);
         // Performance within a band of each other…
         let ratio = grp.cycles as f64 / srp.cycles as f64;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "GRP/SRP cycle ratio {ratio}"
-        );
+        assert!((0.8..1.25).contains(&ratio), "GRP/SRP cycle ratio {ratio}");
         // …but SRP pays more traffic (paper: ~2× for vpr).
         assert!(
             srp.traffic_vs(&base) > grp.traffic_vs(&base),

@@ -117,7 +117,11 @@ mod tests {
     fn hint_profile_is_purely_spatial() {
         let b = build(Scale::Test);
         let cs = census(&b.program, &b.hints(&AnalysisConfig::default()));
-        assert!(cs.spatial >= 8, "matrix/vector refs all spatial: {}", cs.spatial);
+        assert!(
+            cs.spatial >= 8,
+            "matrix/vector refs all spatial: {}",
+            cs.spatial
+        );
         assert_eq!(cs.pointer, 0, "Table 3: wupwise has no pointer hints");
         assert_eq!(cs.recursive, 0);
         assert_eq!(cs.indirect, 0);
@@ -134,6 +138,10 @@ mod tests {
             "speedup {}",
             grp.speedup_vs(&base)
         );
-        assert!(grp.coverage_vs(&base) > 0.5, "coverage {}", grp.coverage_vs(&base));
+        assert!(
+            grp.coverage_vs(&base) > 0.5,
+            "coverage {}",
+            grp.coverage_vs(&base)
+        );
     }
 }

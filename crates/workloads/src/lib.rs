@@ -127,10 +127,17 @@ impl BuiltWorkload {
 
     /// Like [`BuiltWorkload::run`], threading an observer through the
     /// timing simulation and returning it alongside the result.
-    pub fn run_observed<O: Observer>(&self, scheme: Scheme, cfg: &SimConfig, obs: O) -> (RunResult, O) {
+    pub fn run_observed<O: Observer>(
+        &self,
+        scheme: Scheme,
+        cfg: &SimConfig,
+        obs: O,
+    ) -> (RunResult, O) {
         let cc = scheme.compiler_config();
         let (trace, mem) = self.trace(cc.as_ref());
-        Replay::new(&mem, self.heap, scheme, cfg).observer(obs).run(&trace)
+        Replay::new(&mem, self.heap, scheme, cfg)
+            .observer(obs)
+            .run(&trace)
     }
 
     /// The hint map the given compiler configuration derives.

@@ -39,7 +39,9 @@ fn pointer_chasers_have_long_dependence_chains() {
 
 #[test]
 fn streaming_kernels_have_no_dependent_loads() {
-    for name in ["wupwise", "swim", "mgrid", "applu", "apsi", "crafty", "sphinx"] {
+    for name in [
+        "wupwise", "swim", "mgrid", "applu", "apsi", "crafty", "sphinx",
+    ] {
         let s = stats(name);
         assert_eq!(
             s.dependent_loads, 0,

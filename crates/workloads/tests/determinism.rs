@@ -91,12 +91,12 @@ fn lifecycle_jsonl_is_byte_identical_across_builds() {
         grp_workloads::by_name("mcf").expect("mcf exists"),
         grp_workloads::by_name("ammp").expect("ammp exists"),
     ] {
-        let (_, ta) = w
-            .build(Scale::Test)
-            .run_observed(Scheme::GrpVar, &cfg, LifecycleTracer::new());
-        let (_, tb) = w
-            .build(Scale::Test)
-            .run_observed(Scheme::GrpVar, &cfg, LifecycleTracer::new());
+        let (_, ta) =
+            w.build(Scale::Test)
+                .run_observed(Scheme::GrpVar, &cfg, LifecycleTracer::new());
+        let (_, tb) =
+            w.build(Scale::Test)
+                .run_observed(Scheme::GrpVar, &cfg, LifecycleTracer::new());
         assert!(
             !ta.jsonl().is_empty(),
             "workload '{}' traced no prefetch lifecycle at all",
@@ -119,9 +119,9 @@ fn observed_runs_match_unobserved_runs() {
     let cfg = SimConfig::paper();
     let w = grp_workloads::by_name("equake").expect("equake exists");
     let plain = Fingerprint::of(&w.build(Scale::Test).run(Scheme::GrpVar, &cfg));
-    let (observed, _) = w
-        .build(Scale::Test)
-        .run_observed(Scheme::GrpVar, &cfg, LifecycleTracer::new());
+    let (observed, _) =
+        w.build(Scale::Test)
+            .run_observed(Scheme::GrpVar, &cfg, LifecycleTracer::new());
     assert_eq!(plain, Fingerprint::of(&observed));
 }
 
@@ -139,9 +139,15 @@ fn zero_fault_plan_is_bit_identical_to_unfaulted_run() {
         let plain = run_trace(&trace, &mem, built.heap, Scheme::GrpVar, &cfg);
         let replay = || Replay::new(&mem, built.heap, Scheme::GrpVar, &cfg);
         let idle = replay().faults(&none).run(&trace).0;
-        assert_eq!(plain, idle, "workload '{name}': empty fault plan perturbed the run");
+        assert_eq!(
+            plain, idle,
+            "workload '{name}': empty fault plan perturbed the run"
+        );
         let (_, ta) = replay().observer(LifecycleTracer::new()).run(&trace);
-        let (_, tb) = replay().observer(LifecycleTracer::new()).faults(&none).run(&trace);
+        let (_, tb) = replay()
+            .observer(LifecycleTracer::new())
+            .faults(&none)
+            .run(&trace);
         assert_eq!(
             ta.jsonl(),
             tb.jsonl(),
@@ -177,7 +183,10 @@ fn same_seed_faulted_runs_are_bit_identical_across_builds() {
         };
         let (ra, ta) = run();
         let (rb, tb) = run();
-        assert_eq!(ra, rb, "faulted run diverged across identically-seeded builds");
+        assert_eq!(
+            ra, rb,
+            "faulted run diverged across identically-seeded builds"
+        );
         assert_eq!(
             ta.jsonl(),
             tb.jsonl(),

@@ -38,7 +38,10 @@ fn main() {
         c(n),
         1,
         vec![
-            assign(s, add(var(s), load(arr(a, vec![load(arr(b, vec![var(i)]))])))),
+            assign(
+                s,
+                add(var(s), load(arr(a, vec![load(arr(b, vec![var(i)]))]))),
+            ),
             work(18),
         ],
     )]);
@@ -77,7 +80,11 @@ fn main() {
         .expect("kernel runs");
     println!(
         "index pattern: {} — {} indirect-prefetch instructions in the trace\n",
-        if clustered { "clustered" } else { "random permutation" },
+        if clustered {
+            "clustered"
+        } else {
+            "random permutation"
+        },
         trace
             .events()
             .iter()
@@ -88,7 +95,10 @@ fn main() {
     let cfg = SimConfig::paper();
     let heap_range = heap.range();
     let base = run_trace(&trace, &run_mem, heap_range, Scheme::NoPrefetch, &cfg);
-    println!("{:<9} {:>9} {:>9} {:>9} {:>9}", "scheme", "cycles", "speedup", "traffic", "accuracy");
+    println!(
+        "{:<9} {:>9} {:>9} {:>9} {:>9}",
+        "scheme", "cycles", "speedup", "traffic", "accuracy"
+    );
     for scheme in [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar] {
         let r = run_trace(&trace, &run_mem, heap_range, scheme, &cfg);
         println!(

@@ -7,14 +7,21 @@
 //! ```
 
 use grp::compiler::{analyze, census, AnalysisConfig, SpatialPolicy};
-use grp_bench::suite::{scale_from_args, SuiteScale};
 use grp::core::{run_trace, Scheme, SimConfig};
 use grp::ir::build::*;
 use grp::ir::interp::Interpreter;
 use grp::ir::{ElemTy, ProgramBuilder};
 use grp::mem::{HeapAllocator, Memory};
+use grp_bench::suite::{scale_from_args, SuiteScale};
 
-fn build(n: i64) -> (grp::ir::Program, grp::ir::Bindings, Memory, grp::mem::HeapRange) {
+fn build(
+    n: i64,
+) -> (
+    grp::ir::Program,
+    grp::ir::Bindings,
+    Memory,
+    grp::mem::HeapRange,
+) {
     let mut pb = ProgramBuilder::new("stencil");
     let a = pb.array("a", ElemTy::F64, &[n as u64, n as u64]);
     let b = pb.array("b", ElemTy::F64, &[n as u64, n as u64]);

@@ -7,13 +7,13 @@
 //! ```
 
 use grp::compiler::{analyze, census, AnalysisConfig};
-use grp_bench::suite::{scale_from_args, SuiteScale};
 use grp::core::{run_trace, Scheme, SimConfig};
 use grp::ir::build::*;
 use grp::ir::interp::Interpreter;
 use grp::ir::types::field;
 use grp::ir::{ElemTy, FieldId, ProgramBuilder};
 use grp::mem::{HeapAllocator, Memory};
+use grp_bench::suite::{scale_from_args, SuiteScale};
 
 fn main() {
     let scale = scale_from_args();
@@ -74,7 +74,11 @@ fn main() {
     let trace = Interpreter::new(&program, &bind, &hints)
         .run(&mut run_mem)
         .expect("kernel runs");
-    println!("trace: {} loads over {} nodes\n", trace.loads(), nodes.len());
+    println!(
+        "trace: {} loads over {} nodes\n",
+        trace.loads(),
+        nodes.len()
+    );
 
     let cfg = SimConfig::paper();
     let heap_range = heap.range();

@@ -37,7 +37,10 @@ fn main() {
         std::process::exit(1);
     };
 
-    println!("benchmark: {} — {} ({scale:?} scale)", wl.name, wl.description);
+    println!(
+        "benchmark: {} — {} ({scale:?} scale)",
+        wl.name, wl.description
+    );
     let built = wl.build(scale.workload_scale());
     let cfg = SimConfig::paper();
 

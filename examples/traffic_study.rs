@@ -35,7 +35,13 @@ fn main() {
             tr.push(r.traffic_vs(&base).max(1e-9));
         }
         let (s, t) = (geomean(&sp), geomean(&tr));
-        println!("{:<10} {:>8.3}x {:>8.2}x {:>13.3}", scheme.label(), s, t, s / t);
+        println!(
+            "{:<10} {:>8.3}x {:>8.2}x {:>13.3}",
+            scheme.label(),
+            s,
+            t,
+            s / t
+        );
         let bar = "#".repeat(((s - 1.0) * 100.0).max(0.0) as usize);
         let tbar = "~".repeat(((t - 1.0) * 20.0).clamp(0.0, 60.0) as usize);
         println!("  perf    |{bar}");

@@ -71,7 +71,12 @@ fn perfect_caches_bound_every_benchmark() {
             l2.cycles,
             base.cycles
         );
-        assert_eq!(l1.traffic.total_blocks(), 0, "{}: perfect L1 moves no data", w.name);
+        assert_eq!(
+            l1.traffic.total_blocks(),
+            0,
+            "{}: perfect L1 moves no data",
+            w.name
+        );
     }
 }
 

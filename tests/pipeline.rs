@@ -13,7 +13,10 @@ fn trace_hints_match_static_hint_map() {
         let hints = analyze(&b.program, &AnalysisConfig::default());
         let (trace, _) = b.trace(Some(&AnalysisConfig::default()));
         for ev in trace.events() {
-            if let TraceEvent::Load { ref_id, hints: h, .. } = ev {
+            if let TraceEvent::Load {
+                ref_id, hints: h, ..
+            } = ev
+            {
                 assert_eq!(
                     *h,
                     hints.hint(*ref_id),
