@@ -27,7 +27,7 @@ pub mod trace;
 pub mod window;
 
 pub use hints::HintSet;
-pub use packed::{PackError, PackedFileError, PackedTrace};
+pub use packed::{checksum64, PackError, PackedFileError, PackedTrace};
 pub use stats::TraceStats;
 pub use trace::{RefId, Trace, TraceEvent};
 pub use window::{Window, WindowConfig};

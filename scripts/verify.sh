@@ -13,6 +13,9 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
+echo "== formatting: cargo fmt --check (workspace members) =="
+cargo fmt --all -- --check
+
 echo "== tier-1: release build (offline) =="
 cargo build --release --offline
 
