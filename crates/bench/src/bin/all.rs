@@ -41,9 +41,9 @@ fn main() {
     let mut suite = Suite::new(scale).verbose().with_replay(replay);
     println!("GRP reproduction — full evaluation at {scale:?} scale\n");
     // Warm the memo table through the work-stealing cell scheduler:
-    // every (benchmark, scheme) cell is an independent unit of work, so
-    // a slow benchmark no longer serializes its remaining schemes
-    // behind one worker. --jobs / GRP_JOBS caps the pool.
+    // schemes that replay the same trace share one interpretation, and
+    // a slow benchmark's replays spread across workers. --jobs /
+    // GRP_JOBS caps the pool.
     suite
         .precompute_cells(&suite.all_names(), &Scheme::ALL, jobs)
         .unwrap_or_else(|e| {

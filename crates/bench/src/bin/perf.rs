@@ -378,12 +378,15 @@ fn run_fleet(
 
     let q = &stats.queue_wait_micros;
     println!(
-        "\nfleet: {} cells on {} workers in {:.3}s wall ({} steals, {} built workloads)",
+        "\nfleet: {} cells on {} workers in {:.3}s wall ({} steals, {} built workloads, \
+         {} traces interpreted, {} loaded)",
         stats.cells,
         stats.workers,
         stats.wall_seconds,
         stats.steals,
         cache.built_count(),
+        stats.traces_interpreted,
+        stats.traces_loaded,
     );
     for w in 0..stats.workers {
         println!(

@@ -1,10 +1,11 @@
 //! One function per table/figure of the paper's Section 5.
 
 use grp_compiler::{census, AnalysisConfig};
-use grp_core::{geomean, Scheme};
+use grp_core::{geomean, Scheme, SimConfig};
 use grp_workloads::BenchClass;
 
 use crate::report::{bar_chart, f2, pct, Table};
+use crate::sched::{self, CellJob, WorkloadCache};
 use crate::suite::Suite;
 
 /// The schemes compared in the headline tables.
@@ -461,21 +462,40 @@ pub fn sensitivity(suite: &mut Suite) -> String {
 
 /// §5.5's bandwidth observation: "art is bandwidth bound … larger caches
 /// and wider channels improve art appreciably." Sweeps DRAM channel
-/// count for the benchmarks the paper calls memory-bound.
+/// count for the benchmarks the paper calls memory-bound. The nine
+/// GRP/Var cells run through the cell scheduler, so each benchmark's
+/// trace is interpreted once and replayed under all three channel
+/// counts.
 pub fn bandwidth_study(scale: crate::suite::SuiteScale) -> String {
-    use grp_core::SimConfig;
-    let mut t = Table::new(vec!["bench", "2 channels", "4 channels", "8 channels"]);
-    for name in ["art", "swim", "mcf"] {
-        let built = grp_workloads::by_name(name)
-            .expect("registered")
-            .build(scale.workload_scale());
-        let mut cells = vec![name.to_string()];
-        for channels in [2usize, 4, 8] {
+    const BENCHES: [&str; 3] = ["art", "swim", "mcf"];
+    const CHANNELS: [usize; 3] = [2, 4, 8];
+    let mut jobs = Vec::new();
+    for kernel in BENCHES {
+        for channels in CHANNELS {
             let mut cfg = SimConfig::paper();
             cfg.dram.channels = channels;
-            let r = built.run(Scheme::GrpVar, &cfg);
-            cells.push(format!("{:.2}", r.ipc()));
+            jobs.push(CellJob {
+                id: jobs.len() as u64,
+                kernel,
+                scheme: Scheme::GrpVar,
+                scale: scale.workload_scale(),
+                cfg,
+                deadline: None,
+            });
         }
+    }
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let mut ipc = vec![0.0; jobs.len()];
+    sched::run_cells(&jobs, workers, &WorkloadCache::new(), |cell| {
+        let r = cell
+            .outcome
+            .unwrap_or_else(|e| panic!("bandwidth study {}: {e}", cell.kernel));
+        ipc[cell.id as usize] = r.ipc();
+    });
+    let mut t = Table::new(vec!["bench", "2 channels", "4 channels", "8 channels"]);
+    for (kernel, row) in BENCHES.iter().zip(ipc.chunks(CHANNELS.len())) {
+        let mut cells = vec![kernel.to_string()];
+        cells.extend(row.iter().map(|v| format!("{v:.2}")));
         t.row(cells);
     }
     format!(

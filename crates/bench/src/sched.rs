@@ -1,28 +1,42 @@
 //! Work-stealing cell scheduler: shards `(kernel, scheme, config)`
-//! simulation *cells* across OS threads. The unit of work is one cell,
-//! a single `(kernel, scheme)` simulation, so a wide scheme row of one
-//! heavy kernel spreads across workers instead of serializing behind
-//! its build (bzip2 alone is a quarter of the small-scale replay wall).
+//! simulation *cells* across OS threads. The unit of work is a **trace
+//! group**: the cells of one batch that replay the same trace. A trace
+//! depends only on `(kernel, scale, scheme.compiler_config())` — the
+//! key [`TraceCache`] files it under — so the seven hint-free schemes of
+//! a kernel share one trace and each GRP compiler configuration has its
+//! own: the 18 × 12 grid holds 108 groups.
 //!
+//! * A group's first cell obtains its trace **once** (`obtain_trace`:
+//!   a trace-cache load, or build → interpret → pack and store) and
+//!   holds it in an `Arc`; the group's other cells go to the *front* of
+//!   that worker's deque as replay tasks. A worker takes a new group
+//!   only once its deque holds no replays, so every live trace is one a
+//!   worker is using right now: no more traces are alive than workers,
+//!   as when every cell interpreted its own.
 //! * Built workloads are shared **read-only** between workers through
 //!   [`WorkloadCache`] (`Arc<BuiltWorkload>` keyed by `(kernel, scale)`),
-//!   so two schemes of the same kernel never rebuild — whichever worker
+//!   so two groups of the same kernel never rebuild — whichever worker
 //!   gets there first builds, everyone else waits on that one build.
-//! * Cells are ordered **largest-first** by a static cost model
-//!   ([`cell_weight`], calibrated against measured per-cell replay
-//!   times) and dealt round-robin into per-worker
-//!   deques; an idle worker steals from the *back* of a victim's deque,
-//!   so big early cells stay with their owner and stragglers spread out.
+//! * Groups are ordered **largest-first** by a static cost model
+//!   ([`group_weight`]: one interpretation plus the group's replays) and
+//!   dealt round-robin into per-worker deques; an idle worker steals
+//!   from the *back* of a victim's deque — an undealt group, or the last
+//!   replay task of the victim's current group — so big early groups
+//!   stay with their owner and stragglers spread out.
+//! * Cancellation, deadlines, panic isolation and replies stay **per
+//!   cell**: every cell passes the pickup gate on its own, and every job
+//!   gets exactly one [`CellResult`], even when its group's trace could
+//!   not be obtained.
 //! * Results stream to the caller **as cells complete** over a channel
 //!   (`on_complete` runs on the calling thread), so artifacts can be
 //!   written incrementally instead of at end-of-run.
 //!
 //! Determinism: scheduling order and steal order are timing-dependent,
-//! but every cell is an independent, internally-deterministic
-//! simulation over its own `Memory` clone — per-cell `RunResult`s are
-//! bit-identical to the serial path for any worker count and any steal
-//! interleaving. `crates/bench/tests/fleet.rs` enforces this over the
-//! full 18×12 grid.
+//! but every cell is an internally-deterministic replay of a trace that
+//! replay never mutates (the post-interpretation `Memory` is read-only)
+//! — per-cell `RunResult`s are bit-identical to the serial path for any
+//! worker count and any steal interleaving. `crates/bench/tests/fleet.rs`
+//! enforces this over the full 18×12 grid.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,8 +44,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use grp_compiler::AnalysisConfig;
 use grp_core::{LatencyHist, Replay, RunResult, Scheme, SimConfig};
-use grp_cpu::PackedTrace;
+use grp_cpu::{PackedTrace, Trace};
+use grp_mem::{HeapRange, Memory};
 use grp_workloads::{BuiltWorkload, Scale};
 
 use crate::telemetry::registry::{Registry, Shard};
@@ -144,7 +160,8 @@ pub struct CellResult {
     pub outcome: Result<RunResult, String>,
     /// Trace events replayed (0 on error).
     pub events: u64,
-    /// Seconds spent building/tracing before replay (includes the
+    /// Seconds spent obtaining the trace before replay: non-zero only
+    /// for the cell that obtained its group's trace (and includes the
     /// workload build only for the worker that actually built it).
     pub setup_seconds: f64,
     /// Seconds spent in the replay loop alone — the comparable unit to the
@@ -175,6 +192,11 @@ pub struct FleetStats {
     pub replay_seconds: f64,
     /// Sum of per-cell setup seconds (builds + hint derivation).
     pub setup_seconds: f64,
+    /// Traces obtained by interpretation (one per trace group whose
+    /// trace was not loaded from the trace cache).
+    pub traces_interpreted: u64,
+    /// Traces loaded from the trace cache.
+    pub traces_loaded: u64,
     /// Per-worker busy seconds (time executing cells, not idle/steal).
     pub busy_seconds: Vec<f64>,
     /// Per-worker completed-cell counts.
@@ -278,42 +300,75 @@ impl WorkloadCache {
     }
 }
 
-/// Static relative cost of one cell, calibrated against measured
-/// per-cell replay seconds under the packed tier at Small scale (bzip2
-/// is ~26% of the replay wall; SRP-class schemes replay ~2.3× slower
-/// than the no-prefetch baseline — the packed tier narrowed the old 6×
-/// gap by cutting per-event dispatch overhead, which baseline cells
-/// paid proportionally more of). Kernel weights are replay-wall
-/// percentages; scheme weights are ~10× the per-scheme ratio to the
-/// no-prefetch baseline. Only *load balance* depends on this — results
-/// never do — so a stale table degrades tail latency, not correctness.
+/// A kernel's shares of the Small-scale 18 × 12 grid, in per mille:
+/// `(replay wall, trace events)`. Measured with `perf --scale small
+/// --fleet --profile --jobs 2` on a 2-vCPU Xeon host; unknown kernels
+/// weigh least.
+fn kernel_shares(kernel: &str) -> (u64, u64) {
+    match kernel {
+        "bzip2" => (274, 124),
+        "swim" => (147, 101),
+        "crafty" => (123, 245),
+        "applu" => (111, 145),
+        "art" => (71, 112),
+        "gzip" => (49, 45),
+        "apsi" => (35, 29),
+        "gap" => (32, 21),
+        "mesa" => (28, 17),
+        "mgrid" => (25, 40),
+        "sphinx" => (24, 10),
+        "wupwise" => (17, 46),
+        "equake" => (15, 17),
+        "vpr" => (13, 14),
+        "twolf" => (11, 12),
+        "parser" => (10, 8),
+        "mcf" => (8, 11),
+        "ammp" => (7, 4),
+        _ => (1, 1),
+    }
+}
+
+/// One interpretation's cost per per-mille of the grid's events, in
+/// [`cell_weight`] units: the grid's 216 interpretations took 19.4 s,
+/// i.e. 1.62 s per full pass over the 18 kernels = 162 units per mille.
+const INTERPRET_WEIGHT_PER_EVENT_PERMILLE: u64 = 162;
+
+/// Static cost of replaying one cell, in units of 10 µs of replay on
+/// the calibration host: the kernel's per-mille share of the grid's
+/// replay wall times the scheme's replay centiseconds summed over the
+/// 18 kernels (none 117, stride 191, SRP and SRP+ptr 413 — one class,
+/// their mean —, GRP/Fix 273, GRP/cons 271, GRP/Var 242, GRP/aggr 238,
+/// hw-ptr 148, GRP-ptr 124, perfect-L2 88, perfect-L1 58). Interpretation
+/// is not in it: a trace group pays that once ([`group_weight`]). Only
+/// *load balance* depends on this — results never do — so a stale table
+/// degrades tail latency, not correctness.
 pub fn cell_weight(kernel: &str, scheme: Scheme) -> u64 {
-    let k: u64 = match kernel {
-        "bzip2" => 26,
-        "swim" => 13,
-        "crafty" => 13,
-        "applu" => 11,
-        "art" => 7,
-        "gzip" => 6,
-        "apsi" => 4,
-        "gap" => 4,
-        "mesa" => 3,
-        "mgrid" => 3,
-        "sphinx" => 2,
-        "wupwise" => 2,
-        "vpr" => 2,
-        _ => 1,
-    };
     let s: u64 = match scheme {
-        Scheme::Srp | Scheme::SrpPointer => 23,
-        Scheme::GrpAggressive => 18,
-        Scheme::GrpFix | Scheme::GrpVar | Scheme::GrpConservative => 16,
-        Scheme::HwPointer | Scheme::GrpPointer => 14,
-        Scheme::Stride => 13,
-        Scheme::NoPrefetch => 10,
-        Scheme::PerfectL1 | Scheme::PerfectL2 => 4,
+        Scheme::Srp | Scheme::SrpPointer => 413,
+        Scheme::GrpFix => 273,
+        Scheme::GrpConservative => 271,
+        Scheme::GrpVar => 242,
+        Scheme::GrpAggressive => 238,
+        Scheme::Stride => 191,
+        Scheme::HwPointer => 148,
+        Scheme::GrpPointer => 124,
+        Scheme::NoPrefetch => 117,
+        Scheme::PerfectL2 => 88,
+        Scheme::PerfectL1 => 58,
     };
-    k * s
+    kernel_shares(kernel).0 * s
+}
+
+/// Static cost of a trace group of `kernel` — one interpretation (in
+/// proportion to the kernel's trace events) plus one replay per scheme
+/// — in [`cell_weight`] units. The scheduler deals groups by it.
+pub fn group_weight(kernel: &str, schemes: impl IntoIterator<Item = Scheme>) -> u64 {
+    let interpret = kernel_shares(kernel).1 * INTERPRET_WEIGHT_PER_EVENT_PERMILLE;
+    interpret
+        + schemes
+            .into_iter()
+            .map(|s| cell_weight(kernel, s))
+            .sum::<u64>()
 }
 
 /// The full `names × schemes` grid as cell jobs (row-major ids), ready
@@ -369,13 +424,51 @@ pub fn run_cells_mode<F: FnMut(CellResult)>(
     run_cells_ctl(jobs, workers, cache, mode, None, on_complete)
 }
 
+/// The key of the trace a cell replays: cells with equal keys replay
+/// the same trace, so a batch obtains it once per key.
+fn trace_key(job: &CellJob) -> (&'static str, Scale, Option<AnalysisConfig>) {
+    (job.kernel, job.scale, job.scheme.compiler_config())
+}
+
+/// Why a group's trace could not be obtained, shared by its cells.
+enum Unavailable {
+    /// `obtain_trace` returned an error (unknown kernel, unpackable
+    /// trace); every cell reports it verbatim.
+    Failed(String),
+    /// Build or interpretation panicked with this message.
+    Panicked(String),
+}
+
+impl Unavailable {
+    /// The error reported for `job`, one of the group's cells.
+    fn for_cell(&self, job: &CellJob) -> String {
+        match self {
+            Unavailable::Failed(e) => e.clone(),
+            Unavailable::Panicked(m) => format!("cell {}/{} panicked: {m}", job.kernel, job.scheme),
+        }
+    }
+}
+
+/// A group's trace, shared by the replay tasks of its cells.
+type SharedTrace = Arc<Result<CellTrace, Unavailable>>;
+
+/// One entry of a worker's deque.
+enum Task {
+    /// The not-yet-started cells of one trace group, heaviest first:
+    /// the first cell that passes the pickup gate obtains the trace.
+    Group(VecDeque<CellJob>),
+    /// One cell replaying a trace its group already obtained.
+    Replay(CellJob, SharedTrace),
+}
+
 /// [`run_cells_mode`] with an optional per-batch [`BatchCtl`]: at cell
 /// pickup a cancelled batch fails the cell with [`CANCELLED`] and an
 /// expired [`CellJob::deadline`] fails it with a
 /// [`DEADLINE_EXCEEDED`]-prefixed error — in both cases the cell is
 /// skipped (never simulated) but still streamed to `on_complete`, so
 /// every job gets exactly one reply and a batch can never hang or lose
-/// a cell.
+/// a cell. A skipped first cell hands its group's trace to the next
+/// cell of the group.
 pub fn run_cells_ctl<F: FnMut(CellResult)>(
     jobs: &[CellJob],
     workers: usize,
@@ -386,18 +479,39 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
 ) -> FleetStats {
     let workers = workers.max(1).min(jobs.len().max(1));
 
-    // Largest-first deal: sort by descending weight (stable, so equal-
-    // weight cells keep submission order), then round-robin so every
-    // worker starts on one of the heaviest remaining cells.
-    let mut ordered: Vec<CellJob> = jobs.to_vec();
-    ordered.sort_by_key(|j| std::cmp::Reverse(cell_weight(j.kernel, j.scheme)));
-    let queues: Vec<Mutex<VecDeque<CellJob>>> =
+    // Group by trace key (first-seen order), heaviest cell first within
+    // a group; then deal the groups largest-first (stable, so equal-
+    // weight groups keep submission order) round-robin, so every worker
+    // starts on one of the heaviest remaining groups.
+    let mut groups: Vec<Vec<CellJob>> = Vec::new();
+    let mut keys = Vec::new();
+    for job in jobs {
+        let key = trace_key(job);
+        match keys.iter().position(|k| *k == key) {
+            Some(g) => groups[g].push(*job),
+            None => {
+                keys.push(key);
+                groups.push(vec![*job]);
+            }
+        }
+    }
+    for g in &mut groups {
+        g.sort_by_key(|j| std::cmp::Reverse(cell_weight(j.kernel, j.scheme)));
+    }
+    groups
+        .sort_by_key(|g| std::cmp::Reverse(group_weight(g[0].kernel, g.iter().map(|j| j.scheme))));
+    let queues: Vec<Mutex<VecDeque<Task>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in ordered.into_iter().enumerate() {
-        queues[i % workers].lock().expect("deal").push_back(job);
+    for (i, group) in groups.into_iter().enumerate() {
+        queues[i % workers]
+            .lock()
+            .expect("deal")
+            .push_back(Task::Group(group.into()));
     }
 
     let steals = AtomicU64::new(0);
+    let traces_interpreted = AtomicU64::new(0);
+    let traces_loaded = AtomicU64::new(0);
     let busy: Vec<Mutex<(f64, usize)>> = (0..workers).map(|_| Mutex::new((0.0, 0))).collect();
     // One registry shard per worker: each worker records lock-free into
     // its own handles; merging happens only when someone scrapes.
@@ -417,6 +531,8 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
         sim_cycles: 0,
         replay_seconds: 0.0,
         setup_seconds: 0.0,
+        traces_interpreted: 0,
+        traces_loaded: 0,
         busy_seconds: vec![0.0; workers],
         cells_per_worker: vec![0; workers],
         steals: 0,
@@ -426,51 +542,85 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
     std::thread::scope(|s| {
         for me in 0..workers {
             let tx = tx.clone();
-            let queues = &queues;
-            let busy = &busy;
-            let steals = &steals;
-            let cache_ref = cache;
+            let (queues, busy, steals) = (&queues, &busy, &steals);
+            let (traces_interpreted, traces_loaded) = (&traces_interpreted, &traces_loaded);
             let shard = shards.as_ref().map(|s| s[me].clone());
             s.spawn(move || loop {
-                // Own deque first (front: biggest still-local cell)…
-                let mut job = queues[me].lock().expect("own deque").pop_front();
+                // Own deque first (front: the current group's replays,
+                // then the biggest still-local group)…
+                let mut task = queues[me].lock().expect("own deque").pop_front();
                 // …then steal from the back of the first non-empty victim.
-                if job.is_none() {
+                if task.is_none() {
                     for off in 1..queues.len() {
                         let victim = (me + off) % queues.len();
-                        if let Some(j) = queues[victim].lock().expect("victim deque").pop_back() {
+                        if let Some(t) = queues[victim].lock().expect("victim deque").pop_back() {
                             steals.fetch_add(1, Ordering::Relaxed);
                             if let Some(shard) = &shard {
                                 shard.counter("grp_fleet_steals_total", &[]).inc();
                             }
-                            job = Some(j);
+                            task = Some(t);
                             break;
                         }
                     }
                 }
-                let Some(job) = job else { return };
+                let Some(task) = task else { return };
                 let queue_micros = start.elapsed().as_micros() as u64;
                 let t0 = Instant::now();
+                let (job, shared, rest) = match task {
+                    Task::Replay(job, shared) => (job, Some(shared), VecDeque::new()),
+                    Task::Group(mut cells) => {
+                        let job = cells.pop_front().expect("groups are never empty");
+                        (job, None, cells)
+                    }
+                };
                 // Pickup gate: a cancelled batch or an expired deadline
                 // skips the simulation but still produces a named-error
-                // result, so the caller sees every cell exactly once.
-                let (outcome, events, setup_seconds, replay_seconds) =
-                    if ctl.is_some_and(|c| c.is_cancelled()) {
-                        (Err(CANCELLED.to_string()), 0, 0.0, 0.0)
-                    } else if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                        (
-                            Err(format!(
-                                "{DEADLINE_EXCEEDED}: wall-clock deadline passed before cell \
-                                 {}/{} started",
-                                job.kernel, job.scheme
-                            )),
-                            0,
-                            0.0,
-                            0.0,
-                        )
-                    } else {
-                        execute_cell(&job, cache_ref, mode)
+                // result, so the caller sees every cell exactly once. A
+                // skipped group leader puts the rest of its group back at
+                // the front of this deque; the next cell there leads it.
+                let (outcome, events, setup_seconds, replay_seconds) = if let Some(e) =
+                    pickup_gate(&job, ctl)
+                {
+                    if !rest.is_empty() {
+                        queues[me]
+                            .lock()
+                            .expect("own deque")
+                            .push_front(Task::Group(rest));
+                    }
+                    (Err(e), 0, 0.0, 0.0)
+                } else {
+                    let (shared, setup_seconds) = match shared {
+                        Some(shared) => (shared, 0.0),
+                        None => {
+                            let shared = obtain_shared(&job, cache, mode);
+                            if let Ok(trace) = shared.as_ref() {
+                                let (count, source) = if trace.is_loaded() {
+                                    (traces_loaded, "cache")
+                                } else {
+                                    (traces_interpreted, "interpret")
+                                };
+                                count.fetch_add(1, Ordering::Relaxed);
+                                if let Some(shard) = &shard {
+                                    shard
+                                        .counter("grp_fleet_traces_total", &[("source", source)])
+                                        .inc();
+                                }
+                            }
+                            // The group's other cells replay this
+                            // trace: pushed to the front (in order) so
+                            // this worker runs them next, and idle
+                            // workers steal them from the back.
+                            let mut q = queues[me].lock().expect("own deque");
+                            for c in rest.into_iter().rev() {
+                                q.push_front(Task::Replay(c, shared.clone()));
+                            }
+                            drop(q);
+                            (shared, t0.elapsed().as_secs_f64())
+                        }
                     };
+                    let (outcome, events, replay_seconds) = replay_shared(&job, &shared);
+                    (outcome, events, setup_seconds, replay_seconds)
+                };
                 let busy_secs = t0.elapsed().as_secs_f64();
                 {
                     let mut b = busy[me].lock().expect("busy");
@@ -515,6 +665,8 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
 
     stats.wall_seconds = start.elapsed().as_secs_f64();
     stats.steals = steals.load(Ordering::Relaxed);
+    stats.traces_interpreted = traces_interpreted.load(Ordering::Relaxed);
+    stats.traces_loaded = traces_loaded.load(Ordering::Relaxed);
     for (w, b) in busy.iter().enumerate() {
         let b = b.lock().expect("busy");
         stats.busy_seconds[w] = b.0;
@@ -536,6 +688,55 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
         }
     }
     stats
+}
+
+/// The named error for a cell that must not run: its batch was
+/// cancelled, or its deadline passed before pickup.
+fn pickup_gate(job: &CellJob, ctl: Option<&BatchCtl>) -> Option<String> {
+    if ctl.is_some_and(|c| c.is_cancelled()) {
+        Some(CANCELLED.to_string())
+    } else if job.deadline.is_some_and(|d| Instant::now() >= d) {
+        Some(format!(
+            "{DEADLINE_EXCEEDED}: wall-clock deadline passed before cell {}/{} started",
+            job.kernel, job.scheme
+        ))
+    } else {
+        None
+    }
+}
+
+/// Obtains `job`'s group trace (building via the cache), turning an
+/// error or a panic into an [`Unavailable`] its group's cells share.
+fn obtain_shared(job: &CellJob, cache: &WorkloadCache, mode: &ReplayMode) -> SharedTrace {
+    let body = || {
+        obtain_trace(job.kernel, job.scale, job.scheme, mode, || {
+            cache.get_or_build(job.kernel, job.scale)
+        })
+    };
+    Arc::new(match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(Ok(trace)) => Ok(trace),
+        Ok(Err(e)) => Err(Unavailable::Failed(e)),
+        Err(payload) => Err(Unavailable::Panicked(panic_message(&*payload))),
+    })
+}
+
+/// Replays `job` over its group's trace, converting a panic into an
+/// `Err` naming the cell. Returns `(outcome, events, replay_seconds)`.
+fn replay_shared(job: &CellJob, shared: &SharedTrace) -> (Result<RunResult, String>, u64, f64) {
+    let trace = match shared.as_ref() {
+        Ok(trace) => trace,
+        Err(why) => return (Err(why.for_cell(job)), 0, 0.0),
+    };
+    match catch_unwind(AssertUnwindSafe(|| {
+        trace.replay(job.kernel, job.scheme, &job.cfg)
+    })) {
+        Ok((result, secs)) => (Ok(result), trace.events(), secs),
+        Err(payload) => (
+            Err(Unavailable::Panicked(panic_message(&*payload)).for_cell(job)),
+            0,
+            0.0,
+        ),
+    }
 }
 
 /// Records one completed cell into the owning worker's shard.
@@ -571,29 +772,80 @@ fn record_cell(
         .record(queue_micros);
 }
 
-/// Runs one `(kernel, scheme)` cell under `mode`, preferring the trace
-/// cache when one is configured. `get_built` supplies the built
-/// workload and is only invoked on a cache miss — a hit skips the
-/// build, interpretation, and hint derivation entirely.
+/// The trace form a [`CellTrace`] holds.
+enum TraceForm {
+    /// Interpreted in this process (a cache miss, or no cache).
+    Interpreted(Trace),
+    /// Loaded from the trace cache, replayed without unpacking.
+    Loaded(PackedTrace),
+}
+
+/// One cell's trace, ready to replay under any scheme whose compiler
+/// configuration produced it: the trace (interpreted or loaded), the
+/// post-interpretation memory the pointer and indirect engines read,
+/// and the heap range. Replay only reads it, so one `CellTrace` serves
+/// every cell of a trace group.
+pub(crate) struct CellTrace {
+    form: TraceForm,
+    mem: Memory,
+    heap: HeapRange,
+}
+
+impl CellTrace {
+    /// Trace events one replay walks.
+    pub fn events(&self) -> u64 {
+        match &self.form {
+            TraceForm::Interpreted(t) => t.events().len() as u64,
+            TraceForm::Loaded(pt) => pt.event_count(),
+        }
+    }
+
+    /// True when the trace came from the trace cache, not interpretation.
+    pub fn is_loaded(&self) -> bool {
+        matches!(self.form, TraceForm::Loaded(_))
+    }
+
+    /// Replays the trace under `scheme` and `cfg` through the one
+    /// [`Replay`] loop, whichever form it holds. Returns the result and
+    /// the replay seconds. `kernel` only labels the profiler span.
+    pub fn replay(&self, kernel: &str, scheme: Scheme, cfg: &SimConfig) -> (RunResult, f64) {
+        let prof = crate::telemetry::profiler();
+        let slabel = if prof.enabled() {
+            scheme.to_string()
+        } else {
+            String::new()
+        };
+        let t = Instant::now();
+        let _s = prof.span_cell("replay", kernel, &slabel);
+        let replay = Replay::new(&self.mem, self.heap, scheme, cfg);
+        let result = match &self.form {
+            TraceForm::Interpreted(trace) => replay.run(trace).0,
+            TraceForm::Loaded(pt) => replay.run(pt).0,
+        };
+        (result, t.elapsed().as_secs_f64())
+    }
+}
+
+/// Obtains the trace of one `(kernel, scheme)` cell under `mode`,
+/// preferring the trace cache when one is configured. `get_built`
+/// supplies the built workload and is only invoked on a cache miss — a
+/// hit skips the build, interpretation, and hint derivation entirely.
+/// On a miss the interpreted trace is packed only to store it.
 ///
-/// The cell replays whichever trace form it holds: a cache hit replays
-/// the loaded [`PackedTrace`] directly; a miss replays the interpreted
-/// `Trace` and packs it only to store it. Both go through the one
-/// [`Replay`] loop, so the result does not depend on which.
-///
-/// Returns `(result, events, setup_seconds, replay_seconds)`.
+/// The trace depends on `scheme` only through its compiler
+/// configuration, so every scheme sharing that configuration can replay
+/// the result ([`CellTrace::replay`]).
 ///
 /// # Errors
 ///
 /// Unknown kernel (from `get_built`) or a trace that cannot pack.
-pub fn run_cell(
+pub(crate) fn obtain_trace(
     kernel: &str,
     scale: Scale,
     scheme: Scheme,
-    cfg: &SimConfig,
     mode: &ReplayMode,
     get_built: impl FnOnce() -> Result<Arc<BuiltWorkload>, String>,
-) -> Result<(RunResult, u64, f64, f64), String> {
+) -> Result<CellTrace, String> {
     let cc = scheme.compiler_config();
     // Phase spans attribute this cell's cost in `perf --profile`
     // reports; when the global profiler is off (the default) each
@@ -604,7 +856,6 @@ pub fn run_cell(
     } else {
         String::new()
     };
-    let t0 = Instant::now();
     // Cache fast path: packed trace + post-interpretation memory +
     // heap straight from disk. A stale/corrupt entry reads as a miss.
     if let Some(cache) = &mode.trace_cache {
@@ -613,16 +864,11 @@ pub fn run_cell(
             cache.load(kernel, scale, cc.as_ref())
         };
         if let Some((pt, mem, heap)) = hit {
-            let setup_seconds = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            let _s = prof.span_cell("replay", kernel, &slabel);
-            let result = Replay::new(&mem, heap, scheme, cfg).run(&pt).0;
-            return Ok((
-                result,
-                pt.event_count(),
-                setup_seconds,
-                t1.elapsed().as_secs_f64(),
-            ));
+            return Ok(CellTrace {
+                form: TraceForm::Loaded(pt),
+                mem,
+                heap,
+            });
         }
     }
     let built = {
@@ -651,45 +897,35 @@ pub fn run_cell(
             );
         }
     }
-    let setup_seconds = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let _s = prof.span_cell("replay", kernel, &slabel);
-    let result = Replay::new(&mem, built.heap, scheme, cfg).run(&trace).0;
-    Ok((
-        result,
-        trace.events().len() as u64,
-        setup_seconds,
-        t1.elapsed().as_secs_f64(),
-    ))
+    Ok(CellTrace {
+        form: TraceForm::Interpreted(trace),
+        mem,
+        heap: built.heap,
+    })
 }
 
-/// Builds (via the cache), traces, and replays one cell under `mode`,
-/// converting panics into an `Err` naming the cell.
-fn execute_cell(
-    job: &CellJob,
-    cache: &WorkloadCache,
+/// Runs one `(kernel, scheme)` cell under `mode`: `obtain_trace`, then
+/// `CellTrace::replay` — the same two steps the scheduler runs for a
+/// trace group, here for a group of one.
+///
+/// Returns `(result, events, setup_seconds, replay_seconds)`.
+///
+/// # Errors
+///
+/// Unknown kernel (from `get_built`) or a trace that cannot pack.
+pub fn run_cell(
+    kernel: &str,
+    scale: Scale,
+    scheme: Scheme,
+    cfg: &SimConfig,
     mode: &ReplayMode,
-) -> (Result<RunResult, String>, u64, f64, f64) {
-    let body = || {
-        run_cell(job.kernel, job.scale, job.scheme, &job.cfg, mode, || {
-            cache.get_or_build(job.kernel, job.scale)
-        })
-    };
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(Ok((result, events, setup, replay))) => (Ok(result), events, setup, replay),
-        Ok(Err(e)) => (Err(e), 0, 0.0, 0.0),
-        Err(payload) => (
-            Err(format!(
-                "cell {}/{} panicked: {}",
-                job.kernel,
-                job.scheme,
-                panic_message(&*payload)
-            )),
-            0,
-            0.0,
-            0.0,
-        ),
-    }
+    get_built: impl FnOnce() -> Result<Arc<BuiltWorkload>, String>,
+) -> Result<(RunResult, u64, f64, f64), String> {
+    let t0 = Instant::now();
+    let trace = obtain_trace(kernel, scale, scheme, mode, get_built)?;
+    let setup_seconds = t0.elapsed().as_secs_f64();
+    let (result, replay_seconds) = trace.replay(kernel, scheme, cfg);
+    Ok((result, trace.events(), setup_seconds, replay_seconds))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -709,6 +945,160 @@ mod tests {
         assert!(cell_weight("bzip2", Scheme::Srp) > cell_weight("parser", Scheme::Srp));
         assert!(cell_weight("bzip2", Scheme::Srp) > cell_weight("bzip2", Scheme::NoPrefetch));
         assert!(cell_weight("swim", Scheme::Srp) > cell_weight("mcf", Scheme::Srp));
+        // A group pays one interpretation on top of its replays.
+        let hint_free = [Scheme::NoPrefetch, Scheme::Stride, Scheme::Srp];
+        let replays: u64 = hint_free.iter().map(|&s| cell_weight("crafty", s)).sum();
+        assert!(group_weight("crafty", hint_free) > replays);
+        assert!(group_weight("crafty", []) > 0);
+        // crafty interprets the most events, so its interpretation
+        // outweighs bzip2's even though bzip2 replays slower.
+        assert!(group_weight("crafty", []) > group_weight("bzip2", []));
+    }
+
+    /// Every cell of `jobs` run alone through [`run_cell`], by id.
+    fn per_cell(jobs: &[CellJob]) -> HashMap<u64, RunResult> {
+        let cache = WorkloadCache::new();
+        jobs.iter()
+            .map(|j| {
+                let (r, ..) = run_cell(
+                    j.kernel,
+                    j.scale,
+                    j.scheme,
+                    &j.cfg,
+                    &ReplayMode::default(),
+                    || cache.get_or_build(j.kernel, j.scale),
+                )
+                .expect("cell runs");
+                (j.id, r)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grid_interprets_once_per_trace_key_and_matches_run_cell() {
+        // 2 kernels × 12 schemes: 7 hint-free schemes share one trace
+        // per kernel and each of the 5 GRP configurations has its own,
+        // so the grid holds 2 × 6 = 12 trace keys.
+        let cfg = SimConfig::paper();
+        let jobs = grid_jobs(&["twolf", "mcf"], &Scheme::ALL, Scale::Test, cfg);
+        let want = per_cell(&jobs);
+        for workers in [1, 3] {
+            let mut got = HashMap::new();
+            let stats = run_cells(&jobs, workers, &WorkloadCache::new(), |r| {
+                let prev = got.insert(r.id, r.outcome.expect("cell ok"));
+                assert!(prev.is_none(), "cell {} answered twice", r.id);
+            });
+            assert_eq!(stats.traces_interpreted, 12, "{workers} worker(s)");
+            assert_eq!(stats.traces_loaded, 0);
+            assert_eq!(stats.cells, jobs.len());
+            assert_eq!(got, want, "grouped replay diverged at {workers} worker(s)");
+        }
+    }
+
+    #[test]
+    fn a_skipped_group_leader_hands_the_trace_on() {
+        // SRP is the heaviest cell of twolf's hint-free group, so it
+        // leads; its deadline has passed, so the next cell obtains the
+        // trace and every other cell still runs exactly once.
+        let cfg = SimConfig::paper();
+        let mut jobs = grid_jobs(
+            &["twolf"],
+            &[Scheme::NoPrefetch, Scheme::Srp, Scheme::Stride],
+            Scale::Test,
+            cfg,
+        );
+        jobs[1].deadline = Some(Instant::now());
+        let want = per_cell(&jobs);
+        for workers in [1, 2] {
+            let mut seen = Vec::new();
+            let stats = run_cells_ctl(
+                &jobs,
+                workers,
+                &WorkloadCache::new(),
+                &ReplayMode::default(),
+                None,
+                |r| seen.push(r),
+            );
+            assert_eq!(stats.cells, 3);
+            assert_eq!(stats.traces_interpreted, 1);
+            seen.sort_by_key(|r| r.id);
+            assert_eq!(seen.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+            let err = seen[1].outcome.as_ref().unwrap_err();
+            assert!(err.starts_with(DEADLINE_EXCEEDED), "{err}");
+            for r in [&seen[0], &seen[2]] {
+                assert_eq!(r.outcome.as_ref().ok(), want.get(&r.id));
+            }
+        }
+
+        // Cancelling after the first reply: the rest of the group is
+        // answered once each — replayed, or failed as cancelled.
+        let jobs = grid_jobs(&["twolf"], &Scheme::ALL, Scale::Test, cfg);
+        let want = per_cell(&jobs);
+        let ctl = BatchCtl::new();
+        let mut seen = HashMap::new();
+        let stats = run_cells_ctl(
+            &jobs,
+            1,
+            &WorkloadCache::new(),
+            &ReplayMode::default(),
+            Some(&ctl),
+            |r| {
+                ctl.cancel();
+                assert!(seen.insert(r.id, r.outcome).is_none(), "answered twice");
+            },
+        );
+        assert_eq!(stats.cells, jobs.len());
+        assert_eq!(seen.len(), jobs.len());
+        for (id, outcome) in &seen {
+            match outcome {
+                Ok(r) => assert_eq!(Some(r), want.get(id)),
+                Err(e) => assert_eq!(e, CANCELLED),
+            }
+        }
+    }
+
+    #[test]
+    fn a_group_whose_trace_fails_answers_each_cell_by_name() {
+        // crafty's program bound to mcf's data panics mid-interpretation:
+        // every cell of crafty's group gets its own named error, once,
+        // while twolf's cell is unaffected.
+        let cfg = SimConfig::paper();
+        let schemes = [
+            Scheme::NoPrefetch,
+            Scheme::Stride,
+            Scheme::Srp,
+            Scheme::PerfectL1,
+        ];
+        let mut jobs = grid_jobs(&["crafty"], &schemes, Scale::Test, cfg);
+        jobs.extend(grid_jobs(
+            &["twolf"],
+            &[Scheme::NoPrefetch],
+            Scale::Test,
+            cfg,
+        ));
+        jobs.last_mut().expect("twolf").id = 99;
+        for workers in [1, 2] {
+            let cache = WorkloadCache::new();
+            let mut poisoned = grp_workloads::by_name("crafty").unwrap().build(Scale::Test);
+            poisoned.bindings = grp_workloads::by_name("mcf")
+                .unwrap()
+                .build(Scale::Test)
+                .bindings;
+            cache.insert("crafty", Scale::Test, Arc::new(poisoned));
+            let mut seen = HashMap::new();
+            let stats = run_cells(&jobs, workers, &cache, |r| {
+                assert!(seen.insert(r.id, r).is_none(), "answered twice");
+            });
+            assert_eq!(stats.cells, jobs.len(), "{workers} worker(s)");
+            assert_eq!(stats.errors, schemes.len());
+            assert_eq!(stats.traces_interpreted, 1, "only twolf's trace");
+            for job in &jobs[..schemes.len()] {
+                let err = seen[&job.id].outcome.as_ref().unwrap_err();
+                let name = format!("cell crafty/{} panicked", job.scheme);
+                assert!(err.starts_with(&name), "{err}");
+            }
+            assert!(seen[&99].outcome.is_ok());
+        }
     }
 
     #[test]
@@ -801,6 +1191,9 @@ mod tests {
         let cfg = SimConfig::paper();
         let schemes = [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar];
         let jobs = grid_jobs(&["twolf", "crafty"], &schemes, Scale::Test, cfg);
+        // Trace keys: one hint-free trace per kernel (none and SRP share
+        // it) plus one GRP/Var trace per kernel.
+        let keys = 4;
         let collect = |mode: &ReplayMode, cache: &WorkloadCache| {
             let mut out: Vec<(u64, RunResult)> = Vec::new();
             let stats = run_cells_mode(&jobs, 2, cache, mode, |r| {
@@ -808,9 +1201,10 @@ mod tests {
             });
             assert_eq!(stats.errors, 0);
             out.sort_by_key(|(id, _)| *id);
-            out
+            (out, stats.traces_interpreted, stats.traces_loaded)
         };
-        let baseline = collect(&ReplayMode::default(), &WorkloadCache::new());
+        let (baseline, interpreted, _) = collect(&ReplayMode::default(), &WorkloadCache::new());
+        assert_eq!(interpreted, keys, "one interpretation per trace key");
 
         let dir = std::env::temp_dir().join(format!("grp-sched-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -821,15 +1215,16 @@ mod tests {
         };
         assert_eq!(
             collect(&cached, &WorkloadCache::new()),
-            baseline,
+            (baseline.clone(), keys, 0),
             "cache (cold) diverged"
         );
-        // Warm cache: every cell must be served from disk — zero builds —
-        // and replay the loaded packed trace to the same results.
+        // Warm cache: every cell must be served from disk — one load per
+        // trace key, zero builds — and replay the loaded packed trace to
+        // the same results.
         let warm_cache = WorkloadCache::new();
         assert_eq!(
             collect(&cached, &warm_cache),
-            baseline,
+            (baseline, 0, keys),
             "cache (warm, packed) diverged"
         );
         assert_eq!(

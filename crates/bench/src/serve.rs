@@ -533,6 +533,8 @@ impl Server {
                 t.sim_cycles += s.sim_cycles;
                 t.replay_seconds += s.replay_seconds;
                 t.setup_seconds += s.setup_seconds;
+                t.traces_interpreted += s.traces_interpreted;
+                t.traces_loaded += s.traces_loaded;
                 t.steals += s.steals;
                 t.queue_wait_micros.absorb(&s.queue_wait_micros);
                 // Worker count is fixed for the session (--jobs), but a

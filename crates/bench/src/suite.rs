@@ -162,10 +162,10 @@ impl Suite {
         r
     }
 
-    /// Warms the memo table through the **cell-granular** work-stealing
-    /// scheduler ([`crate::sched`]): every `(benchmark, scheme)` cell is
-    /// an independent unit of work, so a wide scheme row of one heavy
-    /// kernel spreads across workers. Built workloads are shared read-only via the scheduler's
+    /// Warms the memo table through the work-stealing cell scheduler
+    /// ([`crate::sched`]): the schemes of a kernel that replay the same
+    /// trace share one interpretation, and their replays spread across
+    /// workers. Built workloads are shared read-only via the scheduler's
     /// [`WorkloadCache`] — seeded from, and adopted back into, this
     /// suite's built map, so schemes of the same kernel never rebuild.
     ///

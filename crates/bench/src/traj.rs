@@ -170,6 +170,12 @@ pub fn fleet_entry(
         .set("cells", stats.cells as u64)
         .set("errors", stats.errors as u64)
         .set("steals", stats.steals)
+        .set(
+            "traces",
+            Json::object()
+                .set("interpreted", stats.traces_interpreted)
+                .set("loaded", stats.traces_loaded),
+        )
         .set("wall_seconds", stats.wall_seconds)
         .set("setup_seconds", stats.setup_seconds)
         .set("replay_seconds", stats.replay_seconds)
@@ -517,6 +523,8 @@ mod tests {
             sim_cycles: 500,
             replay_seconds: 1.5,
             setup_seconds: 0.25,
+            traces_interpreted: 1,
+            traces_loaded: 0,
             busy_seconds: vec![0.9, 0.8],
             cells_per_worker: vec![1, 1],
             steals: 1,

@@ -166,9 +166,10 @@ fn suite_precompute_cells_matches_serial_suite() {
     }
 }
 
-/// The deal is driven by [`sched::cell_weight`]; after the packed-tier
-/// recalibration the table must still rank the measured-heavy cells
-/// first so every worker opens on one of the biggest cells.
+/// The deal is driven by [`sched::group_weight`], built on
+/// [`sched::cell_weight`]; the recalibrated table must still rank the
+/// measured-heavy cells first so every worker opens on one of the
+/// biggest groups.
 #[test]
 fn dealing_stays_largest_first_under_the_packed_cost_model() {
     // (bzip2, SRP-class) is the measured heaviest cell of the grid.

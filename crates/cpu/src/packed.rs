@@ -800,6 +800,9 @@ impl<'a> Cursor<'a> {
         let mut shift = 0u32;
         loop {
             let b = self.byte()?;
+            // The tenth byte holds bit 63 alone: anything above 1 —
+            // including a continuation bit — cannot fit, so `shift`
+            // never passes 63.
             if shift == 63 && b > 1 {
                 return Err(PackedFileError::Malformed("varint overflows u64"));
             }
@@ -808,9 +811,6 @@ impl<'a> Cursor<'a> {
                 return Ok(v);
             }
             shift += 7;
-            if shift > 63 {
-                return Err(PackedFileError::Malformed("varint too long"));
-            }
         }
     }
 
@@ -1204,12 +1204,23 @@ mod tests {
         }
         // Redundant zero groups still decode to the value they spell.
         assert_eq!(decode(&[0x81, 0x80, 0x00]), Ok((1, 3)));
-        let mut long = vec![0xff; 9];
-        long.push(0x02);
-        assert_eq!(
-            decode(&long),
-            Err(PackedFileError::Malformed("varint overflows u64"))
-        );
+        // A ten-byte varint's last byte carries bit 63 only: 0 and 1
+        // decode, and every byte from 2 up (continuation bit or not)
+        // overflows u64, whatever the nine bytes before it hold.
+        for head in [0x80u8, 0xff] {
+            let mut ten = vec![head; 9];
+            ten.push(0x01);
+            let low = if head == 0xff { (1 << 63) - 1 } else { 0 };
+            assert_eq!(decode(&ten), Ok((low | 1 << 63, 10)));
+            for last in 2..=0xffu8 {
+                ten[9] = last;
+                assert_eq!(
+                    decode(&ten),
+                    Err(PackedFileError::Malformed("varint overflows u64")),
+                    "head {head:#x}, tenth byte {last:#x}"
+                );
+            }
+        }
         assert_eq!(decode(&[0x80]), Err(PackedFileError::Truncated));
     }
 

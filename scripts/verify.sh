@@ -51,7 +51,15 @@ cargo run --release -q --offline -p grp-bench --bin all -- --scale test \
     --registry-out "$TRACE_TMP/all_registry.prom" > /dev/null
 cargo run --release -q --offline -p grp-bench --bin check -- \
     --metrics "$TRACE_TMP/all_registry.prom" \
-    --metrics-require grp_fleet_cells_total,grp_fleet_runs_total
+    --metrics-require grp_fleet_cells_total,grp_fleet_runs_total,grp_fleet_traces_total
+# The 18 x 12 grid holds 108 trace keys (7 hint-free schemes share one
+# trace per kernel; each of the 5 GRP compiler configurations has its
+# own): the scheduler must interpret exactly once per key.
+grep -qx 'grp_fleet_traces_total{source="interpret"} 108' "$TRACE_TMP/all_registry.prom" || {
+    echo "ERROR: the 216-cell grid must interpret exactly 108 traces:" >&2
+    grep 'grp_fleet_traces_total' "$TRACE_TMP/all_registry.prom" >&2 || true
+    exit 1
+}
 
 echo "== perf smoke: harness at test scale (offline) =="
 cargo run --release -q --offline -p grp-bench --bin perf -- \
