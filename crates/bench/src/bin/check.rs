@@ -3,21 +3,22 @@
 //! Phases, all offline and fully deterministic:
 //!
 //! 1. **Kernel differential** — replays every registry benchmark at the
-//!    chosen scale under no-prefetch through both the optimized
-//!    [`MemSystem`](grp_core::MemSystem) and the naive reference oracle,
-//!    asserting event-for-event agreement (hit/miss class, completion
-//!    cycle, final cache contents, traffic).
+//!    chosen scale under no-prefetch with an [`OracleObserver`] driving
+//!    the naive reference oracle from inside the replay, asserting
+//!    event-for-event agreement (branch taken, completion cycle, final
+//!    cache contents, traffic). With `--trace-cache` the replayed source
+//!    is each kernel's cached packed trace, so cache hits are checked.
 //! 1b. **Region pressure** — one fixed case of sparse single-miss
 //!    regions saturating the engine queue, run through every scheme
 //!    with invariants; this makes the unbounded-queue injection
 //!    deterministically detectable.
 //! 2. **Seeded fuzzing** — generates `--cases` random access traces
 //!    (spatial / pointer / indirect / aliasing / store idioms, see
-//!    [`grp_bench::fuzz`]), differentially validates each against the
-//!    oracle, then runs each through *every* scheme with the full
-//!    [`InvariantObserver`] attached (lifecycle conservation, occupancy
-//!    bounds, structural walks). A failing case is greedily shrunk to a
-//!    minimal plan before reporting.
+//!    [`grp_bench::fuzz`]) and runs each through *every* scheme with the
+//!    full [`InvariantObserver`] attached (lifecycle conservation,
+//!    occupancy bounds, structural walks); the no-prefetch replay also
+//!    carries the oracle differential. A failing case is greedily shrunk
+//!    to a minimal plan before reporting.
 //! 3. **Fault-plan sweep** (`--faults`) — every built-in
 //!    [`FaultPlan`] (channel stalls, outages, delayed/dropped fills,
 //!    MSHR squeeze, queue pressure) armed on a fixed prefetch-heavy
@@ -74,9 +75,10 @@ use grp_bench::fuzz::{materialize, FuzzPlan, Segment};
 use grp_bench::suite::parse_scale_args;
 use grp_bench::telemetry::{self, exposition, log, TelemetryObserver};
 use grp_core::{
-    differential_check, differential_check_faulted, engine_for, run_trace, FaultPlan,
-    InvariantObserver, OracleFault, Replay, Scheme, SimConfig,
+    engine_for, run_trace, DiffReport, EventSource, FaultPlan, InvariantObserver, ObserverPair,
+    OracleObserver, PlantedBug, Replay, Scheme, SimConfig,
 };
+use grp_mem::{HeapRange, Memory};
 use grp_testkit::proptest::Arbitrary;
 use grp_testkit::proptest::{any, greedy_shrink};
 use grp_testkit::Rng;
@@ -113,11 +115,12 @@ impl Inject {
         }
     }
 
-    fn oracle_fault(self) -> OracleFault {
-        if self == Inject::MruEvict {
-            OracleFault::EvictMru
-        } else {
-            OracleFault::None
+    /// The bug this injection plants in the memory system, if any.
+    fn bug(self) -> Option<PlantedBug> {
+        match self {
+            Inject::MruEvict => Some(PlantedBug::EvictMru),
+            Inject::DropLeak => Some(PlantedBug::DropLeak),
+            Inject::None | Inject::UnboundedQueue => None,
         }
     }
 
@@ -160,19 +163,47 @@ fn within_budget(cycles: u64, max_cycles: u64, what: &str) -> Result<(), String>
     Ok(())
 }
 
-/// Runs one materialized case through the differential oracle and
-/// every scheme with invariants attached. First failure wins.
-fn check_case(
-    case: &grp_bench::fuzz::FuzzCase,
-    cfg: &SimConfig,
+/// A replay of `scheme` carrying `inject`'s planted bug, with `plan`
+/// armed.
+fn armed_replay<'a>(
+    mem: &'a Memory,
+    heap: HeapRange,
+    scheme: Scheme,
+    cfg: &'a SimConfig,
     inject: Inject,
-    max_cycles: u64,
-) -> Result<(), String> {
-    check_faulted_case(case, None, cfg, inject, max_cycles)
+    plan: Option<&'a FaultPlan>,
+) -> Replay<'a> {
+    let mut engine = engine_for(scheme, cfg);
+    if inject == Inject::UnboundedQueue {
+        engine.inject_fault_unbounded_queue();
+    }
+    let replay = Replay::new(mem, heap, scheme, cfg)
+        .engine(engine)
+        .plant(inject.bug());
+    match plan {
+        Some(plan) => replay.faults(plan),
+        None => replay,
+    }
 }
 
-/// [`check_case`] with a [`FaultPlan`] armed on every run, including
-/// both sides of the oracle differential. `None` is the unfaulted gate.
+/// The no-prefetch oracle differential of one replay of `src`.
+fn kernel_differential<S: EventSource + ?Sized>(
+    src: &S,
+    mem: &Memory,
+    heap: HeapRange,
+    cfg: &SimConfig,
+    inject: Inject,
+) -> Result<DiffReport, String> {
+    let (result, oracle) = armed_replay(mem, heap, Scheme::NoPrefetch, cfg, inject, None)
+        .observer(OracleObserver::new(cfg, None))
+        .run(src);
+    oracle.verdict(&result)
+}
+
+/// Runs one materialized case through every scheme with invariants
+/// attached and `plan` armed (`None` is the unfaulted gate); the
+/// no-prefetch replay also carries the oracle differential, with the
+/// same plan mirrored. First failure wins.
 fn check_faulted_case(
     case: &grp_bench::fuzz::FuzzCase,
     plan: Option<&FaultPlan>,
@@ -181,35 +212,25 @@ fn check_faulted_case(
     max_cycles: u64,
 ) -> Result<(), String> {
     no_panic(|| {
-        let rep = differential_check_faulted(
-            &case.trace,
-            &case.mem,
-            case.heap,
-            cfg,
-            inject.oracle_fault(),
-            plan,
-        )
-        .map_err(|e| format!("oracle differential (no-prefetch): {e}"))?;
-        within_budget(rep.cycles, max_cycles, "oracle differential")?;
         for scheme in Scheme::ALL {
-            let mut engine = engine_for(scheme, cfg);
-            if inject == Inject::UnboundedQueue {
-                engine.inject_fault_unbounded_queue();
-            }
-            let obs = InvariantObserver::new(cfg).with_interval(256);
-            let mut replay = Replay::new(&case.mem, case.heap, scheme, cfg)
-                .engine(engine)
-                .observer(obs)
-                .drop_leak(inject == Inject::DropLeak);
-            if let Some(plan) = plan {
-                replay = replay.faults(plan);
-            }
-            let (result, obs) = replay.run(&case.trace);
-            if !obs.ok() {
+            let replay = armed_replay(&case.mem, case.heap, scheme, cfg, inject, plan);
+            let inv = InvariantObserver::new(cfg).with_interval(256);
+            let (result, inv) = if scheme == Scheme::NoPrefetch {
+                let (result, ObserverPair(oracle, inv)) = replay
+                    .observer(ObserverPair(OracleObserver::new(cfg, plan), inv))
+                    .run(&case.trace);
+                oracle
+                    .verdict(&result)
+                    .map_err(|e| format!("oracle differential (no-prefetch): {e}"))?;
+                (result, inv)
+            } else {
+                replay.observer(inv).run(&case.trace)
+            };
+            if !inv.ok() {
                 return Err(format!(
                     "invariants under {scheme:?} ({} violations): {}",
-                    obs.total_violations(),
-                    obs.violations().join("; ")
+                    inv.total_violations(),
+                    inv.violations().join("; ")
                 ));
             }
             within_budget(result.cycles, max_cycles, &format!("{scheme:?} replay"))?;
@@ -218,15 +239,15 @@ fn check_faulted_case(
     })
 }
 
-/// [`check_case`] on a freshly materialized plan — the shape the
-/// shrinker minimizes over.
+/// [`check_faulted_case`], unfaulted, on a freshly materialized plan —
+/// the shape the shrinker minimizes over.
 fn check_plan(
     plan: &FuzzPlan,
     cfg: &SimConfig,
     inject: Inject,
     max_cycles: u64,
 ) -> Result<(), String> {
-    check_case(&materialize(plan), cfg, inject, max_cycles)
+    check_faulted_case(&materialize(plan), None, cfg, inject, max_cycles)
 }
 
 /// Phase 4's shrink target: an access plan and a fault plan, checked
@@ -411,14 +432,14 @@ fn main() {
         faults = true;
     }
 
-    let replay = grp_bench::args::parse_replay_args(&args).unwrap_or_else(|e| usage_err(e));
+    let mode = grp_bench::args::parse_replay_args(&args).unwrap_or_else(|e| usage_err(e));
 
     let cfg = SimConfig::paper();
     let mut failures = 0u64;
 
     // Phase 0 (--trace-cache): cache identity over the full kernel ×
     // scheme grid — any diverging counter of any cell fails the gate.
-    if replay.trace_cache.is_some() {
+    if mode.trace_cache.is_some() {
         let names: Vec<&'static str> = grp_workloads::all().iter().map(|w| w.name).collect();
         println!(
             "phase 0: trace-cache identity on {} kernels x {} schemes ({:?} scale)",
@@ -439,7 +460,7 @@ fn main() {
                     scale.workload_scale(),
                     scheme,
                     &cfg,
-                    &replay,
+                    &mode,
                     || cache.get_or_build(name, scale.workload_scale()),
                 );
                 match got {
@@ -465,19 +486,34 @@ fn main() {
         }
     }
 
-    // Phase 1: kernel differential against the reference oracle.
+    // Phase 1: kernel differential against the reference oracle — on
+    // the no-prefetch trace phase 0 just cached, when there is a cache.
     let names: Vec<&'static str> = grp_workloads::all().iter().map(|w| w.name).collect();
+    let source = if mode.trace_cache.is_some() {
+        "cached packed traces"
+    } else {
+        "interpreted traces"
+    };
     println!(
-        "phase 1: oracle differential on {} kernels ({:?} scale, inject: {inject:?})",
+        "phase 1: oracle differential on {} kernels ({:?} scale, {source}, inject: {inject:?})",
         names.len(),
         scale
     );
     for name in &names {
-        let built = grp_workloads::by_name(name)
-            .expect("registered")
-            .build(scale.workload_scale());
-        let (trace, mem) = built.trace(None);
-        match differential_check(&trace, &mem, built.heap, &cfg, inject.oracle_fault()) {
+        let verdict = match &mode.trace_cache {
+            Some(cache) => match cache.load(name, scale.workload_scale(), None) {
+                Some((pt, mem, heap)) => kernel_differential(&pt, &mem, heap, &cfg, inject),
+                None => Err("no usable trace-cache entry after phase 0".to_string()),
+            },
+            None => {
+                let built = grp_workloads::by_name(name)
+                    .expect("registered")
+                    .build(scale.workload_scale());
+                let (trace, mem) = built.trace(None);
+                kernel_differential(&trace, &mem, built.heap, &cfg, inject)
+            }
+        };
+        match verdict {
             Ok(rep) => println!(
                 "  {name}: OK ({} accesses, {} cycles)",
                 rep.accesses, rep.cycles
@@ -492,8 +528,9 @@ fn main() {
     // Phase 1b: a fixed region-pressure case no random plan reaches —
     // thousands of single-miss regions saturating the engine queue.
     // This is what makes the unbounded-queue injection deterministic.
-    match check_case(
+    match check_faulted_case(
         &grp_bench::fuzz::region_pressure_case(),
+        None,
         &cfg,
         inject,
         max_cycles,

@@ -60,12 +60,11 @@ pub use faults::{FaultAction, FaultEvent, FaultKind, FaultPlan, FaultState};
 pub use invariants::InvariantObserver;
 pub use memsys::{MemSystem, MissAttribution};
 pub use obs::{
-    EpochSampler, EpochSnapshot, LatencyHist, LifecycleTracer, NullObserver, Observer,
+    AccessClass, EpochSampler, EpochSnapshot, LatencyHist, LifecycleTracer, NullObserver, Observer,
     ObserverPair, PrefetchOutcome, PrefetchRecord, SquashReason,
 };
-pub use oracle::{
-    differential_check, differential_check_faulted, AccessClass, DiffReport, OracleFault,
-    OracleSystem,
-};
+pub use oracle::{DiffReport, OracleObserver, OracleSystem};
 pub use result::{geomean, RunResult};
+#[doc(hidden)]
+pub use sim::PlantedBug;
 pub use sim::{engine_for, run_trace, EventSource, Replay};

@@ -26,7 +26,8 @@ use grp_mem::{
 use crate::config::{IdealMode, SimConfig};
 use crate::engine::Prefetcher;
 use crate::faults::{FaultAction, FaultPlan, FaultState};
-use crate::obs::{EngineEventKind, EpochSnapshot, NullObserver, Observer};
+use crate::obs::{AccessClass, EngineEventKind, EpochSnapshot, NullObserver, Observer};
+use crate::sim::PlantedBug;
 
 /// Per-reference L2 demand-miss attribution (Table 6's miss-cause data).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -264,20 +265,16 @@ impl<'m, O: Observer> MemSystem<'m, O> {
         &self.l1_mshrs
     }
 
-    #[doc(hidden)]
-    pub fn inject_fault_evict_mru(&mut self) {
-        // Flips both caches to evict the MRU way — the deliberately
-        // injected replacement-policy bug the oracle gate must detect.
-        self.l1.set_fault_evict_mru(true);
-        self.l2.set_fault_evict_mru(true);
-    }
-
-    #[doc(hidden)]
-    pub fn inject_fault_drop_leak(&mut self) {
-        // Makes dropped prefetch fills leak their L2 MSHR register — the
-        // deliberately unhandled fault the robustness gate must detect
-        // (structural end-check + lifecycle conservation both fire).
-        self.fault_drop_leak = true;
+    /// Plants a deliberate bug; the seam behind
+    /// [`Replay::plant`](crate::Replay::plant).
+    pub(crate) fn plant(&mut self, bug: PlantedBug) {
+        match bug {
+            PlantedBug::EvictMru => {
+                self.l1.set_fault_evict_mru(true);
+                self.l2.set_fault_evict_mru(true);
+            }
+            PlantedBug::DropLeak => self.fault_drop_leak = true,
+        }
     }
 
     /// Applies every fault action due at or before `now`, in timestamp
@@ -666,16 +663,6 @@ impl<'m, O: Observer> MemSystem<'m, O> {
         self.cursor = self.cursor.max(t);
     }
 
-    /// Earliest pending completion among blocks tracked at the given
-    /// level — used to wait out a full MSHR file.
-    fn earliest_l1_completion(&self) -> Option<u64> {
-        self.l1_mshrs.earliest_fill_time()
-    }
-
-    fn earliest_l2_completion(&self) -> Option<u64> {
-        self.l2_mshrs.earliest_fill_time()
-    }
-
     /// Performs a load issued at cycle `t`; returns its completion cycle.
     pub fn load(&mut self, addr: Addr, t: u64, ref_id: RefId, hints: HintSet) -> u64 {
         self.access(addr, t, ref_id, hints, false)
@@ -688,26 +675,44 @@ impl<'m, O: Observer> MemSystem<'m, O> {
     }
 
     fn access(&mut self, addr: Addr, t: u64, ref_id: RefId, hints: HintSet, write: bool) -> u64 {
+        let (class, done) = self.resolve(addr, t, ref_id, hints, write);
+        if O::ENABLED {
+            self.obs.demand_access(addr, ref_id, write, t, class, done);
+        }
+        done
+    }
+
+    /// The body of [`MemSystem::access`]: returns the branch the access
+    /// took and its completion cycle.
+    fn resolve(
+        &mut self,
+        addr: Addr,
+        t: u64,
+        ref_id: RefId,
+        hints: HintSet,
+        write: bool,
+    ) -> (AccessClass, u64) {
         self.advance_to(t);
         if self.ideal == IdealMode::PerfectL1 {
-            return t + self.cfg.l1_latency;
+            return (AccessClass::L1Hit, t + self.cfg.l1_latency);
         }
         let block = addr.block();
         let mut now = t;
 
         // L1 lookup.
         if self.l1.access(block, write) == grp_mem::LookupResult::Hit {
-            return now + self.cfg.l1_latency;
+            return (AccessClass::L1Hit, now + self.cfg.l1_latency);
         }
         // Merge into an outstanding L1-level fetch.
         if let Some(ft) = self.l1_mshrs.fill_time(block) {
             self.l1_mshrs.allocate_or_merge(block, true, None, 0, write);
-            return ft.max(now + self.cfg.l1_latency);
+            return (AccessClass::L1Merge, ft.max(now + self.cfg.l1_latency));
         }
         // Wait out a full L1 MSHR file.
         while self.l1_mshrs.is_full() {
             let wake = self
-                .earliest_l1_completion()
+                .l1_mshrs
+                .earliest_fill_time()
                 .expect("full L1 MSHRs imply pending completions")
                 .max(now + 1);
             self.advance_to(wake);
@@ -719,7 +724,7 @@ impl<'m, O: Observer> MemSystem<'m, O> {
             let done = l2_time + self.cfg.l2_latency;
             self.l1_mshrs.allocate_or_merge(block, true, None, 0, write);
             self.schedule_fill(done, block, FillLevel::L1 { dirty: write });
-            return done;
+            return (AccessClass::L2Hit, done);
         }
 
         // L2 lookup.
@@ -731,7 +736,7 @@ impl<'m, O: Observer> MemSystem<'m, O> {
             let done = l2_time + self.cfg.l2_latency;
             self.l1_mshrs.allocate_or_merge(block, true, None, 0, write);
             self.schedule_fill(done, block, FillLevel::L1 { dirty: write });
-            return done;
+            return (AccessClass::L2Hit, done);
         }
 
         // L2 demand miss.
@@ -757,13 +762,14 @@ impl<'m, O: Observer> MemSystem<'m, O> {
             // The L1 fill piggybacks on the L2 fill (process_fill), so the
             // L1-side wait also resolves at `ft`.
             self.l1_mshrs.set_fill_time(block, ft);
-            return ft.max(l2_time + self.cfg.l2_latency);
+            return (AccessClass::L2Merge, ft.max(l2_time + self.cfg.l2_latency));
         }
         // Wait out a full L2 MSHR file.
         let mut issue = l2_time + self.cfg.l2_latency;
         while self.l2_mshrs.is_full() {
             let wake = self
-                .earliest_l2_completion()
+                .l2_mshrs
+                .earliest_fill_time()
                 .expect("full L2 MSHRs imply pending completions")
                 .max(issue + 1);
             self.advance_to(wake);
@@ -782,7 +788,7 @@ impl<'m, O: Observer> MemSystem<'m, O> {
         self.l2_mshrs
             .allocate_or_merge(block, true, None, plevel, write);
         self.schedule_fill(req.complete_at, block, FillLevel::L2);
-        req.complete_at
+        (AccessClass::DramDemand, req.complete_at)
     }
 
     /// Executes the `SetLoopBound` pseudo-instruction.
@@ -825,6 +831,7 @@ impl<'m, O: Observer> MemSystem<'m, O> {
             if self.obs.wants_structural_checks() {
                 self.run_structural_checks(true);
             }
+            self.obs.end_state(&self.l1, &self.l2, &self.dram);
             self.obs.run_end(end);
         }
     }
@@ -1026,6 +1033,54 @@ mod tests {
         assert_eq!(ms.attribution().misses_of(RefId(3)), 1);
         let top = ms.attribution().top(1);
         assert_eq!(top[0].0, RefId(7));
+    }
+
+    /// Records the class every demand access reports.
+    #[derive(Default)]
+    struct Classes(Vec<AccessClass>);
+
+    impl Observer for Classes {
+        fn demand_access(
+            &mut self,
+            _: Addr,
+            _: RefId,
+            _: bool,
+            _: u64,
+            class: AccessClass,
+            _: u64,
+        ) {
+            self.0.push(class);
+        }
+    }
+
+    #[test]
+    fn demand_access_hook_reports_the_branch_taken() {
+        // One access down each of the five branches. SRP supplies the
+        // in-flight prefetch that an L2 merge needs.
+        let mem = Memory::new();
+        let engine = RegionPrefetcher::new(RegionConfig::srp(32));
+        let mut ms = MemSystem::with_observer(
+            SimConfig::paper(),
+            IdealMode::None,
+            Box::new(engine),
+            &mem,
+            heap(),
+            Classes::default(),
+        );
+        let a = Addr(0x20_0000);
+        let t1 = ms.load(a, 0, RefId(0), HintSet::none());
+        ms.load(a, 1, RefId(0), HintSet::none());
+        // The region's next block is a prefetch still on the wires.
+        ms.load(a.offset(64), t1 - 40, RefId(1), HintSet::none());
+        ms.load(a, t1 + 10, RefId(0), HintSet::none());
+        // Once the region has streamed in, a later block hits in L2.
+        ms.store(a.offset(192), t1 + 200_000, RefId(2), HintSet::none());
+        use AccessClass::*;
+        assert_eq!(
+            ms.observer().0,
+            [DramDemand, L1Merge, L2Merge, L1Hit, L2Hit],
+            "one report per access, naming its branch"
+        );
     }
 
     #[test]

@@ -18,15 +18,34 @@
 //!    └───► squashed (stale / dropped / demand-hit)
 //! ```
 //!
-//! plus L2 demand misses (for coverage), per-fill events, epoch
-//! boundaries, and the end-of-run sweep.
+//! plus every demand access with the branch it took, L2 demand misses
+//! (for coverage), per-fill events, epoch boundaries, the final memory
+//! hierarchy, and the end-of-run sweep.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use grp_mem::BlockAddr;
+use grp_cpu::RefId;
+use grp_mem::{Addr, BlockAddr, Cache, Dram};
 
 use crate::faults::FaultAction;
+
+/// The branch a demand access took through
+/// [`MemSystem`](crate::MemSystem), as reported to
+/// [`Observer::demand_access`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessClass {
+    /// Hit in the L1 data cache.
+    L1Hit,
+    /// L1 miss merged into an outstanding L1-level fetch.
+    L1Merge,
+    /// L1 miss, L2 hit.
+    L2Hit,
+    /// L2 miss merged into an outstanding L2-level fetch.
+    L2Merge,
+    /// L2 miss sent to DRAM.
+    DramDemand,
+}
 
 /// Why a queued-but-not-issued prefetch candidate was discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,9 +298,30 @@ pub trait Observer {
         let _ = (block, now);
     }
 
+    /// A demand access to `addr` (a store when `write`) issued at
+    /// `issue` took the `class` branch and completes at `done`. The
+    /// perfect-L1 and perfect-L2 modes report `L1Hit` and `L2Hit`.
+    fn demand_access(
+        &mut self,
+        addr: Addr,
+        ref_id: RefId,
+        write: bool,
+        issue: u64,
+        class: AccessClass,
+        done: u64,
+    ) {
+        let _ = (addr, ref_id, write, issue, class, done);
+    }
+
     /// An epoch boundary was reached; `snap` holds the running counters.
     fn epoch(&mut self, snap: &EpochSnapshot) {
         let _ = snap;
+    }
+
+    /// The memory hierarchy once every in-flight fill has drained, just
+    /// before [`Observer::run_end`]: final contents and counters.
+    fn end_state(&mut self, l1: &Cache, l2: &Cache, dram: &Dram) {
+        let _ = (l1, l2, dram);
     }
 
     /// The run finished (all in-flight fills drained) at `final_cycle`.
@@ -393,9 +433,29 @@ impl<A: Observer, B: Observer> Observer for ObserverPair<A, B> {
         self.1.l2_demand_miss(block, now);
     }
 
+    fn demand_access(
+        &mut self,
+        addr: Addr,
+        ref_id: RefId,
+        write: bool,
+        issue: u64,
+        class: AccessClass,
+        done: u64,
+    ) {
+        self.0
+            .demand_access(addr, ref_id, write, issue, class, done);
+        self.1
+            .demand_access(addr, ref_id, write, issue, class, done);
+    }
+
     fn epoch(&mut self, snap: &EpochSnapshot) {
         self.0.epoch(snap);
         self.1.epoch(snap);
+    }
+
+    fn end_state(&mut self, l1: &Cache, l2: &Cache, dram: &Dram) {
+        self.0.end_state(l1, l2, dram);
+        self.1.end_state(l1, l2, dram);
     }
 
     fn run_end(&mut self, final_cycle: u64) {

@@ -1,57 +1,32 @@
-//! System-level reference oracle and differential runner.
+//! System-level reference oracle and the differential observer.
 //!
 //! [`OracleSystem`] re-implements the scheme-independent memory semantics
 //! of [`MemSystem`](crate::MemSystem) — L1/L2 lookup, MSHR merge and
 //! wait-for-free-register loops, DRAM demand issue, fill propagation and
 //! writeback — on top of the deliberately naive `grp_mem::oracle` models,
 //! with no prefetch engine, no observer seam, no binary heap, and no
-//! bit-twiddling. Replaying a trace under no-prefetch through both
-//! systems and comparing *every access* (hit/miss classification and
-//! completion cycle) plus the end state (cycles, stats, final cache
-//! contents) turns "the optimization was correct once" into a standing
-//! gate: [`differential_check`] reports the first diverging access.
+//! bit-twiddling. [`OracleObserver`] drives it from inside a no-prefetch
+//! [`Replay`](crate::Replay) of any [`EventSource`](crate::EventSource):
+//! every demand access is compared (branch taken and completion cycle),
+//! then the end state (cache and DRAM stats, per-site attribution, final
+//! cache contents). That turns "the optimization was correct once" into
+//! a standing gate on the one replay loop production uses.
 
-use grp_cpu::{RefId, Trace, TraceEvent, Window};
+use grp_cpu::RefId;
 use grp_mem::oracle::{OracleCache, OracleDram, OracleMshr};
-use grp_mem::{Addr, BlockAddr, HeapRange, InsertPriority, Memory, RequestKind};
+use grp_mem::{Addr, BlockAddr, Cache, Dram, DramStats, InsertPriority, RequestKind};
 
-use crate::config::{IdealMode, SimConfig};
-use crate::engine::NoPrefetcher;
+use crate::config::SimConfig;
 use crate::faults::{FaultAction, FaultPlan, FaultState};
-use crate::memsys::MemSystem;
+use crate::obs::{AccessClass, Observer};
+use crate::result::RunResult;
 
-/// How a demand access resolved, at the granularity both systems can
-/// classify from their externally visible state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessClass {
-    /// Hit in the L1 data cache.
-    L1Hit,
-    /// L1 miss merged into an outstanding L1-level fetch.
-    L1Merge,
-    /// L1 miss, L2 hit.
-    L2Hit,
-    /// L2 miss merged into an outstanding L2-level fetch.
-    L2Merge,
-    /// L2 miss sent to DRAM.
-    DramDemand,
-}
-
-/// A deliberately injected bug, applied to the **optimized** system so
-/// the gate can prove the oracle layer detects it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OracleFault {
-    /// No fault: the differential must pass.
-    None,
-    /// Caches evict the MRU way instead of the LRU way.
-    EvictMru,
-}
-
-/// Success summary from [`differential_check`].
+/// Success summary from [`OracleObserver::verdict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffReport {
     /// Demand accesses (loads + stores) compared event-for-event.
     pub accesses: u64,
-    /// Final core cycle count (identical in both systems).
+    /// Final core cycle count.
     pub cycles: u64,
 }
 
@@ -81,7 +56,8 @@ impl OracleFill {
 }
 
 /// The naive no-prefetch memory system: same contract as
-/// [`MemSystem`](crate::MemSystem) with a [`NoPrefetcher`], obviously
+/// [`MemSystem`](crate::MemSystem) with a
+/// [`NoPrefetcher`](crate::engine::NoPrefetcher), obviously
 /// simple machinery.
 #[derive(Debug, Clone)]
 pub struct OracleSystem {
@@ -306,290 +282,182 @@ impl OracleSystem {
     }
 }
 
-/// Classifies one optimized-system access from its stats deltas. Each
-/// demand access bumps `l1.demand_accesses` exactly once and touches the
-/// L2/DRAM counters only on the corresponding path, so the deltas
-/// identify the path taken without instrumenting the hot loop.
-fn classify_deltas(dl1_miss: u64, dl2_acc: u64, dl2_miss: u64, d_dram: u64) -> AccessClass {
-    if dl1_miss == 0 {
-        AccessClass::L1Hit
-    } else if dl2_acc == 0 {
-        AccessClass::L1Merge
-    } else if dl2_miss == 0 {
-        AccessClass::L2Hit
-    } else if d_dram == 0 {
-        AccessClass::L2Merge
-    } else {
-        AccessClass::DramDemand
-    }
+/// The no-prefetch oracle differential as an [`Observer`].
+///
+/// Attach it to a [`Scheme::NoPrefetch`](crate::Scheme::NoPrefetch)
+/// replay with the same fault plan armed on both, then call
+/// [`OracleObserver::verdict`] with the replay's result:
+///
+/// ```
+/// # use grp_core::{OracleObserver, Replay, Scheme, SimConfig};
+/// # use grp_cpu::{HintSet, PackedTrace, RefId, Trace};
+/// # use grp_mem::{Addr, HeapRange, Memory};
+/// # let mut t = Trace::new();
+/// # for i in 0..256u64 {
+/// #     t.push_load(Addr(0x10_0000 + i * 8), 8, RefId(0), HintSet::none(), None);
+/// # }
+/// # t.finish();
+/// # let (mem, cfg) = (Memory::new(), SimConfig::paper());
+/// # let heap = HeapRange { start: Addr(0x10_0000), end: Addr(0x20_0000) };
+/// let (result, oracle) = Replay::new(&mem, heap, Scheme::NoPrefetch, &cfg)
+///     .observer(OracleObserver::new(&cfg, None))
+///     .run(&PackedTrace::pack(&t).unwrap());
+/// assert_eq!(oracle.verdict(&result).unwrap().accesses, 256);
+/// ```
+///
+/// Each access reaches the oracle at the issue cycle the replay
+/// computed, which equals the oracle's own until the first divergence;
+/// the observer records that divergence and stops driving the oracle.
+#[derive(Debug, Clone)]
+pub struct OracleObserver {
+    oracle: OracleSystem,
+    accesses: u64,
+    divergence: Option<String>,
+    /// The optimized side's DRAM stats and final L1/L2 contents.
+    end: Option<(DramStats, Contents, Contents)>,
 }
 
-/// Replays `trace` under no-prefetch through both the optimized
-/// [`MemSystem`](crate::MemSystem) and the naive [`OracleSystem`],
-/// asserting event-for-event agreement: per-access classification and
-/// completion cycle, final cycle count, cache/DRAM stats, per-site miss
-/// attribution, and final cache contents (blocks + dirty bits).
-///
-/// `fault` injects a deliberate bug into the optimized side; with
-/// anything but [`OracleFault::None`] the check is expected to fail.
-///
-/// # Errors
-///
-/// Returns a message naming the first diverging access (or end-state
-/// field) on any mismatch.
-pub fn differential_check(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    cfg: &SimConfig,
-    fault: OracleFault,
-) -> Result<DiffReport, String> {
-    differential_check_faulted(trace, mem, heap, cfg, fault, None)
-}
+/// Resident blocks with their dirty bits, in block order.
+type Contents = Vec<(BlockAddr, bool)>;
 
-/// [`differential_check`] with a [`FaultPlan`] armed on *both* systems.
-///
-/// This is the graceful-degradation contract's correctness leg: even
-/// under channel stalls, outages, and MSHR squeezes, the optimized
-/// system's demand behaviour must match the naive oracle event for
-/// event. Prefetch-only faults (delayed/dropped fills, queue pressure)
-/// are inert under no-prefetch and trivially preserve agreement.
-///
-/// # Errors
-///
-/// Returns a message naming the first diverging access (or end-state
-/// field) on any mismatch.
-pub fn differential_check_faulted(
-    trace: &Trace,
-    mem: &Memory,
-    heap: HeapRange,
-    cfg: &SimConfig,
-    fault: OracleFault,
-    plan: Option<&FaultPlan>,
-) -> Result<DiffReport, String> {
-    let mut ms = MemSystem::new(*cfg, IdealMode::None, Box::new(NoPrefetcher), mem, heap);
-    if fault == OracleFault::EvictMru {
-        ms.inject_fault_evict_mru();
-    }
-    let mut oracle = OracleSystem::new(*cfg);
-    if let Some(plan) = plan {
-        ms.install_faults(plan);
-        oracle.install_faults(plan);
-    }
-
-    let mut win_real = Window::new(cfg.window);
-    let mut win_oracle = Window::new(cfg.window);
-    let mut completions_real: Vec<u64> = Vec::with_capacity(trace.loads() as usize);
-    let mut completions_oracle: Vec<u64> = Vec::with_capacity(trace.loads() as usize);
-    let mut accesses = 0u64;
-
-    for (idx, ev) in trace.events().iter().enumerate() {
-        match ev {
-            TraceEvent::Compute(n) => {
-                win_real.dispatch_compute(*n as u64);
-                win_oracle.dispatch_compute(*n as u64);
-            }
-            TraceEvent::Load {
-                addr,
-                ref_id,
-                hints,
-                dep,
-                ..
-            } => {
-                let d_real = win_real.prepare_dispatch(1);
-                let d_oracle = win_oracle.prepare_dispatch(1);
-                let issue_real = match dep {
-                    Some(seq) => d_real.max(completions_real[*seq as usize]),
-                    None => d_real,
-                };
-                let issue_oracle = match dep {
-                    Some(seq) => d_oracle.max(completions_oracle[*seq as usize]),
-                    None => d_oracle,
-                };
-                let before = snapshot(&ms);
-                let done_real = ms.load(*addr, issue_real, *ref_id, *hints);
-                let class_real = delta_class(&ms, before);
-                let (class_oracle, done_oracle) =
-                    oracle.access(*addr, issue_oracle, *ref_id, false);
-                accesses += 1;
-                compare_access(
-                    idx,
-                    "load",
-                    *addr,
-                    (class_real, done_real),
-                    (class_oracle, done_oracle),
-                )?;
-                completions_real.push(done_real);
-                completions_oracle.push(done_oracle);
-                win_real.push(1, done_real);
-                win_oracle.push(1, done_oracle);
-            }
-            TraceEvent::Store {
-                addr,
-                ref_id,
-                hints,
-                ..
-            } => {
-                let d_real = win_real.prepare_dispatch(1);
-                let d_oracle = win_oracle.prepare_dispatch(1);
-                let before = snapshot(&ms);
-                let done_real = ms.store(*addr, d_real, *ref_id, *hints);
-                let class_real = delta_class(&ms, before);
-                let (class_oracle, done_oracle) = oracle.access(*addr, d_oracle, *ref_id, true);
-                accesses += 1;
-                compare_access(
-                    idx,
-                    "store",
-                    *addr,
-                    (class_real, done_real),
-                    (class_oracle, done_oracle),
-                )?;
-                win_real.push(1, d_real + 1);
-                win_oracle.push(1, d_oracle + 1);
-            }
-            TraceEvent::SetLoopBound(b) => {
-                let d_real = win_real.prepare_dispatch(1);
-                let d_oracle = win_oracle.prepare_dispatch(1);
-                ms.set_loop_bound(*b);
-                oracle.advance_to(d_oracle);
-                win_real.push(1, d_real + 1);
-                win_oracle.push(1, d_oracle + 1);
-            }
-            TraceEvent::IndirectPrefetch {
-                base,
-                elem_size,
-                index_addr,
-                ..
-            } => {
-                let d_real = win_real.prepare_dispatch(1);
-                let d_oracle = win_oracle.prepare_dispatch(1);
-                ms.indirect_prefetch(*base, *elem_size, *index_addr, d_real);
-                oracle.advance_to(d_oracle);
-                win_real.push(1, d_real + 1);
-                win_oracle.push(1, d_oracle + 1);
-            }
+impl OracleObserver {
+    /// An oracle for a replay on `cfg`. `plan` must be the fault plan
+    /// armed on that replay, if any: the oracle mirrors it.
+    pub fn new(cfg: &SimConfig, plan: Option<&FaultPlan>) -> Self {
+        let mut oracle = OracleSystem::new(*cfg);
+        if let Some(plan) = plan {
+            oracle.install_faults(plan);
+        }
+        OracleObserver {
+            oracle,
+            accesses: 0,
+            divergence: None,
+            end: None,
         }
     }
 
-    let cycles_real = win_real.finish();
-    let cycles_oracle = win_oracle.finish();
-    ms.finish(cycles_real);
-    oracle.finish(cycles_oracle);
-
-    if cycles_real != cycles_oracle {
-        return Err(format!(
-            "final cycles diverge: optimized {cycles_real}, oracle {cycles_oracle}"
-        ));
+    /// Checks the observed replay, whose result is `result`: every access
+    /// agreed, then the L1/L2 stats, DRAM stats, per-site attribution, and
+    /// final cache contents with dirty bits all match the oracle's.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first diverging access or end-state field.
+    pub fn verdict(mut self, result: &RunResult) -> Result<DiffReport, String> {
+        if let Some(e) = self.divergence {
+            return Err(e);
+        }
+        let (dram, l1, l2) = self.end.ok_or("the replay never reached its end state")?;
+        let oracle = &mut self.oracle;
+        oracle.finish(result.cycles);
+        agree("L1 stats", &result.l1, oracle.l1().stats())?;
+        agree("L2 stats", &result.l2, oracle.l2().stats())?;
+        agree("DRAM stats", &dram, oracle.dram().stats())?;
+        if result.attribution.counts() != oracle.attribution() {
+            return Err("per-site miss attribution diverges".to_string());
+        }
+        contents_agree("L1", &l1, &oracle.l1().resident_blocks())?;
+        contents_agree("L2", &l2, &oracle.l2().resident_blocks())?;
+        Ok(DiffReport {
+            accesses: self.accesses,
+            cycles: result.cycles,
+        })
     }
-    if ms.l1().stats() != oracle.l1().stats() {
-        return Err(format!(
-            "L1 stats diverge:\n  optimized {:?}\n  oracle    {:?}",
-            ms.l1().stats(),
-            oracle.l1().stats()
-        ));
-    }
-    if ms.l2().stats() != oracle.l2().stats() {
-        return Err(format!(
-            "L2 stats diverge:\n  optimized {:?}\n  oracle    {:?}",
-            ms.l2().stats(),
-            oracle.l2().stats()
-        ));
-    }
-    if ms.dram().stats() != oracle.dram().stats() {
-        return Err(format!(
-            "DRAM stats diverge:\n  optimized {:?}\n  oracle    {:?}",
-            ms.dram().stats(),
-            oracle.dram().stats()
-        ));
-    }
-    if ms.attribution().counts() != oracle.attribution() {
-        return Err("per-site miss attribution diverges".to_string());
-    }
-    let l1_real = ms.l1().resident_blocks();
-    let l1_oracle = oracle.l1().resident_blocks();
-    if l1_real != l1_oracle {
-        return Err(first_contents_diff("L1", &l1_real, &l1_oracle));
-    }
-    let l2_real = ms.l2().resident_blocks();
-    let l2_oracle = oracle.l2().resident_blocks();
-    if l2_real != l2_oracle {
-        return Err(first_contents_diff("L2", &l2_real, &l2_oracle));
-    }
-    Ok(DiffReport {
-        accesses,
-        cycles: cycles_real,
-    })
 }
 
-/// (l1 misses, l2 accesses, l2 misses, dram demand blocks) before an access.
-type StatsSnap = (u64, u64, u64, u64);
+impl Observer for OracleObserver {
+    fn demand_access(
+        &mut self,
+        addr: Addr,
+        ref_id: RefId,
+        write: bool,
+        issue: u64,
+        class: AccessClass,
+        done: u64,
+    ) {
+        if self.divergence.is_some() {
+            return;
+        }
+        self.accesses += 1;
+        let (oclass, odone) = self.oracle.access(addr, issue, ref_id, write);
+        if (oclass, odone) != (class, done) {
+            let kind = if write { "store" } else { "load" };
+            self.divergence = Some(format!(
+                "access {} diverges ({kind} {:#x} issued at {issue}): \
+                 optimized {class:?}@{done}, oracle {oclass:?}@{odone}",
+                self.accesses, addr.0
+            ));
+        }
+    }
 
-fn snapshot(ms: &MemSystem<'_>) -> StatsSnap {
-    (
-        ms.l1().stats().demand_misses,
-        ms.l2().stats().demand_accesses,
-        ms.l2().stats().demand_misses,
-        ms.dram().stats().demand_blocks,
-    )
+    fn end_state(&mut self, l1: &Cache, l2: &Cache, dram: &Dram) {
+        self.end = Some((*dram.stats(), l1.resident_blocks(), l2.resident_blocks()));
+    }
 }
 
-fn delta_class(ms: &MemSystem<'_>, before: StatsSnap) -> AccessClass {
-    let after = snapshot(ms);
-    classify_deltas(
-        after.0 - before.0,
-        after.1 - before.1,
-        after.2 - before.2,
-        after.3 - before.3,
-    )
-}
-
-fn compare_access(
-    idx: usize,
-    kind: &str,
-    addr: Addr,
-    real: (AccessClass, u64),
-    oracle: (AccessClass, u64),
-) -> Result<(), String> {
+fn agree<T: PartialEq + std::fmt::Debug>(what: &str, real: &T, oracle: &T) -> Result<(), String> {
     if real != oracle {
         return Err(format!(
-            "access diverges at trace event {idx} ({kind} {:#x}): \
-             optimized {:?}@{}, oracle {:?}@{}",
-            addr.0, real.0, real.1, oracle.0, oracle.1
+            "{what} diverge:\n  optimized {real:?}\n  oracle    {oracle:?}"
         ));
     }
     Ok(())
 }
 
-fn first_contents_diff(
+fn contents_agree(
     level: &str,
     real: &[(BlockAddr, bool)],
     oracle: &[(BlockAddr, bool)],
-) -> String {
+) -> Result<(), String> {
+    if real == oracle {
+        return Ok(());
+    }
     let i = real
         .iter()
         .zip(oracle.iter())
         .position(|(a, b)| a != b)
         .unwrap_or(real.len().min(oracle.len()));
-    format!(
+    Err(format!(
         "{level} final contents diverge at sorted index {i}: \
          optimized has {} lines ({:?}…), oracle has {} lines ({:?}…)",
         real.len(),
         real.get(i),
         oracle.len(),
         oracle.get(i)
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grp_cpu::HintSet;
+    use crate::config::Scheme;
+    use crate::sim::{EventSource, PlantedBug, Replay};
+    use grp_cpu::{HintSet, PackedTrace, Trace};
+    use grp_mem::{HeapRange, Memory};
 
     fn heap() -> HeapRange {
         HeapRange {
             start: Addr(0x10_0000),
             end: Addr(0x100_0000),
         }
+    }
+
+    /// The differential of one no-prefetch replay of `src`, with `plan`
+    /// armed on both systems and `bug` planted in the optimized one.
+    fn differential<S: EventSource + ?Sized>(
+        src: &S,
+        plan: Option<&FaultPlan>,
+        bug: Option<PlantedBug>,
+    ) -> Result<DiffReport, String> {
+        let (mem, cfg) = (Memory::new(), SimConfig::paper());
+        let mut replay = Replay::new(&mem, heap(), Scheme::NoPrefetch, &cfg)
+            .observer(OracleObserver::new(&cfg, plan))
+            .plant(bug);
+        if let Some(plan) = plan {
+            replay = replay.faults(plan);
+        }
+        let (result, oracle) = replay.run(src);
+        oracle.verdict(&result)
     }
 
     /// A mixed workload exercising every access path: streaming loads,
@@ -623,26 +491,25 @@ mod tests {
         t
     }
 
+    fn packed_mixed_trace() -> PackedTrace {
+        PackedTrace::pack(&mixed_trace()).expect("mixed trace packs")
+    }
+
     #[test]
     fn differential_passes_on_mixed_trace() {
-        let mem = Memory::new();
-        let rep = differential_check(
-            &mixed_trace(),
-            &mem,
-            heap(),
-            &SimConfig::paper(),
-            OracleFault::None,
-        )
-        .expect("optimized system must match the oracle");
+        let rep = differential(&mixed_trace(), None, None)
+            .expect("optimized system must match the oracle");
         assert!(rep.accesses > 5_000);
         assert!(rep.cycles > 0);
+        let packed = differential(&packed_mixed_trace(), None, None)
+            .expect("a packed replay must match the oracle");
+        assert_eq!(packed, rep, "both trace forms check the same replay");
     }
 
     #[test]
     fn differential_passes_under_mshr_pressure() {
         // Dense all-miss loads saturate both MSHR files, exercising the
         // wait-for-free-register loops in both systems.
-        let mem = Memory::new();
         let mut t = Trace::new();
         for i in 0..2_000u64 {
             t.push_load(
@@ -654,8 +521,7 @@ mod tests {
             );
         }
         t.finish();
-        differential_check(&t, &mem, heap(), &SimConfig::paper(), OracleFault::None)
-            .expect("MSHR-pressure trace must match");
+        differential(&t, None, None).expect("MSHR-pressure trace must match");
     }
 
     #[test]
@@ -663,32 +529,24 @@ mod tests {
         // The degradation contract: demand correctness survives every
         // built-in fault plan. The same plan is armed on both systems,
         // so stalls, outages, and MSHR squeezes land identically.
-        let mem = Memory::new();
-        let trace = mixed_trace();
+        let (trace, packed) = (mixed_trace(), packed_mixed_trace());
         for (name, plan) in FaultPlan::builtin() {
-            differential_check_faulted(
-                &trace,
-                &mem,
-                heap(),
-                &SimConfig::paper(),
-                OracleFault::None,
-                Some(&plan),
-            )
-            .unwrap_or_else(|e| panic!("faulted differential '{name}' failed: {e}"));
+            differential(&trace, Some(&plan), None)
+                .unwrap_or_else(|e| panic!("faulted differential '{name}' failed: {e}"));
+            differential(&packed, Some(&plan), None)
+                .unwrap_or_else(|e| panic!("packed faulted differential '{name}' failed: {e}"));
         }
     }
 
     #[test]
     fn differential_catches_injected_replacement_bug() {
-        let mem = Memory::new();
-        let err = differential_check(
-            &mixed_trace(),
-            &mem,
-            heap(),
-            &SimConfig::paper(),
-            OracleFault::EvictMru,
-        )
-        .expect_err("evict-MRU fault must be detected");
-        assert!(err.contains("diverge"), "error names the divergence: {err}");
+        let bug = Some(PlantedBug::EvictMru);
+        for err in [
+            differential(&mixed_trace(), None, bug),
+            differential(&packed_mixed_trace(), None, bug),
+        ] {
+            let err = err.expect_err("evict-MRU fault must be detected");
+            assert!(err.contains("diverge"), "error names the divergence: {err}");
+        }
     }
 }

@@ -125,7 +125,21 @@ pub struct Replay<'a, O = NullObserver> {
     engine: Option<Box<dyn Prefetcher>>,
     obs: O,
     faults: Option<&'a FaultPlan>,
-    drop_leak: bool,
+    bug: Option<PlantedBug>,
+}
+
+/// A deliberate bug [`Replay::plant`] arms, so the `check` gate can
+/// prove it has teeth.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlantedBug {
+    /// Both caches evict the MRU way instead of the LRU way; the oracle
+    /// differential must catch it.
+    EvictMru,
+    /// A dropped prefetch fill forgets to release its L2 MSHR register;
+    /// the end-of-run structural check and lifecycle conservation must
+    /// catch it.
+    DropLeak,
 }
 
 impl<'a> Replay<'a> {
@@ -140,7 +154,7 @@ impl<'a> Replay<'a> {
             engine: None,
             obs: NullObserver,
             faults: None,
-            drop_leak: false,
+            bug: None,
         }
     }
 }
@@ -164,7 +178,7 @@ impl<'a, O: Observer> Replay<'a, O> {
             engine: self.engine,
             obs,
             faults: self.faults,
-            drop_leak: self.drop_leak,
+            bug: self.bug,
         }
     }
 
@@ -176,11 +190,11 @@ impl<'a, O: Observer> Replay<'a, O> {
         self
     }
 
-    /// Arms the dropped-fill MSHR-leak bug — the seam behind the
-    /// `check` gate's `--inject drop-leak` teeth test.
+    /// Plants `bug` in the memory system (`None` plants nothing): the
+    /// seam behind the `check` gate's `--inject` teeth tests.
     #[doc(hidden)]
-    pub fn drop_leak(mut self, on: bool) -> Self {
-        self.drop_leak = on;
+    pub fn plant(mut self, bug: Option<PlantedBug>) -> Self {
+        self.bug = bug;
         self
     }
 
@@ -200,8 +214,8 @@ impl<'a, O: Observer> Replay<'a, O> {
         if let Some(plan) = self.faults {
             ms.install_faults(plan);
         }
-        if self.drop_leak {
-            ms.inject_fault_drop_leak();
+        if let Some(bug) = self.bug {
+            ms.plant(bug);
         }
         let mut events = 0u64;
         let mut load_completions: Vec<u64> = Vec::with_capacity(src.loads() as usize);

@@ -86,6 +86,19 @@ echo "== cache identity gate: cached == materialized over the full grid =="
 cargo run --release -q --offline -p grp-bench --bin check -- \
     --trace-cache "$TRACE_TMP/tc" \
     --scale test --cases 2 --seed 0x5eedc4ec00000000 > /dev/null
+# Teeth for the cache-hit path: with --trace-cache, phase 1 runs the
+# oracle differential on each kernel's cached packed trace, so a
+# planted evict-MRU bug must fail the gate there, not only in fuzzing.
+if CACHE_TEETH="$(cargo run --release -q --offline -p grp-bench --bin check -- \
+        --scale test --cases 2 --trace-cache "$TRACE_TMP/tc" --inject mru-evict 2>&1)"; then
+    echo "ERROR: check --trace-cache --inject mru-evict passed but must fail" >&2
+    exit 1
+fi
+grep -q "cached packed traces" <<< "$CACHE_TEETH" && grep -q "DIVERGED" <<< "$CACHE_TEETH" || {
+    echo "ERROR: the packed-trace differential did not catch mru-evict" >&2
+    exit 1
+}
+echo "  -- mru-evict on cached packed traces: caught"
 
 echo "== trace-cache gate: corrupt + stale entries rebuild, never crash =="
 # Flip a byte in the middle of every cached entry, then truncate one
