@@ -64,7 +64,7 @@ fn main() {
     println!("{}", experiments::table5(&mut suite));
     println!("{}", experiments::table6(&mut suite));
     println!("{}", experiments::sensitivity(&mut suite));
-    println!("{}", experiments::bandwidth_study(scale));
+    println!("{}", experiments::bandwidth_study_with(&mut suite));
 
     // Optional machine-readable dump of every (benchmark, scheme) run.
     let args: Vec<String> = std::env::args().collect();

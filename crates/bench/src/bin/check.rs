@@ -61,8 +61,10 @@
 //! `--trace-cache <dir>` prepends **phase 0**: every registry kernel ×
 //! every scheme is run through the trace cache (a hit replays the
 //! cached packed trace, a miss interprets and fills the cache) and
-//! compared with a fresh materialized run, asserting bit-identical
-//! `RunResult`s — the cache identity gate at the chosen scale.
+//! compared with a replay of the kernel's one fresh interpretation (its
+//! base trace, or the scheme's hint view over it), asserting
+//! bit-identical `RunResult`s — the cache identity gate at the chosen
+//! scale.
 //!
 //! `--inject` plants a deliberate bug (an evict-MRU replacement fault,
 //! an unbounded engine queue, or a dropped-fill MSHR leak) so CI can
@@ -73,7 +75,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use grp_bench::args::{strict_flag, strict_u64, strict_value};
 use grp_bench::fuzz::{materialize, FuzzPlan, Segment};
 use grp_bench::suite::parse_scale_args;
-use grp_bench::telemetry::{self, exposition, log, TelemetryObserver};
+use grp_bench::telemetry::{self, exposition, log, Shard, TelemetryObserver};
 use grp_core::{
     engine_for, run_trace, DiffReport, EventSource, FaultPlan, InvariantObserver, ObserverPair,
     OracleObserver, PlantedBug, Replay, Scheme, SimConfig,
@@ -203,10 +205,12 @@ fn kernel_differential<S: EventSource + ?Sized>(
 /// Runs one materialized case through every scheme with invariants
 /// attached and `plan` armed (`None` is the unfaulted gate); the
 /// no-prefetch replay also carries the oracle differential, with the
-/// same plan mirrored. First failure wins.
+/// same plan mirrored, and with `telemetry` the GRP/Var replay also
+/// records into that shard. First failure wins.
 fn check_faulted_case(
     case: &grp_bench::fuzz::FuzzCase,
     plan: Option<&FaultPlan>,
+    telemetry: Option<&Shard>,
     cfg: &SimConfig,
     inject: Inject,
     max_cycles: u64,
@@ -215,16 +219,23 @@ fn check_faulted_case(
         for scheme in Scheme::ALL {
             let replay = armed_replay(&case.mem, case.heap, scheme, cfg, inject, plan);
             let inv = InvariantObserver::new(cfg).with_interval(256);
-            let (result, inv) = if scheme == Scheme::NoPrefetch {
-                let (result, ObserverPair(oracle, inv)) = replay
-                    .observer(ObserverPair(OracleObserver::new(cfg, plan), inv))
-                    .run(&case.trace);
-                oracle
-                    .verdict(&result)
-                    .map_err(|e| format!("oracle differential (no-prefetch): {e}"))?;
-                (result, inv)
-            } else {
-                replay.observer(inv).run(&case.trace)
+            let (result, inv) = match (scheme, telemetry) {
+                (Scheme::NoPrefetch, _) => {
+                    let (result, ObserverPair(oracle, inv)) = replay
+                        .observer(ObserverPair(OracleObserver::new(cfg, plan), inv))
+                        .run(&case.trace);
+                    oracle
+                        .verdict(&result)
+                        .map_err(|e| format!("oracle differential (no-prefetch): {e}"))?;
+                    (result, inv)
+                }
+                (Scheme::GrpVar, Some(shard)) => {
+                    let (result, ObserverPair(inv, _)) = replay
+                        .observer(ObserverPair(inv, TelemetryObserver::new(shard)))
+                        .run(&case.trace);
+                    (result, inv)
+                }
+                _ => replay.observer(inv).run(&case.trace),
             };
             if !inv.ok() {
                 return Err(format!(
@@ -247,7 +258,7 @@ fn check_plan(
     inject: Inject,
     max_cycles: u64,
 ) -> Result<(), String> {
-    check_faulted_case(&materialize(plan), None, cfg, inject, max_cycles)
+    check_faulted_case(&materialize(plan), None, None, cfg, inject, max_cycles)
 }
 
 /// Phase 4's shrink target: an access plan and a fault plan, checked
@@ -261,6 +272,7 @@ fn check_pair(
     check_faulted_case(
         &materialize(&pair.0),
         Some(&pair.1),
+        None,
         cfg,
         inject,
         max_cycles,
@@ -450,18 +462,27 @@ fn main() {
         let cache = grp_bench::sched::WorkloadCache::new();
         for name in &names {
             let mut bad = 0u64;
+            // The expected side interprets the kernel once and replays
+            // its base trace or a view per compiler configuration, so
+            // every GRP cell cross-checks view replay against the
+            // cached packed form.
+            let built = cache
+                .get_or_build(name, scale.workload_scale())
+                .expect("registered");
+            let (base, mem) = built.interpret();
             for scheme in Scheme::ALL {
-                let built = cache
-                    .get_or_build(name, scale.workload_scale())
-                    .expect("registered");
-                let want = built.run(scheme, &cfg);
+                let replay = Replay::new(&mem, built.heap, scheme, &cfg);
+                let want = match scheme.compiler_config() {
+                    Some(cc) => replay.run(&built.view(&base, &built.hints(&cc))).0,
+                    None => replay.run(base.trace()).0,
+                };
                 let got = grp_bench::sched::run_cell(
                     name,
                     scale.workload_scale(),
                     scheme,
                     &cfg,
                     &mode,
-                    || cache.get_or_build(name, scale.workload_scale()),
+                    || Ok(built.clone()),
                 );
                 match got {
                     Ok((got, _, _, _)) if got == want => {}
@@ -531,6 +552,7 @@ fn main() {
     match check_faulted_case(
         &grp_bench::fuzz::region_pressure_case(),
         None,
+        None,
         &cfg,
         inject,
         max_cycles,
@@ -596,19 +618,21 @@ fn main() {
             }
         }
         println!("  zero-fault identity: checked");
-        // Each builtin plan also runs once with the telemetry observer
-        // attached — the same observer serve/fleet hang off the fault
+        // Each builtin plan's GRP/Var replay also carries the telemetry
+        // observer — the same observer serve/fleet hang off the fault
         // layer — so the sweep doubles as a gate that armed plans
         // actually produce observable fault events.
         let fault_reg = telemetry::Registry::new();
         let fault_shard = fault_reg.shard();
         for (name, plan) in &builtins {
-            let obs = TelemetryObserver::new(&fault_shard);
-            let _ = Replay::new(&workout.mem, workout.heap, Scheme::GrpVar, &cfg)
-                .observer(obs)
-                .faults(plan)
-                .run(&workout.trace);
-            match check_faulted_case(&workout, Some(plan), &cfg, inject, max_cycles) {
+            match check_faulted_case(
+                &workout,
+                Some(plan),
+                Some(&fault_shard),
+                &cfg,
+                inject,
+                max_cycles,
+            ) {
                 Ok(()) => println!("  builtin '{name}': OK"),
                 Err(e) => {
                     failures += 1;

@@ -25,7 +25,9 @@
 //!     shard the kernel × scheme grid across workers at cell granularity
 //!     via the work-stealing scheduler and append a fleet-shaped entry
 //! cargo run -p grp-bench --bin perf -- --check <path>
-//!     validate an existing trajectory file (both entry shapes) and exit
+//!     validate an existing trajectory file (both entry shapes), warn
+//!     where an entry's host differs from the previous entry of the
+//!     same kind and scale, and exit
 //! ```
 //!
 //! Per (kernel × scheme) the harness builds the workload, derives the
@@ -113,8 +115,11 @@ fn main() {
 
     if let Some(path) = flag_value(&args, "--check") {
         match traj::check_trajectory(&path) {
-            Ok(n) => {
-                println!("{path}: OK ({n} entries)");
+            Ok(checked) => {
+                println!("{path}: OK ({} entries)", checked.entries);
+                for w in &checked.warnings {
+                    println!("warning: {w}");
+                }
             }
             Err(e) => {
                 log::error("perf", &format!("{path}: {e}"));
@@ -182,7 +187,8 @@ fn main() {
         run_fleet(scale, &label, &schemes, &mode, &args)
     } else {
         run_serial(scale, &label, &schemes, &mode)
-    };
+    }
+    .set("host", traj::host_json());
 
     if profile {
         let wall = wall_start.elapsed().as_secs_f64();

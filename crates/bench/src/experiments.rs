@@ -1,11 +1,11 @@
 //! One function per table/figure of the paper's Section 5.
 
 use grp_compiler::{census, AnalysisConfig};
-use grp_core::{geomean, Scheme, SimConfig};
+use grp_core::{geomean, Scheme};
 use grp_workloads::BenchClass;
 
 use crate::report::{bar_chart, f2, pct, Table};
-use crate::sched::{self, CellJob, WorkloadCache};
+use crate::sched::{self, CellJob};
 use crate::suite::Suite;
 
 /// The schemes compared in the headline tables.
@@ -462,31 +462,46 @@ pub fn sensitivity(suite: &mut Suite) -> String {
 
 /// §5.5's bandwidth observation: "art is bandwidth bound … larger caches
 /// and wider channels improve art appreciably." Sweeps DRAM channel
-/// count for the benchmarks the paper calls memory-bound. The nine
-/// GRP/Var cells run through the cell scheduler, so each benchmark's
-/// trace is interpreted once and replayed under all three channel
-/// counts.
+/// count for the benchmarks the paper calls memory-bound, on a fresh
+/// suite at `scale` (see [`bandwidth_study_with`]).
 pub fn bandwidth_study(scale: crate::suite::SuiteScale) -> String {
+    bandwidth_study_with(&mut Suite::new(scale))
+}
+
+/// [`bandwidth_study`] over `suite`'s platform configuration. The
+/// column at the suite's own channel count reads the GRP/Var cells
+/// already in its memo table; every other cell runs through the cell
+/// scheduler, so each benchmark is interpreted once for all of them.
+pub fn bandwidth_study_with(suite: &mut Suite) -> String {
     const BENCHES: [&str; 3] = ["art", "swim", "mcf"];
     const CHANNELS: [usize; 3] = [2, 4, 8];
+    let base = *suite.config();
+    let mut ipc = vec![0.0; BENCHES.len() * CHANNELS.len()];
     let mut jobs = Vec::new();
-    for kernel in BENCHES {
-        for channels in CHANNELS {
-            let mut cfg = SimConfig::paper();
+    for (k, kernel) in BENCHES.into_iter().enumerate() {
+        for (c, channels) in CHANNELS.into_iter().enumerate() {
+            let id = k * CHANNELS.len() + c;
+            let memo = (channels == base.dram.channels)
+                .then(|| suite.cached(kernel, Scheme::GrpVar))
+                .flatten();
+            if let Some(r) = memo {
+                ipc[id] = r.ipc();
+                continue;
+            }
+            let mut cfg = base;
             cfg.dram.channels = channels;
             jobs.push(CellJob {
-                id: jobs.len() as u64,
+                id: id as u64,
                 kernel,
                 scheme: Scheme::GrpVar,
-                scale: scale.workload_scale(),
+                scale: suite.scale().workload_scale(),
                 cfg,
                 deadline: None,
             });
         }
     }
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut ipc = vec![0.0; jobs.len()];
-    sched::run_cells(&jobs, workers, &WorkloadCache::new(), |cell| {
+    sched::run_cells(&jobs, workers, &suite.workload_cache(), |cell| {
         let r = cell
             .outcome
             .unwrap_or_else(|e| panic!("bandwidth study {}: {e}", cell.kernel));
@@ -533,6 +548,13 @@ mod tests {
         let s = bandwidth_study(SuiteScale::Test);
         assert!(s.contains("art"));
         assert!(s.contains("8 channels"));
+        // Over a suite whose memo already holds the default-channel
+        // cells, the table is the same text.
+        let mut suite = Suite::new(SuiteScale::Test);
+        for kernel in ["art", "swim", "mcf"] {
+            suite.run(kernel, Scheme::GrpVar);
+        }
+        assert_eq!(bandwidth_study_with(&mut suite), s);
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! Work-stealing cell scheduler: shards `(kernel, scheme, config)`
 //! simulation *cells* across OS threads. The unit of work is a **trace
-//! group**: the cells of one batch that replay the same trace. A trace
-//! depends only on `(kernel, scale, scheme.compiler_config())` — the
-//! key [`TraceCache`] files it under — so the seven hint-free schemes of
-//! a kernel share one trace and each GRP compiler configuration has its
-//! own: the 18 × 12 grid holds 108 groups.
+//! group**: the cells of one batch that replay the same kernel at the
+//! same scale. Hints never change what a kernel executes, so every
+//! scheme of a kernel replays one hint-free interpretation: the seven
+//! hint-free schemes replay its trace, and each GRP compiler
+//! configuration replays a [`HintView`] over it. The 18 × 12 grid holds
+//! 18 groups and interprets 18 times.
 //!
-//! * A group's first cell obtains its trace **once** (`obtain_trace`:
-//!   a trace-cache load, or build → interpret → pack and store) and
-//!   holds it in an `Arc`; the group's other cells go to the *front* of
-//!   that worker's deque as replay tasks. A worker takes a new group
-//!   only once its deque holds no replays, so every live trace is one a
-//!   worker is using right now: no more traces are alive than workers,
-//!   as when every cell interpreted its own.
+//! * A group's first cell obtains its traces **once** (`obtain_group`:
+//!   with a trace cache, one load per compiler configuration; on a miss,
+//!   or without a cache, one build → interpret, then a pack and store of
+//!   each missing configuration) and holds them in an `Arc`; the group's
+//!   other cells go to the *front* of that worker's deque as replay
+//!   tasks. A worker takes a new group only once its deque holds no
+//!   replays, so every live trace is one a worker is using right now.
 //! * Built workloads are shared **read-only** between workers through
 //!   [`WorkloadCache`] (`Arc<BuiltWorkload>` keyed by `(kernel, scale)`),
-//!   so two groups of the same kernel never rebuild — whichever worker
-//!   gets there first builds, everyone else waits on that one build.
+//!   so a kernel is never rebuilt — whichever worker gets there first
+//!   builds, everyone else waits on that one build.
 //! * Groups are ordered **largest-first** by a static cost model
 //!   ([`group_weight`]: one interpretation plus the group's replays) and
 //!   dealt round-robin into per-worker deques; an idle worker steals
@@ -38,15 +39,17 @@
 //! worker count and any steal interleaving. `crates/bench/tests/fleet.rs`
 //! enforces this over the full 18×12 grid.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use grp_compiler::AnalysisConfig;
-use grp_core::{LatencyHist, Replay, RunResult, Scheme, SimConfig};
-use grp_cpu::{PackedTrace, Trace};
+use grp_compiler::{analyze, AnalysisConfig};
+use grp_core::{EventSource, LatencyHist, Replay, RunResult, Scheme, SimConfig};
+use grp_cpu::{PackedTrace, TraceEvent};
+use grp_ir::{BaseTrace, HintMap, HintView};
 use grp_mem::{HeapRange, Memory};
 use grp_workloads::{BuiltWorkload, Scale};
 
@@ -66,9 +69,10 @@ pub struct ReplayMode {
     /// `ReplayMode` keep compiling.
     pub packed: bool,
     /// Persist and reuse packed traces + memory images across
-    /// processes. A cache hit skips build + interpretation + hint
-    /// derivation entirely; stale or corrupt entries read as misses
-    /// and are rebuilt, never trusted.
+    /// processes, one entry per `(kernel, scale, compiler
+    /// configuration)`. A group whose entries all hit skips build,
+    /// interpretation and hint derivation entirely; stale or corrupt
+    /// entries read as misses and are rebuilt, never trusted.
     pub trace_cache: Option<Arc<TraceCache>>,
     /// Metrics registry the fleet records into (`grp_fleet_*`,
     /// `grp_replay_*`, `grp_sim_*` families; one shard per worker,
@@ -160,8 +164,8 @@ pub struct CellResult {
     pub outcome: Result<RunResult, String>,
     /// Trace events replayed (0 on error).
     pub events: u64,
-    /// Seconds spent obtaining the trace before replay: non-zero only
-    /// for the cell that obtained its group's trace (and includes the
+    /// Seconds spent obtaining the traces before replay: non-zero only
+    /// for the cell that obtained its group's traces (and includes the
     /// workload build only for the worker that actually built it).
     pub setup_seconds: f64,
     /// Seconds spent in the replay loop alone — the comparable unit to the
@@ -192,10 +196,10 @@ pub struct FleetStats {
     pub replay_seconds: f64,
     /// Sum of per-cell setup seconds (builds + hint derivation).
     pub setup_seconds: f64,
-    /// Traces obtained by interpretation (one per trace group whose
-    /// trace was not loaded from the trace cache).
+    /// Kernel interpretations: one per trace group with a compiler
+    /// configuration the trace cache could not serve.
     pub traces_interpreted: u64,
-    /// Traces loaded from the trace cache.
+    /// Traces loaded from the trace cache (one per hit configuration).
     pub traces_loaded: u64,
     /// Per-worker busy seconds (time executing cells, not idle/steal).
     pub busy_seconds: Vec<f64>,
@@ -329,8 +333,9 @@ fn kernel_shares(kernel: &str) -> (u64, u64) {
 }
 
 /// One interpretation's cost per per-mille of the grid's events, in
-/// [`cell_weight`] units: the grid's 216 interpretations took 19.4 s,
-/// i.e. 1.62 s per full pass over the 18 kernels = 162 units per mille.
+/// [`cell_weight`] units: 216 interpretations of the grid took 19.4 s on
+/// the calibration host, i.e. 1.62 s per full pass over the 18 kernels
+/// = 162 units per mille.
 const INTERPRET_WEIGHT_PER_EVENT_PERMILLE: u64 = 162;
 
 /// Static cost of replaying one cell, in units of 10 µs of replay on
@@ -361,7 +366,8 @@ pub fn cell_weight(kernel: &str, scheme: Scheme) -> u64 {
 
 /// Static cost of a trace group of `kernel` — one interpretation (in
 /// proportion to the kernel's trace events) plus one replay per scheme
-/// — in [`cell_weight`] units. The scheduler deals groups by it.
+/// (12 for a full grid row) — in [`cell_weight`] units. The scheduler
+/// deals groups by it.
 pub fn group_weight(kernel: &str, schemes: impl IntoIterator<Item = Scheme>) -> u64 {
     let interpret = kernel_shares(kernel).1 * INTERPRET_WEIGHT_PER_EVENT_PERMILLE;
     interpret
@@ -424,15 +430,16 @@ pub fn run_cells_mode<F: FnMut(CellResult)>(
     run_cells_ctl(jobs, workers, cache, mode, None, on_complete)
 }
 
-/// The key of the trace a cell replays: cells with equal keys replay
-/// the same trace, so a batch obtains it once per key.
-fn trace_key(job: &CellJob) -> (&'static str, Scale, Option<AnalysisConfig>) {
-    (job.kernel, job.scale, job.scheme.compiler_config())
+/// The key of the trace group a cell joins: every scheme of a kernel at
+/// one scale replays views of one interpretation, so a batch
+/// interprets each kernel at most once.
+fn group_key(job: &CellJob) -> (&'static str, Scale) {
+    (job.kernel, job.scale)
 }
 
 /// Why a group's trace could not be obtained, shared by its cells.
 enum Unavailable {
-    /// `obtain_trace` returned an error (unknown kernel, unpackable
+    /// `obtain_group` returned an error (unknown kernel, unpackable
     /// trace); every cell reports it verbatim.
     Failed(String),
     /// Build or interpretation panicked with this message.
@@ -449,13 +456,13 @@ impl Unavailable {
     }
 }
 
-/// A group's trace, shared by the replay tasks of its cells.
-type SharedTrace = Arc<Result<CellTrace, Unavailable>>;
+/// A group's traces, shared by the replay tasks of its cells.
+type SharedTrace = Arc<Result<GroupTrace, Unavailable>>;
 
 /// One entry of a worker's deque.
 enum Task {
     /// The not-yet-started cells of one trace group, heaviest first:
-    /// the first cell that passes the pickup gate obtains the trace.
+    /// the first cell that passes the pickup gate obtains the traces.
     Group(VecDeque<CellJob>),
     /// One cell replaying a trace its group already obtained.
     Replay(CellJob, SharedTrace),
@@ -479,14 +486,14 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
 ) -> FleetStats {
     let workers = workers.max(1).min(jobs.len().max(1));
 
-    // Group by trace key (first-seen order), heaviest cell first within
+    // Group by kernel and scale (first-seen order), heaviest cell first within
     // a group; then deal the groups largest-first (stable, so equal-
     // weight groups keep submission order) round-robin, so every worker
     // starts on one of the heaviest remaining groups.
     let mut groups: Vec<Vec<CellJob>> = Vec::new();
     let mut keys = Vec::new();
     for job in jobs {
-        let key = trace_key(job);
+        let key = group_key(job);
         match keys.iter().position(|k| *k == key) {
             Some(g) => groups[g].push(*job),
             None => {
@@ -578,49 +585,55 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
                 // result, so the caller sees every cell exactly once. A
                 // skipped group leader puts the rest of its group back at
                 // the front of this deque; the next cell there leads it.
-                let (outcome, events, setup_seconds, replay_seconds) = if let Some(e) =
-                    pickup_gate(&job, ctl)
-                {
-                    if !rest.is_empty() {
-                        queues[me]
-                            .lock()
-                            .expect("own deque")
-                            .push_front(Task::Group(rest));
-                    }
-                    (Err(e), 0, 0.0, 0.0)
-                } else {
-                    let (shared, setup_seconds) = match shared {
-                        Some(shared) => (shared, 0.0),
-                        None => {
-                            let shared = obtain_shared(&job, cache, mode);
-                            if let Ok(trace) = shared.as_ref() {
-                                let (count, source) = if trace.is_loaded() {
-                                    (traces_loaded, "cache")
-                                } else {
-                                    (traces_interpreted, "interpret")
-                                };
-                                count.fetch_add(1, Ordering::Relaxed);
-                                if let Some(shard) = &shard {
-                                    shard
-                                        .counter("grp_fleet_traces_total", &[("source", source)])
-                                        .inc();
-                                }
-                            }
-                            // The group's other cells replay this
-                            // trace: pushed to the front (in order) so
-                            // this worker runs them next, and idle
-                            // workers steal them from the back.
-                            let mut q = queues[me].lock().expect("own deque");
-                            for c in rest.into_iter().rev() {
-                                q.push_front(Task::Replay(c, shared.clone()));
-                            }
-                            drop(q);
-                            (shared, t0.elapsed().as_secs_f64())
+                let (outcome, events, setup_seconds, replay_seconds) =
+                    if let Some(e) = pickup_gate(&job, ctl) {
+                        if !rest.is_empty() {
+                            queues[me]
+                                .lock()
+                                .expect("own deque")
+                                .push_front(Task::Group(rest));
                         }
+                        (Err(e), 0, 0.0, 0.0)
+                    } else {
+                        let (shared, setup_seconds) = match shared {
+                            Some(shared) => (shared, 0.0),
+                            None => {
+                                let shared = obtain_shared(&job, &rest, cache, mode);
+                                if let Ok(group) = shared.as_ref() {
+                                    let interpreted = u64::from(group.interpreted());
+                                    let loaded = group.loaded();
+                                    traces_interpreted.fetch_add(interpreted, Ordering::Relaxed);
+                                    traces_loaded.fetch_add(loaded, Ordering::Relaxed);
+                                    if let Some(shard) = &shard {
+                                        for (source, n) in
+                                            [("interpret", interpreted), ("cache", loaded)]
+                                        {
+                                            if n > 0 {
+                                                shard
+                                                    .counter(
+                                                        "grp_fleet_traces_total",
+                                                        &[("source", source)],
+                                                    )
+                                                    .add(n);
+                                            }
+                                        }
+                                    }
+                                }
+                                // The group's other cells replay these
+                                // traces: pushed to the front (in order) so
+                                // this worker runs them next, and idle
+                                // workers steal them from the back.
+                                let mut q = queues[me].lock().expect("own deque");
+                                for c in rest.into_iter().rev() {
+                                    q.push_front(Task::Replay(c, shared.clone()));
+                                }
+                                drop(q);
+                                (shared, t0.elapsed().as_secs_f64())
+                            }
+                        };
+                        let (outcome, events, replay_seconds) = replay_shared(&job, &shared);
+                        (outcome, events, setup_seconds, replay_seconds)
                     };
-                    let (outcome, events, replay_seconds) = replay_shared(&job, &shared);
-                    (outcome, events, setup_seconds, replay_seconds)
-                };
                 let busy_secs = t0.elapsed().as_secs_f64();
                 {
                     let mut b = busy[me].lock().expect("busy");
@@ -705,32 +718,47 @@ fn pickup_gate(job: &CellJob, ctl: Option<&BatchCtl>) -> Option<String> {
     }
 }
 
-/// Obtains `job`'s group trace (building via the cache), turning an
-/// error or a panic into an [`Unavailable`] its group's cells share.
-fn obtain_shared(job: &CellJob, cache: &WorkloadCache, mode: &ReplayMode) -> SharedTrace {
+/// Obtains the traces of the group `job` leads, for the compiler
+/// configurations of `job` and the group's other cells `rest`, turning
+/// an error or a panic into an [`Unavailable`] the group's cells share.
+fn obtain_shared(
+    job: &CellJob,
+    rest: &VecDeque<CellJob>,
+    cache: &WorkloadCache,
+    mode: &ReplayMode,
+) -> SharedTrace {
+    let mut schemes: Vec<Scheme> = Vec::new();
+    for s in std::iter::once(job).chain(rest).map(|j| j.scheme) {
+        if !schemes
+            .iter()
+            .any(|k| k.compiler_config() == s.compiler_config())
+        {
+            schemes.push(s);
+        }
+    }
     let body = || {
-        obtain_trace(job.kernel, job.scale, job.scheme, mode, || {
+        obtain_group(job.kernel, job.scale, &schemes, mode, || {
             cache.get_or_build(job.kernel, job.scale)
         })
     };
     Arc::new(match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(Ok(trace)) => Ok(trace),
+        Ok(Ok(group)) => Ok(group),
         Ok(Err(e)) => Err(Unavailable::Failed(e)),
         Err(payload) => Err(Unavailable::Panicked(panic_message(&*payload))),
     })
 }
 
-/// Replays `job` over its group's trace, converting a panic into an
+/// Replays `job` over its group's traces, converting a panic into an
 /// `Err` naming the cell. Returns `(outcome, events, replay_seconds)`.
 fn replay_shared(job: &CellJob, shared: &SharedTrace) -> (Result<RunResult, String>, u64, f64) {
-    let trace = match shared.as_ref() {
-        Ok(trace) => trace,
+    let group = match shared.as_ref() {
+        Ok(group) => group,
         Err(why) => return (Err(why.for_cell(job)), 0, 0.0),
     };
     match catch_unwind(AssertUnwindSafe(|| {
-        trace.replay(job.kernel, job.scheme, &job.cfg)
+        group.replay(job.kernel, job.scheme, &job.cfg)
     })) {
-        Ok((result, secs)) => (Ok(result), trace.events(), secs),
+        Ok((result, events, secs)) => (Ok(result), events, secs),
         Err(payload) => (
             Err(Unavailable::Panicked(panic_message(&*payload)).for_cell(job)),
             0,
@@ -772,43 +800,67 @@ fn record_cell(
         .record(queue_micros);
 }
 
-/// The trace form a [`CellTrace`] holds.
-enum TraceForm {
-    /// Interpreted in this process (a cache miss, or no cache).
-    Interpreted(Trace),
-    /// Loaded from the trace cache, replayed without unpacking.
-    Loaded(PackedTrace),
+/// Where the cells of one compiler configuration replay from.
+enum Source {
+    /// A trace-cache hit, replayed without unpacking, with the memory
+    /// image and heap stored beside it.
+    Loaded(PackedTrace, Memory, HeapRange),
+    /// The hint-free interpretation's own trace.
+    Base,
+    /// This configuration's hints, replayed as a view over the
+    /// interpretation.
+    View(HintMap),
 }
 
-/// One cell's trace, ready to replay under any scheme whose compiler
-/// configuration produced it: the trace (interpreted or loaded), the
-/// post-interpretation memory the pointer and indirect engines read,
-/// and the heap range. Replay only reads it, so one `CellTrace` serves
-/// every cell of a trace group.
-pub(crate) struct CellTrace {
-    form: TraceForm,
+/// A kernel's one interpretation: the hint-free base trace and the
+/// post-interpretation memory the pointer and indirect engines read.
+struct Interpreted {
+    built: Arc<BuiltWorkload>,
+    base: BaseTrace,
     mem: Memory,
-    heap: HeapRange,
 }
 
-impl CellTrace {
-    /// Trace events one replay walks.
-    pub fn events(&self) -> u64 {
-        match &self.form {
-            TraceForm::Interpreted(t) => t.events().len() as u64,
-            TraceForm::Loaded(pt) => pt.event_count(),
-        }
+/// One trace group's traces, ready to replay under any scheme whose
+/// compiler configuration the group covers: a cache hit per
+/// configuration the cache served, and views over one interpretation
+/// for the rest. Replay only reads it, so one `GroupTrace` serves every
+/// cell of a trace group.
+pub(crate) struct GroupTrace {
+    interpreted: Option<Interpreted>,
+    sources: Vec<(Option<AnalysisConfig>, Source)>,
+}
+
+impl GroupTrace {
+    /// True when the kernel was interpreted (some configuration missed
+    /// the cache, or there is none).
+    pub fn interpreted(&self) -> bool {
+        self.interpreted.is_some()
     }
 
-    /// True when the trace came from the trace cache, not interpretation.
-    pub fn is_loaded(&self) -> bool {
-        matches!(self.form, TraceForm::Loaded(_))
+    /// Configurations served by the trace cache.
+    pub fn loaded(&self) -> u64 {
+        self.sources
+            .iter()
+            .filter(|(_, s)| matches!(s, Source::Loaded(..)))
+            .count() as u64
     }
 
-    /// Replays the trace under `scheme` and `cfg` through the one
-    /// [`Replay`] loop, whichever form it holds. Returns the result and
-    /// the replay seconds. `kernel` only labels the profiler span.
-    pub fn replay(&self, kernel: &str, scheme: Scheme, cfg: &SimConfig) -> (RunResult, f64) {
+    /// Replays `scheme` on `cfg` through the one [`Replay`] loop from
+    /// its configuration's source. Returns the result, the events the
+    /// replay walked, and the replay seconds. `kernel` only labels the
+    /// profiler span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group does not cover `scheme`'s configuration.
+    pub fn replay(&self, kernel: &str, scheme: Scheme, cfg: &SimConfig) -> (RunResult, u64, f64) {
+        let cc = scheme.compiler_config();
+        let source = self
+            .sources
+            .iter()
+            .find(|(c, _)| *c == cc)
+            .map(|(_, s)| s)
+            .unwrap_or_else(|| panic!("{kernel}: no trace for {scheme}'s compiler configuration"));
         let prof = crate::telemetry::profiler();
         let slabel = if prof.enabled() {
             scheme.to_string()
@@ -817,95 +869,174 @@ impl CellTrace {
         };
         let t = Instant::now();
         let _s = prof.span_cell("replay", kernel, &slabel);
-        let replay = Replay::new(&self.mem, self.heap, scheme, cfg);
-        let result = match &self.form {
-            TraceForm::Interpreted(trace) => replay.run(trace).0,
-            TraceForm::Loaded(pt) => replay.run(pt).0,
+        let interpreted = || {
+            let it = self
+                .interpreted
+                .as_ref()
+                .expect("base and view sources come with the interpretation");
+            (it, Replay::new(&it.mem, it.built.heap, scheme, cfg))
         };
-        (result, t.elapsed().as_secs_f64())
+        let (result, events) = match source {
+            Source::Loaded(pt, mem, heap) => (
+                Replay::new(mem, *heap, scheme, cfg).run(pt).0,
+                pt.event_count(),
+            ),
+            Source::Base => {
+                let (it, replay) = interpreted();
+                let trace = it.base.trace();
+                (replay.run(trace).0, trace.events().len() as u64)
+            }
+            Source::View(hints) => {
+                let (it, replay) = interpreted();
+                let view = Counted::new(it.built.view(&it.base, hints));
+                (replay.run(&view).0, view.events.get())
+            }
+        };
+        (result, events, t.elapsed().as_secs_f64())
     }
 }
 
-/// Obtains the trace of one `(kernel, scheme)` cell under `mode`,
-/// preferring the trace cache when one is configured. `get_built`
-/// supplies the built workload and is only invoked on a cache miss — a
-/// hit skips the build, interpretation, and hint derivation entirely.
-/// On a miss the interpreted trace is packed only to store it.
-///
-/// The trace depends on `scheme` only through its compiler
-/// configuration, so every scheme sharing that configuration can replay
-/// the result ([`CellTrace::replay`]).
+/// An event source that counts the events one replay walks: a view's
+/// length is known only by walking it.
+struct Counted<S> {
+    src: S,
+    events: Cell<u64>,
+}
+
+impl<S> Counted<S> {
+    fn new(src: S) -> Self {
+        Self {
+            src,
+            events: Cell::new(0),
+        }
+    }
+}
+
+impl<S: EventSource> EventSource for Counted<S> {
+    fn loads(&self) -> u64 {
+        self.src.loads()
+    }
+
+    fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.src
+            .iter_events()
+            .inspect(|_| self.events.set(self.events.get() + 1))
+    }
+}
+
+/// Obtains one kernel's traces for the compiler configurations of
+/// `schemes` (distinct configurations; each scheme labels its
+/// configuration's profiler spans) under `mode`. With a trace cache,
+/// each configuration is loaded first; `get_built` supplies the built
+/// workload and is only invoked when some configuration misses, and the
+/// kernel is then interpreted **once**: the hint-free configuration
+/// replays the base trace, every GRP configuration a [`HintView`] over
+/// it. A missing configuration is packed (from its view) only to store
+/// it.
 ///
 /// # Errors
 ///
-/// Unknown kernel (from `get_built`) or a trace that cannot pack.
-pub(crate) fn obtain_trace(
+/// Unknown kernel (from `get_built`), an indirect directive with no
+/// bound target, or a trace that cannot pack.
+pub(crate) fn obtain_group(
     kernel: &str,
     scale: Scale,
-    scheme: Scheme,
+    schemes: &[Scheme],
     mode: &ReplayMode,
     get_built: impl FnOnce() -> Result<Arc<BuiltWorkload>, String>,
-) -> Result<CellTrace, String> {
-    let cc = scheme.compiler_config();
-    // Phase spans attribute this cell's cost in `perf --profile`
+) -> Result<GroupTrace, String> {
+    // Phase spans attribute this group's cost in `perf --profile`
     // reports; when the global profiler is off (the default) each
     // span is one atomic load and no clock read.
     let prof = crate::telemetry::profiler();
-    let slabel = if prof.enabled() {
-        scheme.to_string()
-    } else {
-        String::new()
+    let label = |scheme: Scheme| {
+        if prof.enabled() {
+            scheme.to_string()
+        } else {
+            String::new()
+        }
     };
     // Cache fast path: packed trace + post-interpretation memory +
     // heap straight from disk. A stale/corrupt entry reads as a miss.
-    if let Some(cache) = &mode.trace_cache {
-        let hit = {
-            let _s = prof.span_cell("cache_load", kernel, &slabel);
-            cache.load(kernel, scale, cc.as_ref())
+    let mut hits: Vec<Option<Source>> = schemes
+        .iter()
+        .map(|&scheme| {
+            let cache = mode.trace_cache.as_ref()?;
+            let _s = prof.span_cell("cache_load", kernel, &label(scheme));
+            let (pt, mem, heap) = cache.load(kernel, scale, scheme.compiler_config().as_ref())?;
+            Some(Source::Loaded(pt, mem, heap))
+        })
+        .collect();
+    let mut interpreted = None;
+    if hits.iter().any(Option::is_none) {
+        let lead = label(schemes[0]);
+        let built = {
+            let _s = prof.span_cell("build", kernel, &lead);
+            get_built()?
         };
-        if let Some((pt, mem, heap)) = hit {
-            return Ok(CellTrace {
-                form: TraceForm::Loaded(pt),
-                mem,
-                heap,
-            });
-        }
-    }
-    let built = {
-        let _s = prof.span_cell("build", kernel, &slabel);
-        get_built()?
-    };
-    let (trace, mem) = {
-        let _s = prof.span_cell("interpret", kernel, &slabel);
-        built.trace(cc.as_ref())
-    };
-    if let Some(cache) = &mode.trace_cache {
-        let pt = {
-            let _s = prof.span_cell("pack", kernel, &slabel);
-            PackedTrace::pack(&trace)
-                .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?
+        let (base, mem) = {
+            let _s = prof.span_cell("interpret", kernel, &lead);
+            built.interpret()
         };
-        // Best-effort: a full disk must degrade to "no cache", not
-        // fail the cell.
-        let _s = prof.span_cell("cache_store", kernel, &slabel);
-        if let Err(e) = cache.store(kernel, scale, cc.as_ref(), &pt, &mem, built.heap) {
-            crate::telemetry::log::log_kv(
-                crate::telemetry::log::Level::Warn,
-                "sched",
-                "trace-cache store failed; continuing uncached",
-                &[("bench", kernel.into()), ("error", e.to_string().into())],
-            );
+        for (&scheme, hit) in schemes.iter().zip(&mut hits) {
+            if hit.is_some() {
+                continue;
+            }
+            let cc = scheme.compiler_config();
+            let source = match &cc {
+                Some(cc) => Source::View(analyze(&built.program, cc)),
+                None => Source::Base,
+            };
+            let view = match &source {
+                Source::View(hints) => Some(
+                    HintView::new(&base, hints, &built.program, &built.bindings)
+                        .map_err(|e| format!("{kernel}/{scheme}: {e}"))?,
+                ),
+                _ => None,
+            };
+            if let Some(cache) = &mode.trace_cache {
+                let pt = {
+                    let _s = prof.span_cell("pack", kernel, &label(scheme));
+                    match &view {
+                        Some(view) => PackedTrace::pack_events(view.events(), view.memory_refs()),
+                        None => PackedTrace::pack(base.trace()),
+                    }
+                    .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?
+                };
+                // Best-effort: a full disk must degrade to "no cache",
+                // not fail the cell.
+                let _s = prof.span_cell("cache_store", kernel, &label(scheme));
+                if let Err(e) = cache.store(kernel, scale, cc.as_ref(), &pt, &mem, built.heap) {
+                    crate::telemetry::log::log_kv(
+                        crate::telemetry::log::Level::Warn,
+                        "sched",
+                        "trace-cache store failed; continuing uncached",
+                        &[("bench", kernel.into()), ("error", e.to_string().into())],
+                    );
+                }
+            }
+            *hit = Some(source);
         }
+        interpreted = Some(Interpreted { built, base, mem });
     }
-    Ok(CellTrace {
-        form: TraceForm::Interpreted(trace),
-        mem,
-        heap: built.heap,
+    let sources = schemes
+        .iter()
+        .zip(hits)
+        .map(|(s, hit)| {
+            (
+                s.compiler_config(),
+                hit.expect("every configuration obtained"),
+            )
+        })
+        .collect();
+    Ok(GroupTrace {
+        interpreted,
+        sources,
     })
 }
 
-/// Runs one `(kernel, scheme)` cell under `mode`: `obtain_trace`, then
-/// `CellTrace::replay` — the same two steps the scheduler runs for a
+/// Runs one `(kernel, scheme)` cell under `mode`: `obtain_group`, then
+/// `GroupTrace::replay` — the same two steps the scheduler runs for a
 /// trace group, here for a group of one.
 ///
 /// Returns `(result, events, setup_seconds, replay_seconds)`.
@@ -922,10 +1053,10 @@ pub fn run_cell(
     get_built: impl FnOnce() -> Result<Arc<BuiltWorkload>, String>,
 ) -> Result<(RunResult, u64, f64, f64), String> {
     let t0 = Instant::now();
-    let trace = obtain_trace(kernel, scale, scheme, mode, get_built)?;
+    let group = obtain_group(kernel, scale, &[scheme], mode, get_built)?;
     let setup_seconds = t0.elapsed().as_secs_f64();
-    let (result, replay_seconds) = trace.replay(kernel, scheme, cfg);
-    Ok((result, trace.events(), setup_seconds, replay_seconds))
+    let (result, events, replay_seconds) = group.replay(kernel, scheme, cfg);
+    Ok((result, events, setup_seconds, replay_seconds))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -975,10 +1106,10 @@ mod tests {
     }
 
     #[test]
-    fn grid_interprets_once_per_trace_key_and_matches_run_cell() {
-        // 2 kernels × 12 schemes: 7 hint-free schemes share one trace
-        // per kernel and each of the 5 GRP configurations has its own,
-        // so the grid holds 2 × 6 = 12 trace keys.
+    fn grid_interprets_once_per_kernel_and_matches_run_cell() {
+        // 2 kernels × 12 schemes: the 7 hint-free schemes replay each
+        // kernel's one interpretation and the 5 GRP configurations
+        // replay views over it, so the grid interprets twice.
         let cfg = SimConfig::paper();
         let jobs = grid_jobs(&["twolf", "mcf"], &Scheme::ALL, Scale::Test, cfg);
         let want = per_cell(&jobs);
@@ -988,7 +1119,7 @@ mod tests {
                 let prev = got.insert(r.id, r.outcome.expect("cell ok"));
                 assert!(prev.is_none(), "cell {} answered twice", r.id);
             });
-            assert_eq!(stats.traces_interpreted, 12, "{workers} worker(s)");
+            assert_eq!(stats.traces_interpreted, 2, "{workers} worker(s)");
             assert_eq!(stats.traces_loaded, 0);
             assert_eq!(stats.cells, jobs.len());
             assert_eq!(got, want, "grouped replay diverged at {workers} worker(s)");
@@ -1191,9 +1322,10 @@ mod tests {
         let cfg = SimConfig::paper();
         let schemes = [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar];
         let jobs = grid_jobs(&["twolf", "crafty"], &schemes, Scale::Test, cfg);
-        // Trace keys: one hint-free trace per kernel (none and SRP share
-        // it) plus one GRP/Var trace per kernel.
-        let keys = 4;
+        // One interpretation per kernel; with a cache, one entry per
+        // trace key: the hint-free trace (none and SRP share it) and the
+        // GRP/Var trace of each kernel.
+        let (kernels, keys) = (2, 4);
         let collect = |mode: &ReplayMode, cache: &WorkloadCache| {
             let mut out: Vec<(u64, RunResult)> = Vec::new();
             let stats = run_cells_mode(&jobs, 2, cache, mode, |r| {
@@ -1204,7 +1336,7 @@ mod tests {
             (out, stats.traces_interpreted, stats.traces_loaded)
         };
         let (baseline, interpreted, _) = collect(&ReplayMode::default(), &WorkloadCache::new());
-        assert_eq!(interpreted, keys, "one interpretation per trace key");
+        assert_eq!(interpreted, kernels, "one interpretation per kernel");
 
         let dir = std::env::temp_dir().join(format!("grp-sched-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1215,7 +1347,7 @@ mod tests {
         };
         assert_eq!(
             collect(&cached, &WorkloadCache::new()),
-            (baseline.clone(), keys, 0),
+            (baseline.clone(), kernels, 0),
             "cache (cold) diverged"
         );
         // Warm cache: every cell must be served from disk — one load per
@@ -1224,7 +1356,7 @@ mod tests {
         let warm_cache = WorkloadCache::new();
         assert_eq!(
             collect(&cached, &warm_cache),
-            (baseline, 0, keys),
+            (baseline.clone(), 0, keys),
             "cache (warm, packed) diverged"
         );
         assert_eq!(
@@ -1232,6 +1364,19 @@ mod tests {
             0,
             "a warm trace cache must skip workload builds entirely"
         );
+        // One missing entry: twolf is interpreted once for its GRP/Var
+        // view, its hint-free cells still replay the hit, and the view
+        // is stored back byte for byte.
+        let grp_var = Scheme::GrpVar.compiler_config();
+        let entry = tc.entry_path("twolf", Scale::Test, grp_var.as_ref());
+        let stored = std::fs::read(&entry).expect("entry stored cold");
+        std::fs::remove_file(&entry).expect("drop one entry");
+        assert_eq!(
+            collect(&cached, &WorkloadCache::new()),
+            (baseline, 1, keys - 1),
+            "cache (one miss) diverged"
+        );
+        assert_eq!(std::fs::read(&entry).expect("entry restored"), stored);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -106,6 +106,11 @@ impl Suite {
         self
     }
 
+    /// The problem size every cell runs at.
+    pub fn scale(&self) -> SuiteScale {
+        self.scale
+    }
+
     /// The platform configuration in use.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -162,6 +167,22 @@ impl Suite {
         r
     }
 
+    /// The memoized result of `name` under `scheme`, if already run.
+    pub fn cached(&self, name: &str, scheme: Scheme) -> Option<&RunResult> {
+        let name = grp_workloads::by_name(name)?.name;
+        self.results.get(&(name, scheme))
+    }
+
+    /// A scheduler [`WorkloadCache`] seeded with this suite's built
+    /// workloads, so cells run through it never rebuild them.
+    pub fn workload_cache(&self) -> WorkloadCache {
+        let cache = WorkloadCache::new();
+        for (name, built) in &self.built {
+            cache.insert(name, self.scale.workload_scale(), built.clone());
+        }
+        cache
+    }
+
     /// Warms the memo table through the work-stealing cell scheduler
     /// ([`crate::sched`]): the schemes of a kernel that replay the same
     /// trace share one interpretation, and their replays spread across
@@ -185,10 +206,7 @@ impl Suite {
         jobs: Option<usize>,
     ) -> Result<(), String> {
         let scale = self.scale.workload_scale();
-        let cache = WorkloadCache::new();
-        for (name, built) in &self.built {
-            cache.insert(name, scale, built.clone());
-        }
+        let cache = self.workload_cache();
         let cells: Vec<CellJob> = sched::grid_jobs(names, schemes, scale, self.cfg);
         let workers = jobs.unwrap_or_else(|| {
             std::thread::available_parallelism()

@@ -146,6 +146,26 @@ impl Drop for LockFile {
     }
 }
 
+/// The host an entry is measured on: CPU count, CPU model (from
+/// `/proc/cpuinfo`, `unknown` where there is none) and the compiler that
+/// built the harness. Timings from different hosts do not compare.
+pub fn host_json() -> Json {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter_map(|l| l.split_once(':'))
+                .find(|(k, _)| k.trim() == "model name")
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    Json::object()
+        .set("nproc", nproc)
+        .set("cpu_model", cpu_model)
+        .set("rustc", env!("GRP_RUSTC_VERSION"))
+}
+
 /// Builds the fleet-scheduler entry shape: the common trajectory fields
 /// (so every existing reader still parses it) plus `kind: "fleet"`,
 /// worker accounting, and queue-wait percentiles. `kernels` rows carry
@@ -209,13 +229,26 @@ pub fn fleet_entry(
         .set("kernels", Json::Array(kernels))
 }
 
+/// What [`check_trajectory`] found in a well-formed trajectory.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Checked {
+    /// Entries validated.
+    pub entries: usize,
+    /// Comparisons the file invites but its hosts do not support: an
+    /// entry whose `host` block differs from the previous entry of the
+    /// same kind and scale, and a count of entries without a `host`
+    /// block (recorded on a host nobody wrote down).
+    pub warnings: Vec<String>,
+}
+
 /// Validates a trajectory file's structure (both entry kinds),
-/// returning the entry count.
+/// returning the entry count and host warnings. Each entry is compared
+/// with the previous entry of the same kind and scale.
 ///
 /// # Errors
 ///
 /// Describes the first malformed field, naming the entry index.
-pub fn check_trajectory(path: &str) -> Result<usize, String> {
+pub fn check_trajectory(path: &str) -> Result<Checked, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("malformed: {e}"))?;
     let entries = doc
@@ -258,8 +291,51 @@ pub fn check_trajectory(path: &str) -> Result<usize, String> {
         if e.get("kind").and_then(|v| v.as_str()) == Some("fleet") {
             check_fleet_entry(i, e, kernels.len())?;
         }
+        if let Some(host) = e.get("host") {
+            for key in ["cpu_model", "rustc"] {
+                host.get(key)
+                    .and_then(|v| v.as_str())
+                    .ok_or(format!("entry {i}: host block missing string '{key}'"))?;
+            }
+            host.get("nproc")
+                .and_then(|v| v.as_u64())
+                .ok_or(format!("entry {i}: host block missing 'nproc'"))?;
+        }
     }
-    Ok(entries.len())
+    Ok(Checked {
+        entries: entries.len(),
+        warnings: host_warnings(entries),
+    })
+}
+
+/// Host warnings over validated `entries` (see [`Checked::warnings`]).
+fn host_warnings(entries: &[Json]) -> Vec<String> {
+    let shape = |e: &Json| {
+        let s = |k: &str| e.get(k).and_then(|v| v.as_str()).unwrap_or("").to_string();
+        (s("kind"), s("scale"))
+    };
+    let host = |e: &Json| e.get("host").map(Json::render);
+    let mut warnings = Vec::new();
+    for (i, e) in entries.iter().enumerate() {
+        let prev = entries[..i].iter().rposition(|p| shape(p) == shape(e));
+        if let (Some(j), Some(h)) = (prev, host(e)) {
+            match host(&entries[j]) {
+                Some(hp) if hp != h => warnings.push(format!(
+                    "entries {j} and {i} ran on different hosts ({hp} vs {h}); \
+                     their timings do not compare"
+                )),
+                _ => {}
+            }
+        }
+    }
+    let unrecorded = entries.iter().filter(|e| e.get("host").is_none()).count();
+    if unrecorded > 0 {
+        warnings.push(format!(
+            "{unrecorded} of {} entries carry no host block (unrecorded host)",
+            entries.len()
+        ));
+    }
+    warnings
 }
 
 /// The fleet-specific fields of one `kind: "fleet"` entry.
@@ -415,7 +491,7 @@ mod tests {
         let entries = load_entries(p).expect("load");
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[1].get("label").and_then(|l| l.as_str()), Some("b"));
-        assert_eq!(check_trajectory(p), Ok(2));
+        assert_eq!(check_trajectory(p).map(|c| c.entries), Ok(2));
         assert!(!path.with_extension("json.lock").exists(), "lock released");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -556,7 +632,7 @@ mod tests {
             vec![fleet_cell(0), fleet_cell(1)],
         );
         append_entry(p, e).expect("append fleet entry");
-        assert_eq!(check_trajectory(p), Ok(1));
+        assert_eq!(check_trajectory(p).map(|c| c.entries), Ok(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -598,6 +674,51 @@ mod tests {
     }
 
     #[test]
+    fn entries_from_different_hosts_are_flagged() {
+        let dir = scratch("hosts");
+        let path = dir.join("t.json");
+        let p = path.to_str().unwrap();
+        let host = |cpu: &str| {
+            Json::object()
+                .set("nproc", 2u64)
+                .set("cpu_model", cpu)
+                .set("rustc", "rustc 1.0.0")
+        };
+        append_entry(p, entry("old")).expect("append");
+        append_entry(p, entry("a").set("host", host("cpu-a"))).expect("append");
+        append_entry(p, entry("b").set("host", host("cpu-a"))).expect("append");
+        let checked = check_trajectory(p).expect("valid");
+        assert_eq!(
+            checked.warnings,
+            vec!["1 of 3 entries carry no host block (unrecorded host)".to_string()]
+        );
+        append_entry(p, entry("c").set("host", host("cpu-b"))).expect("append");
+        let warnings = check_trajectory(p).expect("valid").warnings;
+        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert!(
+            warnings[0].starts_with("entries 2 and 3 ran on different hosts"),
+            "{warnings:?}"
+        );
+        // A host block must be whole.
+        append_entry(p, entry("d").set("host", Json::object().set("nproc", 2u64))).expect("append");
+        let err = check_trajectory(p).unwrap_err();
+        assert!(
+            err.contains("host block missing string 'cpu_model'"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn host_block_names_this_host() {
+        let h = host_json();
+        assert!(h.get("nproc").and_then(|v| v.as_u64()).is_some());
+        assert!(h.get("cpu_model").and_then(|v| v.as_str()).is_some());
+        let rustc = h.get("rustc").and_then(|v| v.as_str()).unwrap_or("");
+        assert!(!rustc.is_empty());
+    }
+
+    #[test]
     fn committed_trajectory_still_validates() {
         // The committed history includes entries written by older
         // harness versions (e.g. the `packed-tier` entry's
@@ -609,7 +730,9 @@ mod tests {
             text.contains("\"replay_tier\""),
             "history keeps its packed-tier entry"
         );
-        let n = check_trajectory(path).expect("committed trajectory validates");
+        let n = check_trajectory(path)
+            .expect("committed trajectory validates")
+            .entries;
         assert!(n >= 4, "{n} entries");
     }
 }

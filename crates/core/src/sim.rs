@@ -1,6 +1,7 @@
 //! The trace-replay simulator: core window + memory system.
 
 use grp_cpu::{PackedTrace, Trace, TraceEvent, Window};
+use grp_ir::HintView;
 use grp_mem::{HeapRange, Memory, TrafficStats};
 
 use crate::config::{Scheme, SimConfig};
@@ -48,9 +49,10 @@ fn region_cfg(cfg: &SimConfig, varsize: bool) -> RegionConfig {
 
 /// A replayable event stream: yields a trace's events in trace order.
 ///
-/// The materialized [`Trace`] and the packed [`PackedTrace`] both
+/// The materialized [`Trace`], the packed [`PackedTrace`] and a
+/// compiler configuration's [`HintView`] over a hint-free trace all
 /// implement it, so the replay loop ([`Replay::run`]) is written once
-/// and the two representations cannot drift apart.
+/// and the representations cannot drift apart.
 pub trait EventSource {
     /// Dynamic load count (sizes the dependency-completion table).
     fn loads(&self) -> u64;
@@ -71,6 +73,16 @@ impl EventSource for Trace {
 impl EventSource for PackedTrace {
     fn loads(&self) -> u64 {
         PackedTrace::loads(self)
+    }
+
+    fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.events()
+    }
+}
+
+impl EventSource for HintView<'_> {
+    fn loads(&self) -> u64 {
+        HintView::loads(self)
     }
 
     fn iter_events(&self) -> impl Iterator<Item = TraceEvent> + '_ {

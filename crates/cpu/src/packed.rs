@@ -89,10 +89,9 @@ pub enum PackError {
     /// The trace's instruction counter disagrees with the sum over its
     /// events — an unfinished trace (pending compute tail not flushed).
     UnfinishedTrace,
-    /// More memops than the `u32` op index can address.
+    /// More memops than the `u32` op index (and so the `u32` dependency
+    /// index) can address.
     TooManyOps,
-    /// More loads than the `u32` dependency index can address.
-    TooManyLoads,
     /// A load names a dependency that is not an earlier load.
     BadDep,
 }
@@ -107,7 +106,6 @@ impl fmt::Display for PackError {
                 )
             }
             PackError::TooManyOps => write!(f, "more than u32::MAX memory operations"),
-            PackError::TooManyLoads => write!(f, "more than u32::MAX loads"),
             PackError::BadDep => write!(f, "load depends on a non-earlier load"),
         }
     }
@@ -189,18 +187,26 @@ impl PackedTrace {
     /// when that event is a compute batch, so the reconstructed dispatch
     /// sequence is identical to walking [`Trace::events`].
     pub fn pack(trace: &Trace) -> Result<PackedTrace, PackError> {
-        let events = trace.events();
-        let summed: u64 = events.iter().map(|e| e.instruction_count()).sum();
+        let summed: u64 = trace.events().iter().map(|e| e.instruction_count()).sum();
         if summed != trace.instructions() {
             return Err(PackError::UnfinishedTrace);
         }
-        let n_ops = events.iter().filter(|e| e.is_memory()).count();
-        if n_ops >= u32::MAX as usize {
+        Self::pack_events(trace.events().iter().copied(), trace.memory_refs())
+    }
+
+    /// Packs an event stream given in trace order (a materialized
+    /// trace's events, or a hint view over a base trace) without
+    /// materializing it first; the counters are taken from the stream.
+    /// `memops`, the stream's load plus store count, sizes the hot
+    /// arrays. Same ordering contract as [`PackedTrace::pack`].
+    pub fn pack_events(
+        events: impl IntoIterator<Item = TraceEvent>,
+        memops: u64,
+    ) -> Result<PackedTrace, PackError> {
+        if memops >= u32::MAX as u64 {
             return Err(PackError::TooManyOps);
         }
-        if trace.loads() >= u32::MAX as u64 {
-            return Err(PackError::TooManyLoads);
-        }
+        let n_ops = memops as usize;
         let mut pt = PackedTrace {
             addrs: Vec::with_capacity(n_ops),
             ref_ids: Vec::with_capacity(n_ops),
@@ -209,16 +215,13 @@ impl PackedTrace {
             deps: Vec::with_capacity(n_ops),
             pre_compute: Vec::with_capacity(n_ops),
             sizes: Vec::with_capacity(n_ops),
-            pseudos: Vec::new(),
-            loads: trace.loads(),
-            stores: trace.stores(),
-            instructions: trace.instructions(),
+            ..PackedTrace::default()
         };
         // Events since the last memop that have not been emitted yet.
         let mut gap: Vec<PseudoKind> = Vec::new();
-        let mut load_seq = 0u32;
         for ev in events {
-            match *ev {
+            pt.instructions += ev.instruction_count();
+            match ev {
                 TraceEvent::Compute(n) => gap.push(PseudoKind::Compute(n)),
                 TraceEvent::SetLoopBound(b) => gap.push(PseudoKind::SetLoopBound(b)),
                 TraceEvent::IndirectPrefetch {
@@ -239,11 +242,11 @@ impl PackedTrace {
                     hints,
                     dep,
                 } => {
-                    let i = pt.addrs.len() as u32;
+                    let i = pt.next_op()?;
                     pt.flush_gap(&mut gap, i, true);
                     let (dep, flag) = match dep {
                         Some(seq) => {
-                            if seq >= load_seq as u64 {
+                            if seq >= pt.loads {
                                 return Err(PackError::BadDep);
                             }
                             (seq as u32, FLAG_DEP)
@@ -256,7 +259,7 @@ impl PackedTrace {
                     pt.flags.push(flag);
                     pt.deps.push(dep);
                     pt.sizes.push(size);
-                    load_seq += 1;
+                    pt.loads += 1;
                 }
                 TraceEvent::Store {
                     addr,
@@ -264,7 +267,7 @@ impl PackedTrace {
                     ref_id,
                     hints,
                 } => {
-                    let i = pt.addrs.len() as u32;
+                    let i = pt.next_op()?;
                     pt.flush_gap(&mut gap, i, true);
                     pt.addrs.push(addr.0);
                     pt.ref_ids.push(ref_id.0);
@@ -272,12 +275,23 @@ impl PackedTrace {
                     pt.flags.push(FLAG_STORE);
                     pt.deps.push(NO_DEP);
                     pt.sizes.push(size);
+                    pt.stores += 1;
                 }
             }
         }
         let tail = pt.addrs.len() as u32;
         pt.flush_gap(&mut gap, tail, false);
         Ok(pt)
+    }
+
+    /// The index the next memop takes; the op index (and with it the
+    /// load sequence a dependency names) must stay below `u32::MAX`.
+    fn next_op(&self) -> Result<u32, PackError> {
+        let i = self.addrs.len();
+        if i + 1 >= u32::MAX as usize {
+            return Err(PackError::TooManyOps);
+        }
+        Ok(i as u32)
     }
 
     /// Emits the accumulated gap before memop `at`: the last event folds

@@ -248,6 +248,44 @@ impl Trace {
     }
 }
 
+/// Collects an event stream into a finished trace through the matching
+/// `push_*` methods, so compute batches coalesce and loads get their
+/// sequence numbers as if the producer had pushed them directly.
+impl FromIterator<TraceEvent> for Trace {
+    fn from_iter<I: IntoIterator<Item = TraceEvent>>(events: I) -> Self {
+        let mut t = Trace::new();
+        for ev in events {
+            match ev {
+                TraceEvent::Compute(n) => t.push_compute(n),
+                TraceEvent::Load {
+                    addr,
+                    size,
+                    ref_id,
+                    hints,
+                    dep,
+                } => {
+                    t.push_load(addr, size, ref_id, hints, dep);
+                }
+                TraceEvent::Store {
+                    addr,
+                    size,
+                    ref_id,
+                    hints,
+                } => t.push_store(addr, size, ref_id, hints),
+                TraceEvent::SetLoopBound(b) => t.push_set_loop_bound(b),
+                TraceEvent::IndirectPrefetch {
+                    base,
+                    elem_size,
+                    index_addr,
+                    ref_id,
+                } => t.push_indirect_prefetch(base, elem_size, index_addr, ref_id),
+            }
+        }
+        t.finish();
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,6 +378,32 @@ mod tests {
         assert_eq!(
             t.events(),
             &[TraceEvent::Compute(u32::MAX), TraceEvent::Compute(1)]
+        );
+    }
+
+    #[test]
+    fn collecting_events_rebuilds_the_trace() {
+        let mut t = Trace::new();
+        t.push_compute(u32::MAX);
+        t.push_compute(5);
+        let a = t.push_load(Addr(0), 8, RefId(0), HintSet::none(), None);
+        t.push_set_loop_bound(9);
+        t.push_load(
+            Addr(64),
+            8,
+            RefId(1),
+            HintSet::none().with_spatial(),
+            Some(a),
+        );
+        t.push_store(Addr(8), 4, RefId(2), HintSet::none());
+        t.push_indirect_prefetch(Addr(64), 4, Addr(128), RefId(3));
+        t.push_compute(3);
+        t.finish();
+        let back: Trace = t.events().iter().copied().collect();
+        assert_eq!(back.events(), t.events());
+        assert_eq!(
+            (back.loads(), back.stores(), back.instructions()),
+            (t.loads(), t.stores(), t.instructions())
         );
     }
 

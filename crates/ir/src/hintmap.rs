@@ -1,5 +1,5 @@
-//! Per-site hint tables produced by the compiler and consumed by the
-//! interpreter.
+//! Per-site hint tables produced by the compiler and applied to a
+//! hint-free trace by [`crate::view::HintView`].
 //!
 //! A [`HintMap`] is the reproduction's analogue of the hint-annotated
 //! binary: for every static reference site it records the [`HintSet`]
@@ -128,6 +128,15 @@ impl HintMap {
             .map(|(i, h)| (RefId(i as u32), *h))
     }
 
+    /// Iterates over `(site, directive)` pairs of the sites with an
+    /// indirect directive.
+    pub fn iter_indirect(&self) -> impl Iterator<Item = (RefId, IndirectSpec)> + '_ {
+        self.indirect
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.map(|s| (RefId(i as u32), s)))
+    }
+
     /// Number of sites with an indirect directive.
     pub fn indirect_count(&self) -> usize {
         self.indirect.iter().filter(|s| s.is_some()).count()
@@ -187,6 +196,16 @@ mod tests {
             })
         );
         assert_eq!(m.indirect_count(), 1);
+        assert_eq!(
+            m.iter_indirect().collect::<Vec<_>>(),
+            vec![(
+                RefId(5),
+                IndirectSpec {
+                    target: ArrayId(2),
+                    elem_size: 4
+                }
+            )]
+        );
     }
 
     #[test]

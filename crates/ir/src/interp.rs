@@ -1,9 +1,12 @@
-//! The IR interpreter: functional execution producing a hinted trace.
+//! The IR interpreter: functional execution producing a hint-free trace.
 //!
 //! [`Interpreter::run`] executes a [`Program`] against a
-//! [`grp_mem::Memory`], recording every load and store (with the
-//! compiler's per-site hints attached) into a [`grp_cpu::Trace`]. Two
-//! properties matter for fidelity to the paper:
+//! [`grp_mem::Memory`], recording every load and store into a
+//! [`grp_cpu::Trace`] and every `For`-loop entry into the side table of
+//! a [`BaseTrace`]. Hints never change what a kernel executes, so a
+//! kernel is interpreted once; each compiler configuration's hints are
+//! applied afterwards by a [`crate::view::HintView`]. Two properties
+//! matter for fidelity to the paper:
 //!
 //! * **Real data flow.** Loads read actual memory contents, so linked
 //!   structures traverse the pointers workload setup code planted, and
@@ -18,12 +21,12 @@
 use std::error::Error;
 use std::fmt;
 
-use grp_cpu::{RefId, Trace};
+use grp_cpu::{HintSet, RefId, Trace};
 use grp_mem::{Addr, Memory};
 
-use crate::hintmap::HintMap;
 use crate::program::{BinOp, Bindings, CmpOp, Expr, MemRef, Program, Stmt, UnOp};
 use crate::types::ElemTy;
+use crate::view::{BaseTrace, LoopEntry};
 
 /// Interpretation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,22 +110,20 @@ struct RefInfo {
 /// Executes a program, producing the dynamic trace.
 pub struct Interpreter<'a> {
     prog: &'a Program,
-    hints: &'a HintMap,
     vars: Vec<Val>,
     bases: Vec<Option<Addr>>,
     dims: Vec<Vec<u64>>,
     trace: Trace,
+    loops: Vec<LoopEntry>,
     ops: u32,
     steps: u64,
     max_events: u64,
     max_steps: u64,
-    last_indirect_block: Vec<Option<u64>>,
 }
 
 impl<'a> Interpreter<'a> {
-    /// Prepares an interpreter for `prog` with runtime `bind`ings and the
-    /// compiler's `hints`.
-    pub fn new(prog: &'a Program, bind: &'a Bindings, hints: &'a HintMap) -> Self {
+    /// Prepares an interpreter for `prog` with runtime `bind`ings.
+    pub fn new(prog: &'a Program, bind: &'a Bindings) -> Self {
         let mut vars = vec![Val::int_untagged(0); prog.num_vars()];
         for (v, init) in bind.var_inits() {
             vars[v.0 as usize] = Val::int_untagged(*init);
@@ -153,20 +154,20 @@ impl<'a> Interpreter<'a> {
             .collect();
         Self {
             prog,
-            hints,
             vars,
             bases,
             dims,
             trace: Trace::new(),
+            loops: Vec::new(),
             ops: 0,
             steps: 0,
             max_events: 100_000_000,
             max_steps: 1_000_000_000,
-            last_indirect_block: vec![None; prog.num_refs as usize],
         }
     }
 
-    /// Overrides the trace-event limit (runaway guard).
+    /// Overrides the trace-event limit (runaway guard). The limit counts
+    /// the hint-free trace's events.
     pub fn with_max_events(mut self, n: u64) -> Self {
         self.max_events = n;
         self
@@ -184,7 +185,7 @@ impl<'a> Interpreter<'a> {
     ///
     /// Returns [`InterpError`] when an array is unbound or an execution
     /// limit is exceeded.
-    pub fn run(mut self, mem: &mut Memory) -> Result<Trace, InterpError> {
+    pub fn run(mut self, mem: &mut Memory) -> Result<BaseTrace, InterpError> {
         // Split borrow: body belongs to prog, which we also need in &self.
         let body = &self.prog.body;
         for s in body {
@@ -192,7 +193,7 @@ impl<'a> Interpreter<'a> {
         }
         self.flush_ops();
         self.trace.finish();
-        Ok(self.trace)
+        Ok(BaseTrace::new(self.trace, self.loops))
     }
 
     fn flush_ops(&mut self) {
@@ -231,7 +232,7 @@ impl<'a> Interpreter<'a> {
                     info.addr,
                     info.elem.size() as u8,
                     info.ref_id,
-                    self.hints.hint(info.ref_id),
+                    HintSet::none(),
                 );
                 self.write_elem(mem, info.addr, info.elem, val);
             }
@@ -245,20 +246,23 @@ impl<'a> Interpreter<'a> {
             } => {
                 let lo_v = self.eval(lo, mem)?.as_i64();
                 let hi_v = self.eval(hi, mem)?.as_i64();
-                if self.hints.emits_bound(*id) {
-                    let trip = if *step > 0 {
-                        (hi_v - lo_v).max(0) as u64 / *step as u64
-                            + u64::from(!((hi_v - lo_v).max(0) as u64).is_multiple_of(*step as u64))
-                    } else {
-                        (lo_v - hi_v).max(0) as u64 / step.unsigned_abs()
-                            + u64::from(
-                                !((lo_v - hi_v).max(0) as u64).is_multiple_of(step.unsigned_abs()),
-                            )
-                    };
-                    self.flush_ops();
-                    self.trace
-                        .push_set_loop_bound(trip.min(u32::MAX as u64) as u32);
-                }
+                let trip = if *step > 0 {
+                    (hi_v - lo_v).max(0) as u64 / *step as u64
+                        + u64::from(!((hi_v - lo_v).max(0) as u64).is_multiple_of(*step as u64))
+                } else {
+                    (lo_v - hi_v).max(0) as u64 / step.unsigned_abs()
+                        + u64::from(
+                            !((lo_v - hi_v).max(0) as u64).is_multiple_of(step.unsigned_abs()),
+                        )
+                };
+                // The pending batch (`ops`) goes into the trace at the
+                // next memory event, as event number `events().len()`.
+                self.loops.push(LoopEntry {
+                    at: self.trace.events().len() as u64,
+                    ops: self.ops,
+                    loop_id: *id,
+                    trip: trip.min(u32::MAX as u64) as u32,
+                });
                 let mut i = lo_v;
                 loop {
                     let cont = if *step > 0 { i < hi_v } else { i > hi_v };
@@ -321,13 +325,12 @@ impl<'a> Interpreter<'a> {
             }
             Expr::Load(r) => {
                 let info = self.eval_ref(r, mem)?;
-                self.maybe_emit_indirect(&info)?;
                 self.flush_ops();
                 let seq = self.trace.push_load(
                     info.addr,
                     info.elem.size() as u8,
                     info.ref_id,
-                    self.hints.hint(info.ref_id),
+                    HintSet::none(),
                     info.dep,
                 );
                 let mut v = self.read_elem(mem, info.addr, info.elem);
@@ -523,23 +526,6 @@ impl<'a> Interpreter<'a> {
         })
     }
 
-    fn maybe_emit_indirect(&mut self, info: &RefInfo) -> Result<(), InterpError> {
-        let Some(spec) = self.hints.indirect(info.ref_id) else {
-            return Ok(());
-        };
-        let blk = info.addr.block().0;
-        let slot = &mut self.last_indirect_block[info.ref_id.0 as usize];
-        if *slot == Some(blk) {
-            return Ok(());
-        }
-        *slot = Some(blk);
-        let target_base = self.base_of(spec.target)?;
-        self.flush_ops();
-        self.trace
-            .push_indirect_prefetch(target_base, spec.elem_size, info.addr, info.ref_id);
-        Ok(())
-    }
-
     fn read_elem(&self, mem: &Memory, addr: Addr, elem: ElemTy) -> Val {
         let n = match elem {
             ElemTy::I8 => Num::I(mem.read_u8(addr) as i8 as i64),
@@ -599,13 +585,17 @@ fn int_bin(op: BinOp, x: i64, y: i64) -> i64 {
 mod tests {
     use super::*;
     use crate::build::*;
+    use crate::hintmap::HintMap;
     use crate::types::field;
+    use crate::view::HintView;
     use crate::ProgramBuilder;
     use grp_cpu::TraceEvent;
     use grp_mem::HeapAllocator;
 
+    /// Interprets hint-free, then applies `hints` through their view.
     fn run_with(prog: &Program, bind: &Bindings, hints: &HintMap, mem: &mut Memory) -> Trace {
-        Interpreter::new(prog, bind, hints).run(mem).unwrap()
+        let base = Interpreter::new(prog, bind).run(mem).unwrap();
+        HintView::new(&base, hints, prog, bind).unwrap().to_trace()
     }
 
     #[test]
@@ -932,7 +922,7 @@ mod tests {
         let mut mem = Memory::new();
         let mut bind = prog.bindings();
         bind.bind_array(a, Addr(0x1000));
-        let err = Interpreter::new(&prog, &bind, &HintMap::empty())
+        let err = Interpreter::new(&prog, &bind)
             .with_max_events(1000)
             .run(&mut mem)
             .unwrap_err();
@@ -947,9 +937,7 @@ mod tests {
         let prog = pb.finish(vec![assign(s, load(arr(a, vec![c(0)])))]);
         let mut mem = Memory::new();
         let bind = prog.bindings();
-        let err = Interpreter::new(&prog, &bind, &HintMap::empty())
-            .run(&mut mem)
-            .unwrap_err();
+        let err = Interpreter::new(&prog, &bind).run(&mut mem).unwrap_err();
         assert_eq!(err, InterpError::UnboundArray("a".into()));
     }
 

@@ -13,9 +13,12 @@
 //! * indirect array references (`c(b(i), j)`, §4.3).
 //!
 //! Programs are *executable*: [`interp::Interpreter`] runs a program
-//! against a [`grp_mem::Memory`] and records a [`grp_cpu::Trace`] of
-//! loads/stores (with compiler hints attached per static reference) that
-//! the timing simulator replays. The compiler analyses in `grp-compiler`
+//! once against a [`grp_mem::Memory`] and records a hint-free
+//! [`grp_cpu::Trace`] of loads/stores plus its `For`-loop entries
+//! ([`view::BaseTrace`]). A [`view::HintView`] applies one compiler
+//! configuration's [`HintMap`] to it (per-reference hints, loop-bound and
+//! indirect-prefetch pseudo-instructions), yielding the event stream the
+//! timing simulator replays. The compiler analyses in `grp-compiler`
 //! operate on the same [`Program`] structure, so hints are *derived*, not
 //! hand-written.
 //!
@@ -23,7 +26,7 @@
 //!
 //! ```
 //! use grp_ir::build::*;
-//! use grp_ir::{ElemTy, ProgramBuilder, HintMap};
+//! use grp_ir::{ElemTy, ProgramBuilder, HintMap, HintView};
 //! use grp_ir::interp::Interpreter;
 //! use grp_mem::{Memory, HeapAllocator, Addr};
 //!
@@ -45,10 +48,14 @@
 //! let base = heap.alloc_array(64, 8);
 //! let mut bind = prog.bindings();
 //! bind.bind_array(a, base);
-//! let trace = Interpreter::new(&prog, &bind, &HintMap::empty())
-//!     .run(&mut mem)
-//!     .unwrap();
-//! assert_eq!(trace.loads(), 64);
+//! let base = Interpreter::new(&prog, &bind).run(&mut mem).unwrap();
+//! assert_eq!(base.trace().loads(), 64);
+//!
+//! // Hints are a view over the one hint-free trace.
+//! let mut hints = HintMap::sized(prog.num_refs, prog.num_loops);
+//! hints.mark_loop_bound(grp_ir::LoopId(0));
+//! let hinted = HintView::new(&base, &hints, &prog, &bind).unwrap().to_trace();
+//! assert_eq!(hinted.instructions(), base.trace().instructions() + 1);
 //! ```
 
 #![deny(missing_docs)]
@@ -58,6 +65,7 @@ pub mod hintmap;
 pub mod interp;
 pub mod program;
 pub mod types;
+pub mod view;
 
 pub use build::ProgramBuilder;
 pub use hintmap::{HintMap, IndirectSpec};
@@ -66,3 +74,4 @@ pub use program::{
     VarId,
 };
 pub use types::{ElemTy, Field, FieldId, StructDecl, StructId};
+pub use view::{BaseTrace, HintView, LoopEntry};

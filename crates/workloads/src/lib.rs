@@ -31,10 +31,10 @@
 pub mod kernels;
 
 use grp_compiler::{analyze, AnalysisConfig};
-use grp_core::{run_trace, Observer, Replay, RunResult, Scheme, SimConfig};
+use grp_core::{NullObserver, Observer, Replay, RunResult, Scheme, SimConfig};
 use grp_cpu::Trace;
 use grp_ir::interp::Interpreter;
-use grp_ir::{Bindings, HintMap, Program};
+use grp_ir::{BaseTrace, Bindings, HintMap, HintView, Program};
 use grp_mem::{HeapRange, Memory};
 
 /// Benchmark suite classification (Figures 10 vs 11 split by this).
@@ -89,55 +89,86 @@ pub struct BuiltWorkload {
 }
 
 impl BuiltWorkload {
-    /// Derives hints under `cc` (or none) and interprets the kernel,
-    /// returning the hinted trace and the post-run memory the timing
-    /// model's pointer scans read.
+    /// Interprets the kernel once, hint-free: the base trace every
+    /// compiler configuration's [`HintView`] reads, and the post-run
+    /// memory the timing model's pointer scans read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel fails to interpret (a workload bug).
+    pub fn interpret(&self) -> (BaseTrace, Memory) {
+        let mut mem = self.memory.clone();
+        let base = Interpreter::new(&self.program, &self.bindings)
+            .run(&mut mem)
+            .unwrap_or_else(|e| panic!("workload {} failed: {e}", self.program.name));
+        (base, mem)
+    }
+
+    /// The view of `hints` over `base`, one of this kernel's
+    /// interpretations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an indirect directive targets an unbound array (a
+    /// workload bug).
+    pub fn view<'a>(&self, base: &'a BaseTrace, hints: &'a HintMap) -> HintView<'a> {
+        HintView::new(base, hints, &self.program, &self.bindings)
+            .unwrap_or_else(|e| panic!("workload {} failed: {e}", self.program.name))
+    }
+
+    /// Derives hints under `cc` (or none) and returns the kernel's trace
+    /// under them, with the post-run memory the timing model's pointer
+    /// scans read.
     ///
     /// # Panics
     ///
     /// Panics if the kernel fails to interpret (a workload bug).
     pub fn trace(&self, cc: Option<&AnalysisConfig>) -> (Trace, Memory) {
-        let hints = match cc {
-            Some(cfg) => analyze(&self.program, cfg),
-            None => HintMap::empty(),
-        };
-        self.trace_with_hints(&hints)
+        match cc {
+            Some(cfg) => self.trace_with_hints(&analyze(&self.program, cfg)),
+            None => {
+                let (base, mem) = self.interpret();
+                (base.into_trace(), mem)
+            }
+        }
     }
 
-    /// Like [`BuiltWorkload::trace`] with a caller-supplied hint map.
+    /// Like [`BuiltWorkload::trace`] with a caller-supplied hint map: the
+    /// view of `hints` over one interpretation, collected.
     ///
     /// # Panics
     ///
     /// Panics if the kernel fails to interpret (a workload bug).
     pub fn trace_with_hints(&self, hints: &HintMap) -> (Trace, Memory) {
-        let mut mem = self.memory.clone();
-        let trace = Interpreter::new(&self.program, &self.bindings, hints)
-            .run(&mut mem)
-            .unwrap_or_else(|e| panic!("workload {} failed: {e}", self.program.name));
+        let (base, mem) = self.interpret();
+        let trace = self.view(&base, hints).to_trace();
         (trace, mem)
     }
 
     /// Compiles (per the scheme's compiler configuration), interprets,
     /// and runs the timing simulation.
     pub fn run(&self, scheme: Scheme, cfg: &SimConfig) -> RunResult {
-        let cc = scheme.compiler_config();
-        let (trace, mem) = self.trace(cc.as_ref());
-        run_trace(&trace, &mem, self.heap, scheme, cfg)
+        self.run_observed(scheme, cfg, NullObserver).0
     }
 
     /// Like [`BuiltWorkload::run`], threading an observer through the
-    /// timing simulation and returning it alongside the result.
+    /// timing simulation and returning it alongside the result. The
+    /// scheme's hints are replayed as a view, never collected.
     pub fn run_observed<O: Observer>(
         &self,
         scheme: Scheme,
         cfg: &SimConfig,
         obs: O,
     ) -> (RunResult, O) {
-        let cc = scheme.compiler_config();
-        let (trace, mem) = self.trace(cc.as_ref());
-        Replay::new(&mem, self.heap, scheme, cfg)
-            .observer(obs)
-            .run(&trace)
+        let (base, mem) = self.interpret();
+        let replay = Replay::new(&mem, self.heap, scheme, cfg).observer(obs);
+        match scheme.compiler_config() {
+            Some(cc) => {
+                let hints = analyze(&self.program, &cc);
+                replay.run(&self.view(&base, &hints))
+            }
+            None => replay.run(base.trace()),
+        }
     }
 
     /// The hint map the given compiler configuration derives.

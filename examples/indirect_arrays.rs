@@ -14,7 +14,7 @@ use grp::compiler::{analyze, AnalysisConfig};
 use grp::core::{run_trace, Scheme, SimConfig};
 use grp::ir::build::*;
 use grp::ir::interp::Interpreter;
-use grp::ir::{ElemTy, ProgramBuilder};
+use grp::ir::{ElemTy, HintView, ProgramBuilder};
 use grp::mem::{Addr, HeapAllocator, Memory};
 use grp_bench::suite::{scale_from_args, SuiteScale};
 use grp_testkit::Rng;
@@ -75,9 +75,12 @@ fn main() {
     bind.bind_array(b, b_base);
 
     let mut run_mem = mem.clone();
-    let trace = Interpreter::new(&program, &bind, &hints)
+    let base = Interpreter::new(&program, &bind)
         .run(&mut run_mem)
         .expect("kernel runs");
+    let trace = HintView::new(&base, &hints, &program, &bind)
+        .expect("indirect targets are bound")
+        .to_trace();
     println!(
         "index pattern: {} — {} indirect-prefetch instructions in the trace\n",
         if clustered {

@@ -10,7 +10,7 @@ use grp::compiler::{analyze, census, AnalysisConfig, SpatialPolicy};
 use grp::core::{run_trace, Scheme, SimConfig};
 use grp::ir::build::*;
 use grp::ir::interp::Interpreter;
-use grp::ir::{ElemTy, ProgramBuilder};
+use grp::ir::{ElemTy, HintView, ProgramBuilder};
 use grp::mem::{HeapAllocator, Memory};
 use grp_bench::suite::{scale_from_args, SuiteScale};
 
@@ -100,9 +100,12 @@ fn main() {
         };
         let marked = census(&program, &hints).spatial;
         let mut run_mem = mem.clone();
-        let trace = Interpreter::new(&program, &bind, &hints)
+        let base = Interpreter::new(&program, &bind)
             .run(&mut run_mem)
             .expect("stencil runs");
+        let trace = HintView::new(&base, &hints, &program, &bind)
+            .expect("no indirect targets")
+            .to_trace();
         let r = run_trace(&trace, &run_mem, heap, scheme, &cfg);
         if label == "none" {
             base_cycles = r.cycles;

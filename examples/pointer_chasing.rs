@@ -11,7 +11,7 @@ use grp::core::{run_trace, Scheme, SimConfig};
 use grp::ir::build::*;
 use grp::ir::interp::Interpreter;
 use grp::ir::types::field;
-use grp::ir::{ElemTy, FieldId, ProgramBuilder};
+use grp::ir::{ElemTy, FieldId, HintView, ProgramBuilder};
 use grp::mem::{HeapAllocator, Memory};
 use grp_bench::suite::{scale_from_args, SuiteScale};
 
@@ -71,9 +71,12 @@ fn main() {
     let mut bind = program.bindings();
     bind.bind_var(head, nodes[0].0 as i64);
     let mut run_mem = mem.clone();
-    let trace = Interpreter::new(&program, &bind, &hints)
+    let base = Interpreter::new(&program, &bind)
         .run(&mut run_mem)
         .expect("kernel runs");
+    let trace = HintView::new(&base, &hints, &program, &bind)
+        .expect("no indirect targets")
+        .to_trace();
     println!(
         "trace: {} loads over {} nodes\n",
         trace.loads(),

@@ -7,7 +7,7 @@ use grp::core::{run_trace, Scheme, SimConfig};
 use grp::cpu::{HintSet, RefId, Trace};
 use grp::ir::build::*;
 use grp::ir::interp::Interpreter;
-use grp::ir::{ElemTy, HintMap, ProgramBuilder};
+use grp::ir::{ElemTy, HintMap, HintView, ProgramBuilder};
 use grp::mem::{Addr, BlockAddr, Cache, CacheConfig, HeapRange, InsertPriority, Memory};
 use grp_testkit::proptest;
 use grp_testkit::proptest::prelude::*;
@@ -129,7 +129,8 @@ proptest! {
         let mut mem = Memory::new();
         let mut bind = prog.bindings();
         bind.bind_array(a, Addr(0x100_0000));
-        let trace = Interpreter::new(&prog, &bind, &hints).run(&mut mem).unwrap();
+        let base = Interpreter::new(&prog, &bind).run(&mut mem).unwrap();
+        let trace = HintView::new(&base, &hints, &prog, &bind).unwrap().to_trace();
         prop_assert_eq!(trace.loads(), (n1 * n2) as u64);
         // Simulate it too: must not panic and must retire everything.
         let r = run_trace(&trace, &mem, heap(), Scheme::GrpVar, &SimConfig::paper());
@@ -179,7 +180,8 @@ proptest! {
         let mut bind = prog.bindings();
         bind.bind_var(head, addrs[0].0 as i64);
         let hints = analyze(&prog, &AnalysisConfig::default());
-        let trace = Interpreter::new(&prog, &bind, &hints).run(&mut mem).unwrap();
+        let base = Interpreter::new(&prog, &bind).run(&mut mem).unwrap();
+        let trace = HintView::new(&base, &hints, &prog, &bind).unwrap().to_trace();
         prop_assert_eq!(trace.loads() as usize, 2 * addrs.len());
         let r = run_trace(&trace, &mem, heap(), Scheme::GrpVar, &SimConfig::paper());
         prop_assert!(r.cycles > 0);
