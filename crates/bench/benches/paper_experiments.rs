@@ -2,8 +2,8 @@
 //!
 //! Each bench regenerates its experiment at Test scale (repeated timed
 //! samples make simulator throughput regressions visible); the
-//! experiment's *contents* — the paper-shape numbers — are produced by
-//! the `src/bin/*` binaries and recorded in EXPERIMENTS.md.
+//! experiment's *contents* — the paper-shape numbers — are printed by
+//! the `all` binary and recorded in EXPERIMENTS.md.
 
 use grp_bench::{experiments, Suite, SuiteScale};
 use grp_testkit::bench::{criterion_group, criterion_main, Criterion};

@@ -99,6 +99,12 @@ pub fn parse_jobs_args(args: &[String]) -> Result<Option<usize>, String> {
     }
 }
 
+/// The worker count used when neither `--jobs` nor `GRP_JOBS` sets one:
+/// the available parallelism, or 4 when the platform cannot report it.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
 /// Parses `--schemes <csv>` (comma-separated [`grp_core::Scheme`]
 /// labels, e.g. `none,SRP,GRP/Var`) shared by the perf harness and the
 /// serve bin. `Ok(None)` when the flag is absent; an error naming the

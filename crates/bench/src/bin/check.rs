@@ -58,9 +58,10 @@
 //!     torn publishes so CI can prove the gate still has teeth
 //! ```
 //!
-//! `--trace-cache <dir>` prepends **phase 0**: every registry kernel ×
-//! every scheme is run through the trace cache (a hit replays the
-//! cached packed trace, a miss interprets and fills the cache) and
+//! `--trace-cache <dir>` prepends **phase 0**: every registry kernel's
+//! 12 cells run as one trace group through the cell scheduler and the
+//! trace cache — the path `all` and `serve` run (a hit replays the
+//! cached packed trace, a miss interprets and fills the cache) — and are
 //! compared with a replay of the kernel's one fresh interpretation (its
 //! base trace, or the scheme's hint view over it), asserting
 //! bit-identical `RunResult`s — the cache identity gate at the chosen
@@ -72,8 +73,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use grp_bench::args::{strict_flag, strict_u64, strict_value};
+use grp_bench::args::{default_jobs, strict_flag, strict_u64, strict_value};
 use grp_bench::fuzz::{materialize, FuzzPlan, Segment};
+use grp_bench::sched::{grid_jobs, run_cells_mode};
 use grp_bench::suite::parse_scale_args;
 use grp_bench::telemetry::{self, exposition, log, Shard, TelemetryObserver};
 use grp_core::{
@@ -460,7 +462,7 @@ fn main() {
             scale,
         );
         let cache = grp_bench::sched::WorkloadCache::new();
-        for name in &names {
+        for &name in &names {
             let mut bad = 0u64;
             // The expected side interprets the kernel once and replays
             // its base trace or a view per compiler configuration, so
@@ -469,35 +471,41 @@ fn main() {
             let built = cache
                 .get_or_build(name, scale.workload_scale())
                 .expect("registered");
-            let (base, mem) = built.interpret();
-            for scheme in Scheme::ALL {
-                let replay = Replay::new(&mem, built.heap, scheme, &cfg);
-                let want = match scheme.compiler_config() {
-                    Some(cc) => replay.run(&built.view(&base, &built.hints(&cc))).0,
-                    None => replay.run(base.trace()).0,
-                };
-                let got = grp_bench::sched::run_cell(
-                    name,
-                    scale.workload_scale(),
-                    scheme,
-                    &cfg,
-                    &mode,
-                    || Ok(built.clone()),
-                );
-                match got {
-                    Ok((got, _, _, _)) if got == want => {}
+            let want: Vec<_> = {
+                let (base, mem) = built.interpret();
+                Scheme::ALL
+                    .iter()
+                    .map(|&scheme| {
+                        let replay = Replay::new(&mem, built.heap, scheme, &cfg);
+                        match scheme.compiler_config() {
+                            Some(cc) => replay.run(&built.view(&base, &built.hints(&cc))).0,
+                            None => replay.run(base.trace()).0,
+                        }
+                    })
+                    .collect()
+            };
+            // The got side runs the kernel's 12 cells as one trace
+            // group through the scheduler, the path `all` and `serve`
+            // run.
+            let jobs = grid_jobs(&[name], &Scheme::ALL, scale.workload_scale(), cfg);
+            let mut got = Vec::new();
+            run_cells_mode(&jobs, default_jobs(), &cache, &mode, |cell| got.push(cell));
+            got.sort_by_key(|cell| cell.id);
+            for cell in got {
+                match cell.outcome {
+                    Ok(r) if r == want[cell.id as usize] => {}
                     Ok(_) => {
                         failures += 1;
                         bad += 1;
                         println!(
                             "  {name}/{}: DIVERGED (cached != materialized)",
-                            scheme.label()
+                            cell.scheme.label()
                         );
                     }
                     Err(e) => {
                         failures += 1;
                         bad += 1;
-                        println!("  {name}/{}: ERROR: {e}", scheme.label());
+                        println!("  {name}/{}: ERROR: {e}", cell.scheme.label());
                     }
                 }
             }

@@ -17,6 +17,8 @@
 //!                           breakdown, embed it in the entry under
 //!                           "profile", and (serial mode) fail unless
 //!                           the phases cover >= 95% of the wall clock
+//!     runs the grid on one worker: each kernel is interpreted once and
+//!     its schemes' cells replay that trace one after another
 //! cargo run --release -p grp-bench --bin perf -- --fleet --scale small
 //!     [--jobs N]            worker count (default: available parallelism)
 //!     [--schemes <csv>]     scheme labels (default: all 12 — the full grid)
@@ -30,11 +32,14 @@
 //!     same kind and scale, and exit
 //! ```
 //!
-//! Per (kernel × scheme) the harness builds the workload, derives the
-//! scheme's hinted trace (setup, untimed in the headline metric), then
-//! times the replay loop alone — the trace-replay inner loop that bounds
-//! every sweep — reporting trace events/sec and simulated cycles/sec.
-//! Fleet mode reports the same per-cell columns plus aggregate fleet
+//! Both modes run the kernel × scheme grid through the cell scheduler
+//! ([`grp_bench::sched`]): each kernel is built and interpreted once,
+//! and every scheme of it replays that trace (or a hint view over it).
+//! Setup (build, interpretation, packing, cache loads) is untimed in the
+//! headline metric; the replay loop alone — the trace-replay inner loop
+//! that bounds every sweep — is timed per cell, reporting trace
+//! events/sec and simulated cycles/sec. Serial mode is the 1-worker
+//! grid. Fleet mode runs it on `--jobs` workers and adds aggregate fleet
 //! throughput (total events per *wall* second across all workers),
 //! per-worker utilization, and queue-wait percentiles.
 
@@ -242,45 +247,20 @@ fn print_profile(report: &grp_bench::telemetry::profiler::ProfileReport, wall: f
     coverage
 }
 
-/// The original single-thread harness: build → trace → timed replay,
-/// one cell at a time through [`sched::run_cell`], on the calling
-/// thread. Packing and cache loads count as setup; the replay column
-/// times the replay loop alone.
+/// Serial mode: the 1-worker grid through the cell scheduler, so each
+/// kernel is interpreted once for all of its schemes and cells replay
+/// one after another on one worker. Builds, interpretation, packing
+/// and cache loads count as setup; the replay column times the replay
+/// loop alone.
 fn run_serial(
     scale: grp_bench::SuiteScale,
     label: &str,
     schemes: &[Scheme],
     mode: &ReplayMode,
 ) -> Json {
-    let wall_start = Instant::now();
-    let cfg = grp_core::SimConfig::paper();
-    let mut rows: Vec<KernelRow> = Vec::new();
-    let mut setup_seconds = 0.0f64;
-    let cache = WorkloadCache::new();
-    for w in all() {
-        for &scheme in schemes {
-            let (result, events, setup, replay) =
-                sched::run_cell(w.name, scale.workload_scale(), scheme, &cfg, mode, || {
-                    cache.get_or_build(w.name, scale.workload_scale())
-                })
-                .unwrap_or_else(|e| {
-                    log::error("perf", &e.to_string());
-                    std::process::exit(1);
-                });
-            setup_seconds += setup;
-            let row = KernelRow {
-                bench: w.name,
-                scheme,
-                events,
-                sim_cycles: result.cycles,
-                replay_seconds: replay,
-                worker: None,
-            };
-            row.print();
-            rows.push(row);
-        }
-    }
-    let wall_seconds = wall_start.elapsed().as_secs_f64();
+    let (rows, stats, _) = run_grid(scale, schemes, mode, None, None);
+    let wall_seconds = stats.wall_seconds;
+    let setup_seconds = stats.setup_seconds;
     // Summary + entry construction is the export phase (no-op span
     // unless --profile enabled the profiler).
     let _export = telemetry::profiler().span("export");
@@ -326,71 +306,19 @@ fn run_fleet(
     mode: &ReplayMode,
     args: &[String],
 ) -> Json {
-    let workers = jobs_from_args().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    });
+    let workers = jobs_from_args().unwrap_or_else(grp_bench::args::default_jobs);
     let stream_out = flag_value(args, "--stream-out");
-    let names: Vec<&'static str> = all().iter().map(|w| w.name).collect();
-    let cfg = grp_core::SimConfig::paper();
-    let jobs = sched::grid_jobs(&names, schemes, scale.workload_scale(), cfg);
-    let total = jobs.len();
-    let cache = WorkloadCache::new();
-
-    let mut rows: Vec<KernelRow> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    let stats = sched::run_cells_mode(&jobs, workers, &cache, mode, |cell| {
-        match &cell.outcome {
-            Ok(r) => {
-                let row = KernelRow {
-                    bench: cell.kernel,
-                    scheme: cell.scheme,
-                    events: cell.events,
-                    sim_cycles: r.cycles,
-                    replay_seconds: cell.replay_seconds,
-                    worker: Some(cell.worker),
-                };
-                row.print();
-                rows.push(row);
-            }
-            Err(e) => failures.push(format!("{}/{}: {e}", cell.kernel, cell.scheme)),
-        }
-        // Stream the partial grid through the atomic-write layer: a
-        // crash mid-run leaves a complete, parseable prefix artifact
-        // rather than nothing (or a torn file) at end-of-run.
-        if let Some(path) = &stream_out {
-            let doc = Json::object()
-                .set("complete", rows.len() as u64)
-                .set("total", total as u64)
-                .set(
-                    "cells",
-                    Json::Array(rows.iter().map(|r| r.json()).collect()),
-                );
-            grp_bench::artifact::atomic_write(path, doc.render()).unwrap_or_else(|e| {
-                log::error("perf", &format!("cannot stream to {path}: {e}"));
-                std::process::exit(1);
-            });
-        }
-    });
-    if !failures.is_empty() {
-        log::error(
-            "perf",
-            &format!("{} cell(s) failed: {}", failures.len(), failures.join("; ")),
-        );
-        std::process::exit(1);
-    }
+    let (rows, stats, built) = run_grid(scale, schemes, mode, Some(workers), stream_out.as_deref());
     let _export = telemetry::profiler().span("export");
 
     let q = &stats.queue_wait_micros;
     println!(
-        "\nfleet: {} cells on {} workers in {:.3}s wall ({} steals, {} built workloads, \
+        "\nfleet: {} cells on {} workers in {:.3}s wall ({} steals, {built} built workloads, \
          {} traces interpreted, {} loaded)",
         stats.cells,
         stats.workers,
         stats.wall_seconds,
         stats.steals,
-        cache.built_count(),
         stats.traces_interpreted,
         stats.traces_loaded,
     );
@@ -416,8 +344,78 @@ fn run_fleet(
     );
 
     let scheme_labels: Vec<&str> = schemes.iter().map(|s| s.label()).collect();
-    // Sort rows grid-order for a byte-stable artifact regardless of
-    // completion order (the streamed partials stay completion-ordered).
+    traj::fleet_entry(
+        label,
+        &format!("{scale:?}").to_lowercase(),
+        &scheme_labels,
+        &stats,
+        rows.iter().map(|r| r.json()).collect(),
+    )
+}
+
+/// Runs the registry × `schemes` grid through the cell scheduler on
+/// `fleet_workers` workers (`None`: serial, one worker), printing each
+/// row as its cell completes and streaming the partial grid to
+/// `stream_out`, if set. Exits on a failed cell. Returns the rows in
+/// grid order, for a byte-stable artifact regardless of completion
+/// order, with the fleet accounting and the number of workloads built.
+/// Fleet rows name the worker that ran them.
+fn run_grid(
+    scale: grp_bench::SuiteScale,
+    schemes: &[Scheme],
+    mode: &ReplayMode,
+    fleet_workers: Option<usize>,
+    stream_out: Option<&str>,
+) -> (Vec<KernelRow>, sched::FleetStats, usize) {
+    let names: Vec<&'static str> = all().iter().map(|w| w.name).collect();
+    let cfg = grp_core::SimConfig::paper();
+    let jobs = sched::grid_jobs(&names, schemes, scale.workload_scale(), cfg);
+    let total = jobs.len();
+    let cache = WorkloadCache::new();
+
+    let mut rows: Vec<KernelRow> = Vec::new();
+    let mut failures: Vec<String> = Vec::new();
+    let workers = fleet_workers.unwrap_or(1);
+    let stats = sched::run_cells_mode(&jobs, workers, &cache, mode, |cell| {
+        match &cell.outcome {
+            Ok(r) => {
+                let row = KernelRow {
+                    bench: cell.kernel,
+                    scheme: cell.scheme,
+                    events: cell.events,
+                    sim_cycles: r.cycles,
+                    replay_seconds: cell.replay_seconds,
+                    worker: fleet_workers.map(|_| cell.worker),
+                };
+                row.print();
+                rows.push(row);
+            }
+            Err(e) => failures.push(format!("{}/{}: {e}", cell.kernel, cell.scheme)),
+        }
+        // Stream the partial grid through the atomic-write layer: a
+        // crash mid-run leaves a complete, parseable prefix artifact
+        // rather than nothing (or a torn file) at end-of-run.
+        if let Some(path) = stream_out {
+            let doc = Json::object()
+                .set("complete", rows.len() as u64)
+                .set("total", total as u64)
+                .set(
+                    "cells",
+                    Json::Array(rows.iter().map(|r| r.json()).collect()),
+                );
+            grp_bench::artifact::atomic_write(path, doc.render()).unwrap_or_else(|e| {
+                log::error("perf", &format!("cannot stream to {path}: {e}"));
+                std::process::exit(1);
+            });
+        }
+    });
+    if !failures.is_empty() {
+        log::error(
+            "perf",
+            &format!("{} cell(s) failed: {}", failures.len(), failures.join("; ")),
+        );
+        std::process::exit(1);
+    }
     rows.sort_by_key(|r| {
         (
             names
@@ -430,11 +428,5 @@ fn run_fleet(
                 .unwrap_or(usize::MAX),
         )
     });
-    traj::fleet_entry(
-        label,
-        &format!("{scale:?}").to_lowercase(),
-        &scheme_labels,
-        &stats,
-        rows.iter().map(|r| r.json()).collect(),
-    )
+    (rows, stats, cache.built_count())
 }

@@ -92,11 +92,7 @@ fn main() {
     };
     log::init_from_args(&args).unwrap_or_else(|e| fail(e));
     let scale = scale_from_args();
-    let workers = jobs_from_args().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    });
+    let workers = jobs_from_args().unwrap_or_else(grp_bench::args::default_jobs);
     let selfcheck = strict_flag(&args, "--selfcheck").unwrap_or_else(|e| fail(e));
     let once = strict_flag(&args, "--once").unwrap_or_else(|e| fail(e));
     let socket = flag_value(&args, "--socket");

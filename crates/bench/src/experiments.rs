@@ -5,7 +5,7 @@ use grp_core::{geomean, Scheme};
 use grp_workloads::BenchClass;
 
 use crate::report::{bar_chart, f2, pct, Table};
-use crate::sched::{self, CellJob};
+use crate::sched::CellJob;
 use crate::suite::Suite;
 
 /// The schemes compared in the headline tables.
@@ -470,8 +470,10 @@ pub fn bandwidth_study(scale: crate::suite::SuiteScale) -> String {
 
 /// [`bandwidth_study`] over `suite`'s platform configuration. The
 /// column at the suite's own channel count reads the GRP/Var cells
-/// already in its memo table; every other cell runs through the cell
-/// scheduler, so each benchmark is interpreted once for all of them.
+/// already in its memo table; every other cell runs as one batch
+/// through the suite's own runner — its replay mode, workload cache and
+/// worker count — so each benchmark is interpreted (or loaded from the
+/// trace cache) once for all of them.
 pub fn bandwidth_study_with(suite: &mut Suite) -> String {
     const BENCHES: [&str; 3] = ["art", "swim", "mcf"];
     const CHANNELS: [usize; 3] = [2, 4, 8];
@@ -500,8 +502,7 @@ pub fn bandwidth_study_with(suite: &mut Suite) -> String {
             });
         }
     }
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    sched::run_cells(&jobs, workers, &suite.workload_cache(), |cell| {
+    suite.run_jobs(&jobs, |cell| {
         let r = cell
             .outcome
             .unwrap_or_else(|e| panic!("bandwidth study {}: {e}", cell.kernel));
@@ -555,6 +556,34 @@ mod tests {
             suite.run(kernel, Scheme::GrpVar);
         }
         assert_eq!(bandwidth_study_with(&mut suite), s);
+    }
+
+    #[test]
+    fn bandwidth_study_on_a_warm_trace_cache_builds_nothing() {
+        // The study's cells run under the suite's replay mode: a cold
+        // suite fills the trace cache with the GRP/Var entries of the
+        // three kernels, and a second suite replays them from it without
+        // building a single workload, printing the same table.
+        let want = bandwidth_study(SuiteScale::Test);
+        let dir = std::env::temp_dir().join(format!("grp-bandwidth-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mode = crate::sched::ReplayMode {
+            trace_cache: Some(std::sync::Arc::new(crate::tracecache::TraceCache::new(
+                &dir,
+            ))),
+            ..Default::default()
+        };
+        let mut cold = Suite::new(SuiteScale::Test).with_replay(mode.clone());
+        assert_eq!(bandwidth_study_with(&mut cold), want);
+        assert_eq!(cold.workloads.built_count(), 3);
+        let mut warm = Suite::new(SuiteScale::Test).with_replay(mode);
+        assert_eq!(bandwidth_study_with(&mut warm), want);
+        assert_eq!(
+            warm.workloads.built_count(),
+            0,
+            "a warm cache builds nothing"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

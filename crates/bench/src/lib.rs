@@ -4,10 +4,8 @@
 //! The [`suite::Suite`] runner memoizes `(benchmark, scheme)` simulation
 //! results so the tables share work; each `experiments::*` function
 //! returns structured rows, and [`report`] renders them in the paper's
-//! layout. The `src/bin/` binaries print one table or figure each
-//! (`cargo run -p grp-bench --bin table1 -- --scale small`), and
-//! `--bin all` reproduces the whole evaluation into `EXPERIMENTS`-style
-//! output.
+//! layout. `cargo run -p grp-bench --bin all -- --scale small`
+//! reproduces the whole evaluation into `EXPERIMENTS`-style output.
 
 #![deny(missing_docs)]
 

@@ -35,9 +35,9 @@
 //! Determinism: scheduling order and steal order are timing-dependent,
 //! but every cell is an internally-deterministic replay of a trace that
 //! replay never mutates (the post-interpretation `Memory` is read-only)
-//! — per-cell `RunResult`s are bit-identical to the serial path for any
-//! worker count and any steal interleaving. `crates/bench/tests/fleet.rs`
-//! enforces this over the full 18×12 grid.
+//! — per-cell `RunResult`s are bit-identical to the reference
+//! `BuiltWorkload::run` for any worker count and any steal interleaving.
+//! `crates/bench/tests/fleet.rs` enforces this over the full 18×12 grid.
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -63,8 +63,8 @@ use crate::tracecache::TraceCache;
 /// (enforced by the scheduler determinism tests and `check` phase 0).
 #[derive(Debug, Clone, Default)]
 pub struct ReplayMode {
-    /// Inert: read nowhere. A cell replays whichever trace form it
-    /// already holds (see [`run_cell`]), so there is no tier to choose.
+    /// Inert: read nowhere. A cell replays whichever trace form its
+    /// trace group holds, so there is no tier to choose.
     /// The field is kept only so existing struct literals of
     /// `ReplayMode` keep compiling.
     pub packed: bool,
@@ -279,9 +279,9 @@ impl WorkloadCache {
             .and_then(|slot| slot.get().cloned())
     }
 
-    /// Seeds the cache with an already-built workload (e.g. from a
-    /// suite's memo table). A previously-built entry wins: the cache
-    /// never swaps a workload out from under readers.
+    /// Seeds the cache with an already-built workload. A previously-built
+    /// entry wins: the cache never swaps a workload out from under
+    /// readers.
     pub fn insert(&self, kernel: &'static str, scale: Scale, built: Arc<BuiltWorkload>) {
         let slot = self
             .map
@@ -736,11 +736,7 @@ fn obtain_shared(
             schemes.push(s);
         }
     }
-    let body = || {
-        obtain_group(job.kernel, job.scale, &schemes, mode, || {
-            cache.get_or_build(job.kernel, job.scale)
-        })
-    };
+    let body = || obtain_group(job.kernel, job.scale, &schemes, mode, cache);
     Arc::new(match catch_unwind(AssertUnwindSafe(body)) {
         Ok(Ok(group)) => Ok(group),
         Ok(Err(e)) => Err(Unavailable::Failed(e)),
@@ -825,7 +821,7 @@ struct Interpreted {
 /// configuration the cache served, and views over one interpretation
 /// for the rest. Replay only reads it, so one `GroupTrace` serves every
 /// cell of a trace group.
-pub(crate) struct GroupTrace {
+struct GroupTrace {
     interpreted: Option<Interpreted>,
     sources: Vec<(Option<AnalysisConfig>, Source)>,
 }
@@ -833,12 +829,12 @@ pub(crate) struct GroupTrace {
 impl GroupTrace {
     /// True when the kernel was interpreted (some configuration missed
     /// the cache, or there is none).
-    pub fn interpreted(&self) -> bool {
+    fn interpreted(&self) -> bool {
         self.interpreted.is_some()
     }
 
     /// Configurations served by the trace cache.
-    pub fn loaded(&self) -> u64 {
+    fn loaded(&self) -> u64 {
         self.sources
             .iter()
             .filter(|(_, s)| matches!(s, Source::Loaded(..)))
@@ -853,7 +849,7 @@ impl GroupTrace {
     /// # Panics
     ///
     /// Panics if the group does not cover `scheme`'s configuration.
-    pub fn replay(&self, kernel: &str, scheme: Scheme, cfg: &SimConfig) -> (RunResult, u64, f64) {
+    fn replay(&self, kernel: &str, scheme: Scheme, cfg: &SimConfig) -> (RunResult, u64, f64) {
         let cc = scheme.compiler_config();
         let source = self
             .sources
@@ -927,8 +923,8 @@ impl<S: EventSource> EventSource for Counted<S> {
 /// Obtains one kernel's traces for the compiler configurations of
 /// `schemes` (distinct configurations; each scheme labels its
 /// configuration's profiler spans) under `mode`. With a trace cache,
-/// each configuration is loaded first; `get_built` supplies the built
-/// workload and is only invoked when some configuration misses, and the
+/// each configuration is loaded first; the workload is taken from (or
+/// built into) `cache` only when some configuration misses, and the
 /// kernel is then interpreted **once**: the hint-free configuration
 /// replays the base trace, every GRP configuration a [`HintView`] over
 /// it. A missing configuration is packed (from its view) only to store
@@ -936,14 +932,14 @@ impl<S: EventSource> EventSource for Counted<S> {
 ///
 /// # Errors
 ///
-/// Unknown kernel (from `get_built`), an indirect directive with no
-/// bound target, or a trace that cannot pack.
-pub(crate) fn obtain_group(
+/// Unknown kernel, an indirect directive with no bound target, or a
+/// trace that cannot pack.
+fn obtain_group(
     kernel: &str,
     scale: Scale,
     schemes: &[Scheme],
     mode: &ReplayMode,
-    get_built: impl FnOnce() -> Result<Arc<BuiltWorkload>, String>,
+    cache: &WorkloadCache,
 ) -> Result<GroupTrace, String> {
     // Phase spans attribute this group's cost in `perf --profile`
     // reports; when the global profiler is off (the default) each
@@ -961,9 +957,9 @@ pub(crate) fn obtain_group(
     let mut hits: Vec<Option<Source>> = schemes
         .iter()
         .map(|&scheme| {
-            let cache = mode.trace_cache.as_ref()?;
+            let tc = mode.trace_cache.as_ref()?;
             let _s = prof.span_cell("cache_load", kernel, &label(scheme));
-            let (pt, mem, heap) = cache.load(kernel, scale, scheme.compiler_config().as_ref())?;
+            let (pt, mem, heap) = tc.load(kernel, scale, scheme.compiler_config().as_ref())?;
             Some(Source::Loaded(pt, mem, heap))
         })
         .collect();
@@ -972,7 +968,7 @@ pub(crate) fn obtain_group(
         let lead = label(schemes[0]);
         let built = {
             let _s = prof.span_cell("build", kernel, &lead);
-            get_built()?
+            cache.get_or_build(kernel, scale)?
         };
         let (base, mem) = {
             let _s = prof.span_cell("interpret", kernel, &lead);
@@ -994,7 +990,7 @@ pub(crate) fn obtain_group(
                 ),
                 _ => None,
             };
-            if let Some(cache) = &mode.trace_cache {
+            if let Some(tc) = &mode.trace_cache {
                 let pt = {
                     let _s = prof.span_cell("pack", kernel, &label(scheme));
                     match &view {
@@ -1006,7 +1002,7 @@ pub(crate) fn obtain_group(
                 // Best-effort: a full disk must degrade to "no cache",
                 // not fail the cell.
                 let _s = prof.span_cell("cache_store", kernel, &label(scheme));
-                if let Err(e) = cache.store(kernel, scale, cc.as_ref(), &pt, &mem, built.heap) {
+                if let Err(e) = tc.store(kernel, scale, cc.as_ref(), &pt, &mem, built.heap) {
                     crate::telemetry::log::log_kv(
                         crate::telemetry::log::Level::Warn,
                         "sched",
@@ -1033,30 +1029,6 @@ pub(crate) fn obtain_group(
         interpreted,
         sources,
     })
-}
-
-/// Runs one `(kernel, scheme)` cell under `mode`: `obtain_group`, then
-/// `GroupTrace::replay` — the same two steps the scheduler runs for a
-/// trace group, here for a group of one.
-///
-/// Returns `(result, events, setup_seconds, replay_seconds)`.
-///
-/// # Errors
-///
-/// Unknown kernel (from `get_built`) or a trace that cannot pack.
-pub fn run_cell(
-    kernel: &str,
-    scale: Scale,
-    scheme: Scheme,
-    cfg: &SimConfig,
-    mode: &ReplayMode,
-    get_built: impl FnOnce() -> Result<Arc<BuiltWorkload>, String>,
-) -> Result<(RunResult, u64, f64, f64), String> {
-    let t0 = Instant::now();
-    let group = obtain_group(kernel, scale, &[scheme], mode, get_built)?;
-    let setup_seconds = t0.elapsed().as_secs_f64();
-    let (result, events, replay_seconds) = group.replay(kernel, scheme, cfg);
-    Ok((result, events, setup_seconds, replay_seconds))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1086,27 +1058,20 @@ mod tests {
         assert!(group_weight("crafty", []) > group_weight("bzip2", []));
     }
 
-    /// Every cell of `jobs` run alone through [`run_cell`], by id.
+    /// Every cell of `jobs` run alone through the reference
+    /// `BuiltWorkload::run`, which shares no scheduler code, by id.
     fn per_cell(jobs: &[CellJob]) -> HashMap<u64, RunResult> {
         let cache = WorkloadCache::new();
         jobs.iter()
             .map(|j| {
-                let (r, ..) = run_cell(
-                    j.kernel,
-                    j.scale,
-                    j.scheme,
-                    &j.cfg,
-                    &ReplayMode::default(),
-                    || cache.get_or_build(j.kernel, j.scale),
-                )
-                .expect("cell runs");
-                (j.id, r)
+                let built = cache.get_or_build(j.kernel, j.scale).expect("registered");
+                (j.id, built.run(j.scheme, &j.cfg))
             })
             .collect()
     }
 
     #[test]
-    fn grid_interprets_once_per_kernel_and_matches_run_cell() {
+    fn grid_interprets_once_per_kernel_and_matches_the_reference() {
         // 2 kernels × 12 schemes: the 7 hint-free schemes replay each
         // kernel's one interpretation and the 5 GRP configurations
         // replay views over it, so the grid interprets twice.

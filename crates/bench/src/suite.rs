@@ -4,9 +4,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use grp_core::{RunResult, Scheme, SimConfig};
-use grp_workloads::{all, BuiltWorkload, Scale, Workload};
+use grp_workloads::{all, BuiltWorkload, Scale};
 
-use crate::sched::{self, CellJob, ReplayMode, WorkloadCache};
+use crate::sched::{self, CellJob, CellResult, FleetStats, ReplayMode, WorkloadCache};
 
 /// Problem-size selection for a whole experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,14 +63,18 @@ pub fn scale_from_args() -> SuiteScale {
     })
 }
 
-/// Memoizing runner over the benchmark registry.
+/// Memoizing runner over the benchmark registry. Every cell it runs
+/// goes through the cell scheduler ([`crate::sched`]) under the suite's
+/// [`ReplayMode`], sharing built workloads through one
+/// [`WorkloadCache`].
 pub struct Suite {
     scale: SuiteScale,
     cfg: SimConfig,
-    built: HashMap<&'static str, Arc<BuiltWorkload>>,
+    pub(crate) workloads: WorkloadCache,
     results: HashMap<(&'static str, Scheme), RunResult>,
     verbose: bool,
     replay: ReplayMode,
+    workers: usize,
 }
 
 impl Suite {
@@ -79,16 +83,17 @@ impl Suite {
         Self {
             scale,
             cfg: SimConfig::paper(),
-            built: HashMap::new(),
+            workloads: WorkloadCache::new(),
             results: HashMap::new(),
             verbose: false,
             replay: ReplayMode::default(),
+            workers: crate::args::default_jobs(),
         }
     }
 
     /// Selects the trace cache and telemetry ([`ReplayMode`]) for every
-    /// subsequent [`Suite::run`] / [`Suite::precompute_cells`]. Results
-    /// are bit-identical across modes; only setup/replay cost shifts.
+    /// cell this suite runs. Results are bit-identical across modes;
+    /// only setup/replay cost shifts.
     pub fn with_replay(mut self, replay: ReplayMode) -> Self {
         self.replay = replay;
         self
@@ -97,12 +102,6 @@ impl Suite {
     /// Enables progress logging to stderr.
     pub fn verbose(mut self) -> Self {
         self.verbose = true;
-        self
-    }
-
-    /// Overrides the platform configuration (ablations).
-    pub fn with_config(mut self, cfg: SimConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 
@@ -116,36 +115,38 @@ impl Suite {
         &self.cfg
     }
 
-    /// The benchmark registry entry for `name`.
+    /// The built (setup-complete) workload, building it on first use
+    /// into the cache the suite's cells share.
     ///
     /// # Panics
     ///
     /// Panics if the name is unknown.
-    pub fn workload(&self, name: &str) -> &'static Workload {
-        grp_workloads::by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"))
+    pub fn built(&self, name: &'static str) -> Arc<BuiltWorkload> {
+        self.workloads
+            .get_or_build(name, self.scale.workload_scale())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The built (setup-complete) workload, building it on first use.
-    /// Held behind an `Arc` so the cell scheduler can share it
-    /// read-only across workers without a rebuild or a deep clone.
-    pub fn built(&mut self, name: &'static str) -> &BuiltWorkload {
-        self.built_arc(name)
+    /// Runs `jobs` through the cell scheduler under this suite's
+    /// [`ReplayMode`] and workload cache, on at most the worker count
+    /// the suite was last filled with ([`Suite::precompute_cells`]).
+    pub(crate) fn run_jobs(
+        &self,
+        jobs: &[CellJob],
+        on_complete: impl FnMut(CellResult),
+    ) -> FleetStats {
+        sched::run_cells_mode(
+            jobs,
+            self.workers,
+            &self.workloads,
+            &self.replay,
+            on_complete,
+        )
     }
 
-    fn built_arc(&mut self, name: &'static str) -> &Arc<BuiltWorkload> {
-        let scale = self.scale.workload_scale();
-        self.built.entry(name).or_insert_with(|| {
-            Arc::new(
-                grp_workloads::by_name(name)
-                    .expect("registered")
-                    .build(scale),
-            )
-        })
-    }
-
-    /// Runs (or recalls) `name` under `scheme` through
-    /// [`sched::run_cell`]: a trace-cache hit skips the build, so the
-    /// workload is only built on a miss.
+    /// Runs (or recalls) `name` under `scheme`: a miss runs a one-cell
+    /// batch through [`Suite::run_jobs`], so a trace-cache hit skips the
+    /// build.
     ///
     /// # Panics
     ///
@@ -157,11 +158,11 @@ impl Suite {
         if self.verbose {
             crate::telemetry::log::info("suite", &format!("running {name} / {scheme}…"));
         }
-        let (scale, cfg, mode) = (self.scale.workload_scale(), self.cfg, self.replay.clone());
-        let (r, _events, _setup, _replay) =
-            sched::run_cell(name, scale, scheme, &cfg, &mode, || {
-                Ok(self.built_arc(name).clone())
-            })
+        let job = sched::grid_jobs(&[name], &[scheme], self.scale.workload_scale(), self.cfg);
+        let mut outcome = None;
+        self.run_jobs(&job, |cell| outcome = Some(cell.outcome));
+        let r = outcome
+            .expect("every job gets one reply")
             .unwrap_or_else(|e| panic!("{e}"));
         self.results.insert((name, scheme), r.clone());
         r
@@ -173,26 +174,14 @@ impl Suite {
         self.results.get(&(name, scheme))
     }
 
-    /// A scheduler [`WorkloadCache`] seeded with this suite's built
-    /// workloads, so cells run through it never rebuild them.
-    pub fn workload_cache(&self) -> WorkloadCache {
-        let cache = WorkloadCache::new();
-        for (name, built) in &self.built {
-            cache.insert(name, self.scale.workload_scale(), built.clone());
-        }
-        cache
-    }
-
     /// Warms the memo table through the work-stealing cell scheduler
-    /// ([`crate::sched`]): the schemes of a kernel that replay the same
-    /// trace share one interpretation, and their replays spread across
-    /// workers. Built workloads are shared read-only via the scheduler's
-    /// [`WorkloadCache`] — seeded from, and adopted back into, this
-    /// suite's built map, so schemes of the same kernel never rebuild.
+    /// ([`crate::sched`]): the schemes of a kernel share one
+    /// interpretation, and their replays spread across workers.
     ///
-    /// `jobs` is the worker count (`None` = available parallelism).
-    /// Per-cell results are bit-identical to the serial [`Suite::run`]
-    /// path for any worker count and steal order.
+    /// `jobs` is the worker count (`None` = [`crate::args::default_jobs`]);
+    /// later batches of this suite run on the same count. Per-cell
+    /// results are bit-identical to `BuiltWorkload::run` for any worker
+    /// count and steal order.
     ///
     /// # Errors
     ///
@@ -205,18 +194,13 @@ impl Suite {
         schemes: &[Scheme],
         jobs: Option<usize>,
     ) -> Result<(), String> {
-        let scale = self.scale.workload_scale();
-        let cache = self.workload_cache();
-        let cells: Vec<CellJob> = sched::grid_jobs(names, schemes, scale, self.cfg);
-        let workers = jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
+        self.workers = jobs.unwrap_or_else(crate::args::default_jobs);
+        let cells: Vec<CellJob> =
+            sched::grid_jobs(names, schemes, self.scale.workload_scale(), self.cfg);
         let verbose = self.verbose;
-        let results = &mut self.results;
+        let mut done = Vec::new();
         let mut failures: Vec<String> = Vec::new();
-        let stats = sched::run_cells_mode(&cells, workers, &cache, &self.replay, |cell| {
+        let stats = self.run_jobs(&cells, |cell| {
             if verbose {
                 crate::telemetry::log::log_kv(
                     crate::telemetry::log::Level::Info,
@@ -230,21 +214,11 @@ impl Suite {
                 );
             }
             match cell.outcome {
-                Ok(r) => {
-                    results.insert((cell.kernel, cell.scheme), r);
-                }
+                Ok(r) => done.push(((cell.kernel, cell.scheme), r)),
                 Err(e) => failures.push(format!("{}/{}: {e}", cell.kernel, cell.scheme)),
             }
         });
-        // Adopt scheduler-built workloads so later built()/run() calls
-        // for unmemoized schemes reuse them.
-        for &name in names {
-            if !self.built.contains_key(name) {
-                if let Some(b) = cache.get(name, scale) {
-                    self.built.insert(name, b);
-                }
-            }
-        }
+        self.results.extend(done);
         if verbose {
             crate::telemetry::log::info(
                 "suite",
@@ -337,17 +311,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_precompute_is_bit_identical_to_serial() {
+    fn parallel_precompute_is_bit_identical_to_the_reference() {
         // Every counter of every (benchmark, scheme) result must match
-        // the serial run() loop exactly, for any worker count —
-        // scheduling order must not leak into results.
+        // the reference `BuiltWorkload::run` exactly, for any worker
+        // count — scheduling order must not leak into results.
         let names = ["twolf", "mcf", "sphinx", "crafty"];
         let schemes = [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar];
-        let mut serial = Suite::new(SuiteScale::Test);
+        let cfg = SimConfig::paper();
         let mut expected = Vec::new();
         for name in names {
+            let built = grp_workloads::by_name(name).unwrap().build(Scale::Test);
             for scheme in schemes {
-                expected.push((name, scheme, serial.run(name, scheme)));
+                expected.push((name, scheme, built.run(scheme, &cfg)));
             }
         }
         for jobs in [Some(1), Some(3), None] {
@@ -358,9 +333,10 @@ mod tests {
                 let got = par.run(name, *scheme);
                 assert_eq!(
                     got, *want,
-                    "{name}/{scheme:?} differs between serial and jobs={jobs:?}"
+                    "{name}/{scheme:?} differs from the reference at jobs={jobs:?}"
                 );
             }
+            assert_eq!(par.results.len(), expected.len(), "no recompute");
         }
     }
 
@@ -375,7 +351,8 @@ mod tests {
             .unwrap()
             .build(Scale::Test)
             .bindings;
-        s.built.insert("crafty", Arc::new(poisoned));
+        s.workloads
+            .insert("crafty", Scale::Test, Arc::new(poisoned));
         let err = s
             .precompute_cells(
                 &["crafty", "sphinx", "twolf"],
@@ -404,19 +381,20 @@ mod tests {
         )
         .expect("clean grid");
         assert_eq!(s.results.len(), 4);
-        // The scheduler-built workloads are adopted: built() reuses them.
-        assert!(s.built.contains_key("crafty"));
-        let before = Arc::as_ptr(s.built.get("crafty").expect("cached"));
-        let after = s.built("crafty") as *const BuiltWorkload;
-        assert_eq!(before, after, "built() must reuse the scheduler's workload");
-        // And the memoized results match the serial path, without a
+        // The scheduler built into the suite's own cache: built() and a
+        // later miss reuse that workload.
+        assert_eq!(s.workloads.built_count(), 2);
+        let before = s.workloads.get("crafty", Scale::Test).expect("cached");
+        assert!(Arc::ptr_eq(&before, &s.built("crafty")));
+        s.run("crafty", Scheme::Srp);
+        assert_eq!(s.workloads.built_count(), 2, "a miss never rebuilds");
+        // And the memoized results match the reference, without a
         // recompute.
-        let mut serial = Suite::new(SuiteScale::Test);
-        assert_eq!(
-            s.run("sphinx", Scheme::PerfectL2),
-            serial.run("sphinx", Scheme::PerfectL2)
-        );
-        assert_eq!(s.results.len(), 4);
+        let want = s
+            .built("sphinx")
+            .run(Scheme::PerfectL2, &SimConfig::paper());
+        assert_eq!(s.run("sphinx", Scheme::PerfectL2), want);
+        assert_eq!(s.results.len(), 5);
     }
 
     #[test]
@@ -450,8 +428,9 @@ mod tests {
         assert_eq!(cold.run("twolf", Scheme::GrpVar), want);
         let mut warm = Suite::new(SuiteScale::Test).with_replay(cached.clone());
         assert_eq!(warm.run("twolf", Scheme::GrpVar), want);
-        assert!(
-            !warm.built.contains_key("twolf"),
+        assert_eq!(
+            warm.workloads.built_count(),
+            0,
             "a warm trace cache must satisfy run() without building the workload"
         );
         // The cell scheduler honours the suite's mode too.

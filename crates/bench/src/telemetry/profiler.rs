@@ -6,10 +6,15 @@
 //! path) and dropping accumulates the elapsed wall time under
 //! `(path, kernel, scheme)`. The profiler is process-global and
 //! **disabled by default**: a disabled span is one relaxed atomic load
-//! and no clock read, so instrumented production paths (the
-//! `sched::run_cell` body wraps its build / interpret / pack / replay
-//! phases) stay perf-neutral unless `perf --profile` turns it on —
-//! spans sit around whole phases, never inside per-event loops.
+//! and no clock read, so instrumented production paths (the cell
+//! scheduler wraps each trace group's build / interpret / pack / cache
+//! phases and each cell's replay) stay perf-neutral unless
+//! `perf --profile` turns it on — spans sit around whole phases, never
+//! inside per-event loops. A kernel's interpretation is shared by every
+//! scheme of its trace group, so its `build` and `interpret` spans
+//! carry the label of the group's first scheme only. Serial
+//! `perf --profile` runs the grid on one worker, so its top-level spans
+//! cover the wall clock.
 //!
 //! Reports ([`Profiler::report`]) are deterministically ordered: the
 //! canonical harness phase order (`build`, `interpret`, `pack`,

@@ -37,9 +37,7 @@ fn fleet_grid_bit_identical_to_serial_for_every_worker_count() {
     let jobs = sched::grid_jobs(&names, &Scheme::ALL, Scale::Test, cfg);
     assert_eq!(jobs.len(), names.len() * Scheme::ALL.len());
 
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let parallelism = grp_bench::args::default_jobs();
     for workers in [1, 3, parallelism] {
         let cache = WorkloadCache::new();
         let mut seen: HashMap<(&'static str, Scheme), RunResult> = HashMap::new();
@@ -143,24 +141,25 @@ fn streaming_delivers_every_cell_exactly_once() {
 }
 
 /// `Suite::precompute_cells` warms the memo table with results
-/// bit-identical to the serial `Suite::run` path (a fresh suite, no
-/// precompute), regardless of worker count.
+/// bit-identical to the reference `BuiltWorkload::run`, which shares no
+/// scheduler code.
 #[test]
 fn suite_precompute_cells_matches_serial_suite() {
     let names = ["gzip", "swim", "equake"];
     let schemes = [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar];
+    let cfg = SimConfig::paper();
 
-    let mut serial = Suite::new(SuiteScale::Test);
     let mut fleet = Suite::new(SuiteScale::Test);
     fleet
         .precompute_cells(&names, &schemes, Some(2))
         .expect("precompute_cells succeeds");
     for name in names {
+        let built = grp_workloads::by_name(name).unwrap().build(Scale::Test);
         for scheme in schemes {
             assert_eq!(
                 fleet.run(name, scheme),
-                serial.run(name, scheme),
-                "{name}/{scheme} diverged between fleet precompute and serial run"
+                built.run(scheme, &cfg),
+                "{name}/{scheme} diverged between fleet precompute and the reference"
             );
         }
     }

@@ -54,12 +54,35 @@ cargo run --release -q --offline -p grp-bench --bin check -- \
     --metrics-require grp_fleet_cells_total,grp_fleet_runs_total,grp_fleet_traces_total
 # Every scheme of a kernel replays one interpretation (the 7 hint-free
 # schemes its trace, the 5 GRP compiler configurations views over it):
-# the 18 x 12 grid must interpret exactly once per kernel.
-grep -qx 'grp_fleet_traces_total{source="interpret"} 18' "$TRACE_TMP/all_registry.prom" || {
-    echo "ERROR: the 216-cell grid must interpret exactly 18 traces:" >&2
+# the 18 x 12 grid interprets exactly once per kernel, and the bandwidth
+# study's batch (art, swim, mcf at 2 and 8 DRAM channels) once per
+# kernel more, under the same mode and registry — 21 in all.
+grep -qx 'grp_fleet_traces_total{source="interpret"} 21' "$TRACE_TMP/all_registry.prom" || {
+    echo "ERROR: all --scale test must interpret exactly 21 traces (18 grid + 3 bandwidth):" >&2
     grep 'grp_fleet_traces_total' "$TRACE_TMP/all_registry.prom" >&2 || true
     exit 1
 }
+
+echo "== determinism gate: all --scale test twice, byte-identical, every section =="
+# `all` is the one command that prints the evaluation: two runs must
+# print the same bytes, and the output must carry every table and
+# figure of the paper's section 5.
+cargo run --release -q --offline -p grp-bench --bin all -- --scale test \
+    > "$TRACE_TMP/all_a.txt" 2> /dev/null
+cargo run --release -q --offline -p grp-bench --bin all -- --scale test \
+    > "$TRACE_TMP/all_b.txt" 2> /dev/null
+cmp "$TRACE_TMP/all_a.txt" "$TRACE_TMP/all_b.txt" || {
+    echo "ERROR: two all --scale test runs printed different output" >&2
+    exit 1
+}
+for header in 'Figure 1:' 'Table 1:' 'Table 2:' 'Table 3:' 'Table 4:' 'Table 5:' \
+    'Table 6:' 'Figure 9:' 'Figure 10 ' 'Figure 11 ' 'Figure 12:' 'Section 5.4:' \
+    'Section 5.5 bandwidth study:'; do
+    grep -q "^$header" "$TRACE_TMP/all_a.txt" || {
+        echo "ERROR: all --scale test output lacks the '$header' section" >&2
+        exit 1
+    }
+done
 
 echo "== perf smoke: harness at test scale (offline) =="
 cargo run --release -q --offline -p grp-bench --bin perf -- \
