@@ -1,5 +1,11 @@
-//! Prefetch-lifecycle trace exporter. Runs one benchmark under one
-//! scheme with the observer layer enabled and writes three artifacts:
+//! Inspects one benchmark, one `--section` at a time: `lifecycle` (the
+//! default, below), `schemes` (every scheme's counters and prefetch
+//! lifecycle), `hints` (per-reference hint diagnostics) or `workloads`
+//! (footprint, reference mix, dependences and hint density of every
+//! benchmark).
+//!
+//! The `lifecycle` section runs one benchmark under one scheme with the
+//! observer layer enabled and writes three artifacts:
 //!
 //! * `<prefix>.jsonl` — one JSON object per tracked prefetch (full
 //!   lifecycle timestamps and final outcome);
@@ -14,17 +20,23 @@
 //! the bit), and the lifecycle conservation identity must hold — the
 //! process exits nonzero otherwise.
 //!
-//! Usage:
-//!   `cargo run -p grp-bench --bin trace -- <bench> [--scheme <label>]
-//!    [--scale test|small|paper] [--trace-out <prefix>]
+//! Usage (`--scheme`, `--trace-out` and `--metrics-out` are
+//! lifecycle-only):
+//!   `cargo run -p grp-bench --bin trace -- <bench> [--section <name>]
+//!    [--scheme <label>] [--scale test|small|paper] [--trace-out <prefix>]
 //!    [--metrics-out <path>] [--epoch N]`
 //!   `cargo run -p grp-bench --bin trace -- --check <prefix>`
 use grp_bench::json::Json;
 use grp_bench::obs_export::{chrome_trace, flag_u64, flag_value, metrics_json, slug};
-use grp_bench::suite::parse_scale_args;
+use grp_bench::report::Table;
+use grp_bench::suite::{parse_scale_args, SuiteScale};
 use grp_bench::telemetry::log;
+use grp_compiler::{analyze, explain, AnalysisConfig};
 use grp_core::{EpochSampler, LifecycleTracer, ObserverPair, RunResult, Scheme, SimConfig};
-use grp_workloads::by_name;
+use grp_cpu::TraceStats;
+use grp_workloads::{by_name, Workload};
+
+const SECTIONS: &str = "lifecycle, schemes, hints, workloads";
 
 fn fail(msg: &str) -> ! {
     log::error("trace", msg);
@@ -193,19 +205,39 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "gzip".into());
-    let scheme =
-        scheme_from_label(&flag_value(&args, "--scheme").unwrap_or_else(|| "GRP/Var".into()));
+    let wl = by_name(&name).unwrap_or_else(|| fail(&format!("unknown benchmark '{name}'")));
     let scale = parse_scale_args(&args).unwrap_or_else(|e| fail(&e));
     let epoch = flag_u64(&args, "--epoch").unwrap_or(4096);
     if epoch == 0 {
         fail("--epoch must be positive");
     }
-    let prefix = flag_value(&args, "--trace-out")
+    let section = grp_bench::args::strict_value(&args, "--section", SECTIONS)
+        .unwrap_or_else(|e| fail(&e))
+        .unwrap_or_else(|| "lifecycle".into());
+    for flag in ["--scheme", "--trace-out", "--metrics-out"] {
+        if section != "lifecycle" && args.iter().any(|a| a == flag) {
+            fail(&format!("{flag} applies only to --section lifecycle"));
+        }
+    }
+    match section.as_str() {
+        "lifecycle" => lifecycle(&args, wl, scale, epoch),
+        "schemes" => schemes(wl, scale, epoch),
+        "hints" => hints(wl, scale),
+        "workloads" => workloads(scale),
+        other => fail(&format!("unknown section '{other}' (valid: {SECTIONS})")),
+    }
+}
+
+/// The `lifecycle` section: one traced cell, self-checked, exported.
+fn lifecycle(args: &[String], wl: &Workload, scale: SuiteScale, epoch: u64) {
+    let name = wl.name;
+    let scheme =
+        scheme_from_label(&flag_value(args, "--scheme").unwrap_or_else(|| "GRP/Var".into()));
+    let prefix = flag_value(args, "--trace-out")
         .unwrap_or_else(|| format!("target/trace/{}-{}", name, slug(scheme.label())));
     let metrics_path =
-        flag_value(&args, "--metrics-out").unwrap_or_else(|| format!("{prefix}.metrics.json"));
+        flag_value(args, "--metrics-out").unwrap_or_else(|| format!("{prefix}.metrics.json"));
 
-    let wl = by_name(&name).unwrap_or_else(|| fail(&format!("unknown benchmark '{name}'")));
     let built = wl.build(scale.workload_scale());
     let cfg = SimConfig::paper();
     log::info(
@@ -262,4 +294,109 @@ fn main() {
     println!("  fill->first-use: {}", tracer.fill_to_use());
     println!("  self-check ok (trace counters match simulator, accuracy/coverage bit-exact)");
     println!("wrote {prefix}.jsonl, {prefix}.trace.json, {metrics_path}");
+}
+
+/// The `schemes` section: every scheme's counters on one benchmark,
+/// with the prefetch lifecycle of the schemes that prefetch.
+fn schemes(wl: &Workload, scale: SuiteScale, epoch: u64) {
+    let built = wl.build(scale.workload_scale());
+    let cfg = SimConfig::paper();
+    for s in [
+        Scheme::NoPrefetch,
+        Scheme::Stride,
+        Scheme::Srp,
+        Scheme::GrpFix,
+        Scheme::GrpVar,
+        Scheme::HwPointer,
+        Scheme::GrpPointer,
+        Scheme::PerfectL2,
+    ] {
+        let obs = ObserverPair(LifecycleTracer::new(), EpochSampler::new(epoch));
+        let (r, ObserverPair(t, sampler)) = built.run_observed(s, &cfg, obs);
+        println!(
+            "{:>10}: cyc={:>9} ipc={:.2} l2acc={:>7} l2miss={:>7} dem={:>6} pf={:>6} wb={:>6} useful={:>6} late={:>5} acc={:.2}",
+            s.label(),
+            r.cycles,
+            r.ipc(),
+            r.l2.demand_accesses,
+            r.l2.demand_misses,
+            r.traffic.demand_blocks,
+            r.traffic.prefetch_blocks,
+            r.traffic.writeback_blocks,
+            r.l2.useful_prefetches,
+            r.late_prefetch_merges,
+            r.accuracy()
+        );
+        println!(
+            "            alloc={} drop={} cand={} ptr={} ind={} hist={:?} useless={}",
+            r.engine.entries_allocated,
+            r.engine.entries_dropped,
+            r.engine.candidates_issued,
+            r.engine.pointer_entries,
+            r.engine.indirect_entries,
+            r.engine.region_size_hist,
+            r.l2.useless_prefetches
+        );
+        if t.issued() > 0 {
+            println!(
+                "            lifecycle: first_use={} late={} evicted={} resident={} in_flight={} squashed={} queued_end={} ({} epochs)",
+                t.first_used(),
+                t.late(),
+                t.evicted_unused(),
+                t.resident_at_end(),
+                t.in_flight_at_end(),
+                t.squashed(),
+                t.queued_at_end(),
+                sampler.snapshots().len()
+            );
+            println!("            fill->use: {}", t.fill_to_use());
+            println!("            queue-res: {}", t.queue_residency());
+        }
+    }
+}
+
+/// The `hints` section: per-reference hint diagnostics.
+fn hints(wl: &Workload, scale: SuiteScale) {
+    let built = wl.build(scale.workload_scale());
+    let hints = analyze(&built.program, &AnalysisConfig::default());
+    println!("{}: {}\n", wl.name, wl.description);
+    for e in explain(&built.program, &hints) {
+        println!("{}", e.line());
+    }
+}
+
+/// The `workloads` section: the numbers that validate each kernel
+/// against its SPEC counterpart's behaviour.
+fn workloads(scale: SuiteScale) {
+    let mut t = Table::new(vec![
+        "bench",
+        "insts",
+        "loads",
+        "stores",
+        "footprint KB",
+        "refs/inst",
+        "dep loads %",
+        "max chain",
+        "hinted %",
+    ]);
+    for w in grp_workloads::all() {
+        let built = w.build(scale.workload_scale());
+        let (trace, _) = built.trace(Some(&AnalysisConfig::default()));
+        let s = TraceStats::compute(&trace);
+        t.row(vec![
+            w.name.to_string(),
+            s.instructions.to_string(),
+            s.loads.to_string(),
+            s.stores.to_string(),
+            (s.footprint_bytes() / 1024).to_string(),
+            format!("{:.3}", s.ref_density()),
+            format!("{:.1}", s.dependent_ratio() * 100.0),
+            s.max_dep_chain.to_string(),
+            format!(
+                "{:.1}",
+                100.0 * s.hinted_loads as f64 / s.loads.max(1) as f64
+            ),
+        ]);
+    }
+    print!("{}", t.render());
 }

@@ -1,12 +1,14 @@
-//! One function per table/figure of the paper's Section 5.
+//! One function per table/figure of the paper's Section 5, each
+//! rendering cells of a filled [`Suite`]; [`cells`] lists every cell
+//! they read.
 
 use grp_compiler::{census, AnalysisConfig};
-use grp_core::{geomean, Scheme};
+use grp_core::{geomean, RunResult, Scheme, SimConfig};
 use grp_workloads::BenchClass;
 
 use crate::report::{bar_chart, f2, pct, Table};
-use crate::sched::CellJob;
-use crate::suite::Suite;
+use crate::sched::{self, CellJob};
+use crate::suite::{Suite, SuiteScale};
 
 /// The schemes compared in the headline tables.
 pub const HEADLINE: [Scheme; 5] = [
@@ -17,16 +19,61 @@ pub const HEADLINE: [Scheme; 5] = [
     Scheme::GrpVar,
 ];
 
+/// Every cell the renderers below read at `scale`: the kernel × scheme
+/// grid at the paper's configuration, then the bandwidth study's
+/// off-default channel counts.
+pub fn cells(scale: SuiteScale) -> Vec<CellJob> {
+    let cfg = SimConfig::paper();
+    let names: Vec<&'static str> = grp_workloads::all().iter().map(|w| w.name).collect();
+    let grid = sched::grid_jobs(&names, &Scheme::ALL, scale.workload_scale(), cfg);
+    // The grid holds every kernel × scheme at `cfg`, so the study's
+    // cells at `cfg` are duplicates.
+    let study = bandwidth_cells(scale).into_iter().filter(|c| c.cfg != cfg);
+    (0..)
+        .zip(grid.into_iter().chain(study))
+        .map(|(id, c)| CellJob { id, ..c })
+        .collect()
+}
+
+/// Every section `all` prints, in order, each followed by a blank line.
+pub fn evaluation(suite: &Suite) -> String {
+    [
+        figure1(suite),
+        table1(suite).1,
+        table2(),
+        table3(suite),
+        figure9(suite),
+        figure_perf(suite, BenchClass::Int),
+        figure_perf(suite, BenchClass::App),
+        figure_perf(suite, BenchClass::Fp),
+        figure12(suite),
+        table4(suite),
+        table5(suite),
+        table6(suite),
+        sensitivity(suite),
+        bandwidth_table(suite),
+    ]
+    .iter()
+    .map(|section| format!("{section}\n"))
+    .collect()
+}
+
+/// `kernel` under `scheme` at the suite's own configuration.
+#[track_caller]
+fn at<'s>(suite: &'s Suite, kernel: &'static str, scheme: Scheme) -> &'s RunResult {
+    suite.result(kernel, scheme, suite.config())
+}
+
 /// Figure 1: IPC of the realistic system vs perfect-L2 and perfect-L1
 /// idealizations, plus the GRP bar, per benchmark (sorted by gap size).
-pub fn figure1(suite: &mut Suite) -> String {
+pub fn figure1(suite: &Suite) -> String {
     let mut rows: Vec<(String, f64, f64, f64, f64, f64)> = Vec::new();
     for name in suite.perf_names() {
-        let base = suite.run(name, Scheme::NoPrefetch);
-        let l2 = suite.run(name, Scheme::PerfectL2);
-        let l1 = suite.run(name, Scheme::PerfectL1);
-        let grp = suite.run(name, Scheme::GrpVar);
-        let gap = base.gap_vs_perfect(&l2);
+        let base = at(suite, name, Scheme::NoPrefetch);
+        let l2 = at(suite, name, Scheme::PerfectL2);
+        let l1 = at(suite, name, Scheme::PerfectL1);
+        let grp = at(suite, name, Scheme::GrpVar);
+        let gap = base.gap_vs_perfect(l2);
         rows.push((
             name.to_string(),
             base.ipc(),
@@ -78,7 +125,7 @@ pub struct SummaryRow {
 }
 
 /// Table 1: suite-wide speedup, traffic increase, and perfect-L2 gap.
-pub fn table1(suite: &mut Suite) -> (Vec<SummaryRow>, String) {
+pub fn table1(suite: &Suite) -> (Vec<SummaryRow>, String) {
     let names = suite.perf_names();
     let mut rows = Vec::new();
     for scheme in HEADLINE {
@@ -86,11 +133,11 @@ pub fn table1(suite: &mut Suite) -> (Vec<SummaryRow>, String) {
         let mut traffics = Vec::new();
         let mut gap_ratios = Vec::new();
         for name in &names {
-            let base = suite.run(name, Scheme::NoPrefetch);
-            let perfect = suite.run(name, Scheme::PerfectL2);
-            let r = suite.run(name, scheme);
-            speedups.push(r.speedup_vs(&base));
-            traffics.push(r.traffic_vs(&base).max(1e-9));
+            let base = at(suite, name, Scheme::NoPrefetch);
+            let perfect = at(suite, name, Scheme::PerfectL2);
+            let r = at(suite, name, scheme);
+            speedups.push(r.speedup_vs(base));
+            traffics.push(r.traffic_vs(base).max(1e-9));
             gap_ratios.push((perfect.cycles as f64 / r.cycles as f64).min(1.0));
         }
         rows.push(SummaryRow {
@@ -155,7 +202,7 @@ pub fn table2() -> String {
 }
 
 /// Table 3: static hint census per benchmark.
-pub fn table3(suite: &mut Suite) -> String {
+pub fn table3(suite: &Suite) -> String {
     let mut t = Table::new(vec![
         "bench",
         "mem refs",
@@ -186,22 +233,22 @@ pub fn table3(suite: &mut Suite) -> String {
 }
 
 /// Figure 9: speedup from pointer prefetching alone (C benchmarks).
-pub fn figure9(suite: &mut Suite) -> String {
+pub fn figure9(suite: &Suite) -> String {
     let c_benches = [
         "gzip", "vpr", "mesa", "art", "mcf", "equake", "ammp", "parser", "gap", "bzip2", "twolf",
         "sphinx",
     ];
     let mut rows = Vec::new();
     for name in c_benches {
-        let base = suite.run(name, Scheme::NoPrefetch);
-        let hw = suite.run(name, Scheme::HwPointer);
-        let hinted = suite.run(name, Scheme::GrpPointer);
-        let combined = suite.run(name, Scheme::SrpPointer);
+        let base = at(suite, name, Scheme::NoPrefetch);
+        let hw = at(suite, name, Scheme::HwPointer);
+        let hinted = at(suite, name, Scheme::GrpPointer);
+        let combined = at(suite, name, Scheme::SrpPointer);
         rows.push((
             name.to_string(),
-            hw.speedup_vs(&base),
-            hinted.speedup_vs(&base),
-            combined.speedup_vs(&base),
+            hw.speedup_vs(base),
+            hinted.speedup_vs(base),
+            combined.speedup_vs(base),
         ));
     }
     let mut t = Table::new(vec![
@@ -225,7 +272,7 @@ pub fn figure9(suite: &mut Suite) -> String {
 
 /// Figures 10/11: per-benchmark IPC under each scheme, for one suite
 /// class.
-pub fn figure_perf(suite: &mut Suite, class: BenchClass) -> String {
+pub fn figure_perf(suite: &Suite, class: BenchClass) -> String {
     let names: Vec<&'static str> = grp_workloads::perf_set()
         .iter()
         .filter(|w| w.class == class)
@@ -240,11 +287,11 @@ pub fn figure_perf(suite: &mut Suite, class: BenchClass) -> String {
         "perfect-L2",
     ]);
     for name in names {
-        let base = suite.run(name, Scheme::NoPrefetch);
-        let stride = suite.run(name, Scheme::Stride);
-        let srp = suite.run(name, Scheme::Srp);
-        let grp = suite.run(name, Scheme::GrpVar);
-        let l2 = suite.run(name, Scheme::PerfectL2);
+        let base = at(suite, name, Scheme::NoPrefetch);
+        let stride = at(suite, name, Scheme::Stride);
+        let srp = at(suite, name, Scheme::Srp);
+        let grp = at(suite, name, Scheme::GrpVar);
+        let l2 = at(suite, name, Scheme::PerfectL2);
         t.row(vec![
             name.to_string(),
             f2(base.ipc()),
@@ -266,16 +313,16 @@ pub fn figure_perf(suite: &mut Suite, class: BenchClass) -> String {
 }
 
 /// Figure 12: memory traffic normalized to no prefetching.
-pub fn figure12(suite: &mut Suite) -> String {
+pub fn figure12(suite: &Suite) -> String {
     let mut t = Table::new(vec!["bench", "stride", "SRP", "GRP/Var"]);
     let mut stride_all = Vec::new();
     let mut srp_all = Vec::new();
     let mut grp_all = Vec::new();
     for name in suite.perf_names() {
-        let base = suite.run(name, Scheme::NoPrefetch);
-        let stride = suite.run(name, Scheme::Stride).traffic_vs(&base);
-        let srp = suite.run(name, Scheme::Srp).traffic_vs(&base);
-        let grp = suite.run(name, Scheme::GrpVar).traffic_vs(&base);
+        let base = at(suite, name, Scheme::NoPrefetch);
+        let stride = at(suite, name, Scheme::Stride).traffic_vs(base);
+        let srp = at(suite, name, Scheme::Srp).traffic_vs(base);
+        let grp = at(suite, name, Scheme::GrpVar).traffic_vs(base);
         stride_all.push(stride);
         srp_all.push(srp);
         grp_all.push(grp);
@@ -292,7 +339,7 @@ pub fn figure12(suite: &mut Suite) -> String {
 
 /// Table 4: GRP/Var vs GRP/Fix traffic and the region-size distribution
 /// for the three benchmarks where they differ.
-pub fn table4(suite: &mut Suite) -> String {
+pub fn table4(suite: &Suite) -> String {
     let mut t = Table::new(vec![
         "bench",
         "Var traffic",
@@ -303,16 +350,16 @@ pub fn table4(suite: &mut Suite) -> String {
         "size 64 %",
     ]);
     for name in ["mesa", "bzip2", "sphinx"] {
-        let base = suite.run(name, Scheme::NoPrefetch);
-        let var = suite.run(name, Scheme::GrpVar);
-        let fix = suite.run(name, Scheme::GrpFix);
+        let base = at(suite, name, Scheme::NoPrefetch);
+        let var = at(suite, name, Scheme::GrpVar);
+        let fix = at(suite, name, Scheme::GrpFix);
         let hist = var.engine.region_size_hist;
         let total: u64 = hist.iter().sum::<u64>().max(1);
         let share = |i: usize| 100.0 * hist[i] as f64 / total as f64;
         t.row(vec![
             name.to_string(),
-            f2(var.traffic_vs(&base)),
-            f2(fix.traffic_vs(&base)),
+            f2(var.traffic_vs(base)),
+            f2(fix.traffic_vs(base)),
             format!("{:.1}", share(1)),
             format!("{:.1}", share(2)),
             format!("{:.1}", share(3)),
@@ -326,7 +373,7 @@ pub fn table4(suite: &mut Suite) -> String {
 }
 
 /// Table 5: per-benchmark miss rate, coverage, accuracy, traffic.
-pub fn table5(suite: &mut Suite) -> String {
+pub fn table5(suite: &Suite) -> String {
     let mut t = Table::new(vec![
         "bench",
         "miss rate %",
@@ -341,16 +388,16 @@ pub fn table5(suite: &mut Suite) -> String {
     let mut sums = [0.0f64; 6];
     let names = suite.perf_names();
     for name in &names {
-        let base = suite.run(name, Scheme::NoPrefetch);
-        let stride = suite.run(name, Scheme::Stride);
-        let srp = suite.run(name, Scheme::Srp);
-        let grp = suite.run(name, Scheme::GrpVar);
+        let base = at(suite, name, Scheme::NoPrefetch);
+        let stride = at(suite, name, Scheme::Stride);
+        let srp = at(suite, name, Scheme::Srp);
+        let grp = at(suite, name, Scheme::GrpVar);
         let cols = [
-            stride.coverage_vs(&base),
+            stride.coverage_vs(base),
             stride.accuracy(),
-            srp.coverage_vs(&base),
+            srp.coverage_vs(base),
             srp.accuracy(),
-            grp.coverage_vs(&base),
+            grp.coverage_vs(base),
             grp.accuracy(),
         ];
         for (s, c) in sums.iter_mut().zip(cols) {
@@ -395,7 +442,7 @@ pub fn table5(suite: &mut Suite) -> String {
 
 /// Table 6: benchmarks left >15% from perfect L2 under GRP, with the
 /// designed miss cause and the share of misses on the hottest site.
-pub fn table6(suite: &mut Suite) -> String {
+pub fn table6(suite: &Suite) -> String {
     let causes: &[(&str, &str)] = &[
         ("swim", "transposed array access (set conflicts)"),
         ("art", "bandwidth bound + transposed heap array"),
@@ -412,8 +459,8 @@ pub fn table6(suite: &mut Suite) -> String {
         "top-site share %",
     ]);
     for (name, cause) in causes {
-        let grp = suite.run(name, Scheme::GrpVar);
-        let perfect = suite.run(name, Scheme::PerfectL2);
+        let grp = at(suite, name, Scheme::GrpVar);
+        let perfect = at(suite, name, Scheme::PerfectL2);
         let total: u64 = grp.attribution.counts().iter().sum();
         let top = grp.attribution.top(1);
         let share = if total > 0 && !top.is_empty() {
@@ -423,7 +470,7 @@ pub fn table6(suite: &mut Suite) -> String {
         };
         t.row(vec![
             name.to_string(),
-            format!("{:.1}", grp.gap_vs_perfect(&perfect)),
+            format!("{:.1}", grp.gap_vs_perfect(perfect)),
             cause.to_string(),
             format!("{share:.1}"),
         ]);
@@ -436,7 +483,7 @@ pub fn table6(suite: &mut Suite) -> String {
 
 /// §5.4: compiler spatial-policy sensitivity (default vs aggressive vs
 /// conservative), geometric means over the perf set.
-pub fn sensitivity(suite: &mut Suite) -> String {
+pub fn sensitivity(suite: &Suite) -> String {
     let names = suite.perf_names();
     let mut t = Table::new(vec!["policy", "speedup", "traffic"]);
     for (label, scheme) in [
@@ -447,10 +494,10 @@ pub fn sensitivity(suite: &mut Suite) -> String {
         let mut sp = Vec::new();
         let mut tr = Vec::new();
         for name in &names {
-            let base = suite.run(name, Scheme::NoPrefetch);
-            let r = suite.run(name, scheme);
-            sp.push(r.speedup_vs(&base));
-            tr.push(r.traffic_vs(&base).max(1e-9));
+            let base = at(suite, name, Scheme::NoPrefetch);
+            let r = at(suite, name, scheme);
+            sp.push(r.speedup_vs(base));
+            tr.push(r.traffic_vs(base).max(1e-9));
         }
         t.row(vec![label.to_string(), f2(geomean(&sp)), f2(geomean(&tr))]);
     }
@@ -460,59 +507,59 @@ pub fn sensitivity(suite: &mut Suite) -> String {
     )
 }
 
-/// §5.5's bandwidth observation: "art is bandwidth bound … larger caches
-/// and wider channels improve art appreciably." Sweeps DRAM channel
-/// count for the benchmarks the paper calls memory-bound, on a fresh
-/// suite at `scale` (see [`bandwidth_study_with`]).
-pub fn bandwidth_study(scale: crate::suite::SuiteScale) -> String {
-    bandwidth_study_with(&mut Suite::new(scale))
+/// The kernels the paper calls memory-bound (§5.5).
+const BANDWIDTH_BENCHES: [&str; 3] = ["art", "swim", "mcf"];
+/// The DRAM channel counts the bandwidth study sweeps.
+const BANDWIDTH_CHANNELS: [usize; 3] = [2, 4, 8];
+
+/// `base` with `channels` DRAM channels.
+fn with_channels(base: SimConfig, channels: usize) -> SimConfig {
+    let mut cfg = base;
+    cfg.dram.channels = channels;
+    cfg
 }
 
-/// [`bandwidth_study`] over `suite`'s platform configuration. The
-/// column at the suite's own channel count reads the GRP/Var cells
-/// already in its memo table; every other cell runs as one batch
-/// through the suite's own runner — its replay mode, workload cache and
-/// worker count — so each benchmark is interpreted (or loaded from the
-/// trace cache) once for all of them.
-pub fn bandwidth_study_with(suite: &mut Suite) -> String {
-    const BENCHES: [&str; 3] = ["art", "swim", "mcf"];
-    const CHANNELS: [usize; 3] = [2, 4, 8];
-    let base = *suite.config();
-    let mut ipc = vec![0.0; BENCHES.len() * CHANNELS.len()];
-    let mut jobs = Vec::new();
-    for (k, kernel) in BENCHES.into_iter().enumerate() {
-        for (c, channels) in CHANNELS.into_iter().enumerate() {
-            let id = k * CHANNELS.len() + c;
-            let memo = (channels == base.dram.channels)
-                .then(|| suite.cached(kernel, Scheme::GrpVar))
-                .flatten();
-            if let Some(r) = memo {
-                ipc[id] = r.ipc();
-                continue;
-            }
-            let mut cfg = base;
-            cfg.dram.channels = channels;
-            jobs.push(CellJob {
-                id: id as u64,
-                kernel,
-                scheme: Scheme::GrpVar,
-                scale: suite.scale().workload_scale(),
+/// The bandwidth study's cells: GRP/Var on each memory-bound kernel at
+/// each channel count.
+fn bandwidth_cells(scale: SuiteScale) -> Vec<CellJob> {
+    let cfgs = BANDWIDTH_CHANNELS.map(|channels| with_channels(SimConfig::paper(), channels));
+    cfgs.into_iter()
+        .flat_map(|cfg| {
+            sched::grid_jobs(
+                &BANDWIDTH_BENCHES,
+                &[Scheme::GrpVar],
+                scale.workload_scale(),
                 cfg,
-                deadline: None,
-            });
-        }
-    }
-    suite.run_jobs(&jobs, |cell| {
-        let r = cell
-            .outcome
-            .unwrap_or_else(|e| panic!("bandwidth study {}: {e}", cell.kernel));
-        ipc[cell.id as usize] = r.ipc();
-    });
+            )
+        })
+        .collect()
+}
+
+/// §5.5's bandwidth observation: "art is bandwidth bound … larger caches
+/// and wider channels improve art appreciably." Fills a fresh suite at
+/// `scale` with the study's cells (panicking if one fails), then
+/// renders [`bandwidth_table`].
+pub fn bandwidth_study(scale: SuiteScale) -> String {
+    let mut suite = Suite::new(scale);
+    suite
+        .fill(&bandwidth_cells(scale), None)
+        .unwrap_or_else(|e| panic!("bandwidth study: {e}"));
+    bandwidth_table(&suite)
+}
+
+/// The bandwidth study's table: GRP/Var IPC per channel count.
+pub fn bandwidth_table(suite: &Suite) -> String {
     let mut t = Table::new(vec!["bench", "2 channels", "4 channels", "8 channels"]);
-    for (kernel, row) in BENCHES.iter().zip(ipc.chunks(CHANNELS.len())) {
-        let mut cells = vec![kernel.to_string()];
-        cells.extend(row.iter().map(|v| format!("{v:.2}")));
-        t.row(cells);
+    for kernel in BANDWIDTH_BENCHES {
+        let mut row = vec![kernel.to_string()];
+        for channels in BANDWIDTH_CHANNELS {
+            let cfg = with_channels(*suite.config(), channels);
+            row.push(format!(
+                "{:.2}",
+                suite.result(kernel, Scheme::GrpVar, &cfg).ipc()
+            ));
+        }
+        t.row(row);
     }
     format!(
         "Section 5.5 bandwidth study: GRP/Var IPC vs DRAM channel count\n{}",
@@ -523,7 +570,20 @@ pub fn bandwidth_study_with(suite: &mut Suite) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::SuiteScale;
+    use std::sync::OnceLock;
+
+    /// One test-scale suite filled with every cell the renderers read,
+    /// shared by the tests below.
+    fn filled() -> &'static Suite {
+        static SUITE: OnceLock<Suite> = OnceLock::new();
+        SUITE.get_or_init(|| {
+            let mut suite = Suite::new(SuiteScale::Test);
+            suite
+                .fill(&cells(SuiteScale::Test), None)
+                .expect("clean fill");
+            suite
+        })
+    }
 
     #[test]
     fn table2_is_static_and_complete() {
@@ -534,9 +594,26 @@ mod tests {
     }
 
     #[test]
+    fn cells_are_the_grid_plus_the_off_default_bandwidth_cells() {
+        let cells = cells(SuiteScale::Test);
+        // The 4-channel bandwidth cells are the grid's own GRP/Var cells.
+        assert_eq!(cells.len(), 18 * Scheme::ALL.len() + 6);
+        for (i, c) in cells.iter().enumerate() {
+            assert_eq!(c.id, i as u64, "ids index the list");
+            assert!(
+                !cells[..i]
+                    .iter()
+                    .any(|d| (d.kernel, d.scheme, d.cfg) == (c.kernel, c.scheme, c.cfg)),
+                "{}/{} listed twice",
+                c.kernel,
+                c.scheme
+            );
+        }
+    }
+
+    #[test]
     fn table1_runs_at_test_scale() {
-        let mut suite = Suite::new(SuiteScale::Test);
-        let (rows, text) = table1(&mut suite);
+        let (rows, text) = table1(filled());
         assert_eq!(rows.len(), 5);
         assert!(text.contains("GRP/Var"));
         // The no-prefetch row is the identity.
@@ -545,17 +622,29 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_study_shows_channel_scaling() {
+    fn bandwidth_table_over_the_union_equals_the_study() {
+        // `all` renders the study from the one filled table; the
+        // standalone study fills a fresh suite with its own cells.
         let s = bandwidth_study(SuiteScale::Test);
         assert!(s.contains("art"));
         assert!(s.contains("8 channels"));
-        // Over a suite whose memo already holds the default-channel
-        // cells, the table is the same text.
+        assert_eq!(bandwidth_table(filled()), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "sphinx/GRP/Fix at 4 DRAM channels")]
+    fn a_renderer_on_a_partly_filled_suite_panics_naming_the_cell() {
+        // Table 4 reads none, GRP/Var and GRP/Fix of three kernels; the
+        // last kernel lacks GRP/Fix.
         let mut suite = Suite::new(SuiteScale::Test);
-        for kernel in ["art", "swim", "mcf"] {
-            suite.run(kernel, Scheme::GrpVar);
-        }
-        assert_eq!(bandwidth_study_with(&mut suite), s);
+        let schemes = [Scheme::NoPrefetch, Scheme::GrpVar, Scheme::GrpFix];
+        suite
+            .precompute_cells(&["mesa", "bzip2"], &schemes, Some(2))
+            .expect("clean grid");
+        suite
+            .precompute_cells(&["sphinx"], &schemes[..2], Some(2))
+            .expect("clean grid");
+        table4(&suite);
     }
 
     #[test]
@@ -573,11 +662,14 @@ mod tests {
             ))),
             ..Default::default()
         };
+        let study = bandwidth_cells(SuiteScale::Test);
         let mut cold = Suite::new(SuiteScale::Test).with_replay(mode.clone());
-        assert_eq!(bandwidth_study_with(&mut cold), want);
+        cold.fill(&study, Some(2)).expect("clean fill");
+        assert_eq!(bandwidth_table(&cold), want);
         assert_eq!(cold.workloads.built_count(), 3);
         let mut warm = Suite::new(SuiteScale::Test).with_replay(mode);
-        assert_eq!(bandwidth_study_with(&mut warm), want);
+        warm.fill(&study, Some(2)).expect("clean fill");
+        assert_eq!(bandwidth_table(&warm), want);
         assert_eq!(
             warm.workloads.built_count(),
             0,
@@ -588,8 +680,7 @@ mod tests {
 
     #[test]
     fn table4_reports_three_benchmarks() {
-        let mut suite = Suite::new(SuiteScale::Test);
-        let s = table4(&mut suite);
+        let s = table4(filled());
         for n in ["mesa", "bzip2", "sphinx"] {
             assert!(s.contains(n));
         }

@@ -1,11 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (Section 5).
 //!
-//! The [`suite::Suite`] runner memoizes `(benchmark, scheme)` simulation
-//! results so the tables share work; each `experiments::*` function
-//! returns structured rows, and [`report`] renders them in the paper's
-//! layout. `cargo run -p grp-bench --bin all -- --scale small`
-//! reproduces the whole evaluation into `EXPERIMENTS`-style output.
+//! A [`suite::Suite`] is the result table: one batch through the cell
+//! scheduler fills every cell [`experiments::cells`] lists, and each
+//! `experiments::*` function reads it to return structured rows, which
+//! [`report`] renders in the paper's layout. `cargo run -p grp-bench
+//! --bin all -- --scale small` reproduces the whole evaluation into
+//! `EXPERIMENTS`-style output.
 
 #![deny(missing_docs)]
 

@@ -1,4 +1,5 @@
-//! Memoizing suite runner: one simulation per `(benchmark, scheme)`.
+//! The evaluation's result table: one simulation per cell, `(benchmark,
+//! scheme, SimConfig)`, filled in batches and then read.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -6,7 +7,7 @@ use std::sync::Arc;
 use grp_core::{RunResult, Scheme, SimConfig};
 use grp_workloads::{all, BuiltWorkload, Scale};
 
-use crate::sched::{self, CellJob, CellResult, FleetStats, ReplayMode, WorkloadCache};
+use crate::sched::{self, CellJob, ReplayMode, WorkloadCache};
 
 /// Problem-size selection for a whole experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,18 +64,20 @@ pub fn scale_from_args() -> SuiteScale {
     })
 }
 
-/// Memoizing runner over the benchmark registry. Every cell it runs
-/// goes through the cell scheduler ([`crate::sched`]) under the suite's
-/// [`ReplayMode`], sharing built workloads through one
-/// [`WorkloadCache`].
+/// The evaluation's result table: filled by cell batches through the
+/// cell scheduler ([`crate::sched`]) under the suite's [`ReplayMode`],
+/// sharing built workloads through one [`WorkloadCache`], then read by
+/// the `experiments::*` renderers. Each result is keyed by its whole
+/// cell, `(kernel, scheme, SimConfig)`.
 pub struct Suite {
     scale: SuiteScale,
     cfg: SimConfig,
     pub(crate) workloads: WorkloadCache,
-    results: HashMap<(&'static str, Scheme), RunResult>,
+    /// Two-level: `SimConfig` is not `Hash`, and a kernel × scheme pair
+    /// holds at most a handful of configurations.
+    results: HashMap<(&'static str, Scheme), Vec<(SimConfig, RunResult)>>,
     verbose: bool,
     replay: ReplayMode,
-    workers: usize,
 }
 
 impl Suite {
@@ -87,7 +90,6 @@ impl Suite {
             results: HashMap::new(),
             verbose: false,
             replay: ReplayMode::default(),
-            workers: crate::args::default_jobs(),
         }
     }
 
@@ -103,11 +105,6 @@ impl Suite {
     pub fn verbose(mut self) -> Self {
         self.verbose = true;
         self
-    }
-
-    /// The problem size every cell runs at.
-    pub fn scale(&self) -> SuiteScale {
-        self.scale
     }
 
     /// The platform configuration in use.
@@ -127,98 +124,76 @@ impl Suite {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs `jobs` through the cell scheduler under this suite's
-    /// [`ReplayMode`] and workload cache, on at most the worker count
-    /// the suite was last filled with ([`Suite::precompute_cells`]).
-    pub(crate) fn run_jobs(
-        &self,
-        jobs: &[CellJob],
-        on_complete: impl FnMut(CellResult),
-    ) -> FleetStats {
-        sched::run_cells_mode(
-            jobs,
-            self.workers,
-            &self.workloads,
-            &self.replay,
-            on_complete,
-        )
-    }
-
-    /// Runs (or recalls) `name` under `scheme`: a miss runs a one-cell
-    /// batch through [`Suite::run_jobs`], so a trace-cache hit skips the
-    /// build.
+    /// The result of `kernel` under `scheme` on `cfg`.
     ///
     /// # Panics
     ///
-    /// Panics if the cell fails (a workload bug).
-    pub fn run(&mut self, name: &'static str, scheme: Scheme) -> RunResult {
-        if let Some(r) = self.results.get(&(name, scheme)) {
-            return r.clone();
-        }
-        if self.verbose {
-            crate::telemetry::log::info("suite", &format!("running {name} / {scheme}…"));
-        }
-        let job = sched::grid_jobs(&[name], &[scheme], self.scale.workload_scale(), self.cfg);
-        let mut outcome = None;
-        self.run_jobs(&job, |cell| outcome = Some(cell.outcome));
-        let r = outcome
-            .expect("every job gets one reply")
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.results.insert((name, scheme), r.clone());
+    /// Panics naming the cell if no fill ran it: readers list their
+    /// cells up front ([`crate::experiments::cells`]), so a miss is a
+    /// caller bug.
+    #[track_caller]
+    pub fn result(&self, kernel: &'static str, scheme: Scheme, cfg: &SimConfig) -> &RunResult {
+        // Not a closure: the panic must report the caller's location.
+        let runs = self.results.get(&(kernel, scheme));
+        let Some((_, r)) = runs.and_then(|runs| runs.iter().find(|(c, _)| c == cfg)) else {
+            panic!(
+                "suite has no result for {kernel}/{scheme} at {} DRAM channels: \
+                 fill the cell before reading it",
+                cfg.dram.channels
+            )
+        };
         r
     }
 
-    /// The memoized result of `name` under `scheme`, if already run.
-    pub fn cached(&self, name: &str, scheme: Scheme) -> Option<&RunResult> {
-        let name = grp_workloads::by_name(name)?.name;
-        self.results.get(&(name, scheme))
-    }
-
-    /// Warms the memo table through the work-stealing cell scheduler
-    /// ([`crate::sched`]): the schemes of a kernel share one
-    /// interpretation, and their replays spread across workers.
-    ///
-    /// `jobs` is the worker count (`None` = [`crate::args::default_jobs`]);
-    /// later batches of this suite run on the same count. Per-cell
-    /// results are bit-identical to `BuiltWorkload::run` for any worker
-    /// count and steal order.
+    /// Runs `cells`, at the suite's scale, as one batch through the
+    /// work-stealing cell scheduler ([`crate::sched`]) and stores their
+    /// results: the cells of a kernel share one interpretation, and
+    /// their replays spread across workers. `jobs` is the worker count
+    /// (`None` = [`crate::args::default_jobs`]). Per-cell results are
+    /// bit-identical to `BuiltWorkload::run` for any worker count and
+    /// steal order.
     ///
     /// # Errors
     ///
     /// Lists every failed cell (unknown kernel or a panic inside the
     /// cell, isolated by the scheduler) while the surviving cells'
-    /// results still land in the memo table.
-    pub fn precompute_cells(
-        &mut self,
-        names: &[&'static str],
-        schemes: &[Scheme],
-        jobs: Option<usize>,
-    ) -> Result<(), String> {
-        self.workers = jobs.unwrap_or_else(crate::args::default_jobs);
-        let cells: Vec<CellJob> =
-            sched::grid_jobs(names, schemes, self.scale.workload_scale(), self.cfg);
-        let verbose = self.verbose;
-        let mut done = Vec::new();
+    /// results still land in the table.
+    pub fn fill(&mut self, cells: &[CellJob], jobs: Option<usize>) -> Result<(), String> {
+        let scale = self.scale.workload_scale();
+        // Ids index `cells`, so each reply finds its cell's configuration.
+        let cells: Vec<CellJob> = (0..)
+            .zip(cells)
+            .map(|(id, c)| CellJob { id, scale, ..*c })
+            .collect();
+        let (verbose, results) = (self.verbose, &mut self.results);
         let mut failures: Vec<String> = Vec::new();
-        let stats = self.run_jobs(&cells, |cell| {
-            if verbose {
-                crate::telemetry::log::log_kv(
-                    crate::telemetry::log::Level::Info,
-                    "suite",
-                    "fleet cell done",
-                    &[
-                        ("bench", cell.kernel.into()),
-                        ("scheme", cell.scheme.label().into()),
-                        ("worker", (cell.worker as u64).into()),
-                    ],
-                );
-            }
-            match cell.outcome {
-                Ok(r) => done.push(((cell.kernel, cell.scheme), r)),
-                Err(e) => failures.push(format!("{}/{}: {e}", cell.kernel, cell.scheme)),
-            }
-        });
-        self.results.extend(done);
+        let stats = sched::run_cells_mode(
+            &cells,
+            jobs.unwrap_or_else(crate::args::default_jobs),
+            &self.workloads,
+            &self.replay,
+            |cell| {
+                if verbose {
+                    crate::telemetry::log::log_kv(
+                        crate::telemetry::log::Level::Info,
+                        "suite",
+                        "fleet cell done",
+                        &[
+                            ("bench", cell.kernel.into()),
+                            ("scheme", cell.scheme.label().into()),
+                            ("worker", (cell.worker as u64).into()),
+                        ],
+                    );
+                }
+                match cell.outcome {
+                    Ok(r) => results
+                        .entry((cell.kernel, cell.scheme))
+                        .or_default()
+                        .push((cells[cell.id as usize].cfg, r)),
+                    Err(e) => failures.push(format!("{}/{}: {e}", cell.kernel, cell.scheme)),
+                }
+            },
+        );
         if verbose {
             crate::telemetry::log::info(
                 "suite",
@@ -233,12 +208,28 @@ impl Suite {
         }
         failures.sort();
         Err(format!(
-            "precompute_cells: {}/{} cell(s) failed at {:?} scale — {}",
+            "fill: {}/{} cell(s) failed at {:?} scale — {}",
             failures.len(),
             cells.len(),
             self.scale,
             failures.join("; ")
         ))
+    }
+
+    /// [`Suite::fill`] over the `names × schemes` grid at the suite's
+    /// configuration ([`sched::grid_jobs`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Suite::fill`].
+    pub fn precompute_cells(
+        &mut self,
+        names: &[&'static str],
+        schemes: &[Scheme],
+        jobs: Option<usize>,
+    ) -> Result<(), String> {
+        let cells = sched::grid_jobs(names, schemes, self.scale.workload_scale(), self.cfg);
+        self.fill(&cells, jobs)
     }
 
     /// Names of the performance-figure benchmarks (crafty excluded).
@@ -263,15 +254,6 @@ mod tests {
         assert_eq!(SuiteScale::parse("paper"), Some(SuiteScale::Paper));
         assert_eq!(SuiteScale::parse("big"), None);
         assert_eq!(SuiteScale::Test.workload_scale(), Scale::Test);
-    }
-
-    #[test]
-    fn suite_memoizes_runs() {
-        let mut s = Suite::new(SuiteScale::Test);
-        let a = s.run("crafty", Scheme::NoPrefetch);
-        let b = s.run("crafty", Scheme::NoPrefetch);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(s.results.len(), 1);
     }
 
     #[test]
@@ -330,13 +312,13 @@ mod tests {
             par.precompute_cells(&names, &schemes, jobs)
                 .expect("clean grid");
             for (name, scheme, want) in &expected {
-                let got = par.run(name, *scheme);
                 assert_eq!(
-                    got, *want,
+                    par.result(name, *scheme, &cfg),
+                    want,
                     "{name}/{scheme:?} differs from the reference at jobs={jobs:?}"
                 );
             }
-            assert_eq!(par.results.len(), expected.len(), "no recompute");
+            assert_eq!(par.results.len(), expected.len(), "one entry per cell");
         }
     }
 
@@ -368,7 +350,7 @@ mod tests {
         assert!(s.results.contains_key(&("sphinx", Scheme::NoPrefetch)));
         assert!(s.results.contains_key(&("twolf", Scheme::NoPrefetch)));
         assert!(!s.results.contains_key(&("crafty", Scheme::NoPrefetch)));
-        assert!(s.run("sphinx", Scheme::NoPrefetch).cycles > 0);
+        assert!(s.result("sphinx", Scheme::NoPrefetch, s.config()).cycles > 0);
     }
 
     #[test]
@@ -382,18 +364,18 @@ mod tests {
         .expect("clean grid");
         assert_eq!(s.results.len(), 4);
         // The scheduler built into the suite's own cache: built() and a
-        // later miss reuse that workload.
+        // later fill reuse that workload.
         assert_eq!(s.workloads.built_count(), 2);
         let before = s.workloads.get("crafty", Scale::Test).expect("cached");
         assert!(Arc::ptr_eq(&before, &s.built("crafty")));
-        s.run("crafty", Scheme::Srp);
-        assert_eq!(s.workloads.built_count(), 2, "a miss never rebuilds");
-        // And the memoized results match the reference, without a
-        // recompute.
+        s.precompute_cells(&["crafty"], &[Scheme::Srp], Some(1))
+            .expect("clean grid");
+        assert_eq!(s.workloads.built_count(), 2, "a later fill never rebuilds");
+        // And the stored results match the reference.
         let want = s
             .built("sphinx")
             .run(Scheme::PerfectL2, &SimConfig::paper());
-        assert_eq!(s.run("sphinx", Scheme::PerfectL2), want);
+        assert_eq!(*s.result("sphinx", Scheme::PerfectL2, s.config()), want);
         assert_eq!(s.results.len(), 5);
     }
 
@@ -407,13 +389,48 @@ mod tests {
         assert!(err.contains("1/2"), "error counts failures: {err}");
         // The surviving cell's result landed and the suite stays usable.
         assert!(s.results.contains_key(&("twolf", Scheme::NoPrefetch)));
-        assert!(s.run("twolf", Scheme::NoPrefetch).cycles > 0);
+        assert!(s.result("twolf", Scheme::NoPrefetch, s.config()).cycles > 0);
+    }
+
+    #[test]
+    fn results_are_keyed_by_the_whole_cell() {
+        // The same kernel and scheme at two DRAM channel counts are two
+        // cells, filled in one batch and read back apart.
+        let mut wide = SimConfig::paper();
+        wide.dram.channels = 8;
+        let cells: Vec<CellJob> = [SimConfig::paper(), wide]
+            .into_iter()
+            .flat_map(|cfg| sched::grid_jobs(&["art"], &[Scheme::GrpVar], Scale::Test, cfg))
+            .collect();
+        let mut s = Suite::new(SuiteScale::Test);
+        s.fill(&cells, Some(2)).expect("clean fill");
+        let built = s.built("art");
+        for cfg in [SimConfig::paper(), wide] {
+            assert_eq!(
+                *s.result("art", Scheme::GrpVar, &cfg),
+                built.run(Scheme::GrpVar, &cfg)
+            );
+        }
+        assert_ne!(
+            s.result("art", Scheme::GrpVar, &wide),
+            s.result("art", Scheme::GrpVar, s.config())
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mcf/GRP/Var at 4 DRAM channels")]
+    fn reading_an_unfilled_cell_panics_naming_it() {
+        let s = Suite::new(SuiteScale::Test);
+        s.result("mcf", Scheme::GrpVar, s.config());
     }
 
     #[test]
     fn replay_modes_match_the_default_suite_path() {
-        let mut base = Suite::new(SuiteScale::Test);
-        let want = base.run("twolf", Scheme::GrpVar);
+        let cfg = SimConfig::paper();
+        let want = grp_workloads::by_name("twolf")
+            .unwrap()
+            .build(Scale::Test)
+            .run(Scheme::GrpVar, &cfg);
         let dir = std::env::temp_dir().join(format!("grp-suite-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let tc = Arc::new(crate::tracecache::TraceCache::new(&dir));
@@ -424,21 +441,20 @@ mod tests {
             trace_cache: Some(tc),
             ..ReplayMode::default()
         };
-        let mut cold = Suite::new(SuiteScale::Test).with_replay(cached.clone());
-        assert_eq!(cold.run("twolf", Scheme::GrpVar), want);
-        let mut warm = Suite::new(SuiteScale::Test).with_replay(cached.clone());
-        assert_eq!(warm.run("twolf", Scheme::GrpVar), want);
+        let fill = |mode: &ReplayMode| {
+            let mut s = Suite::new(SuiteScale::Test).with_replay(mode.clone());
+            s.precompute_cells(&["twolf"], &[Scheme::GrpVar, Scheme::NoPrefetch], Some(2))
+                .expect("clean grid");
+            assert_eq!(*s.result("twolf", Scheme::GrpVar, &cfg), want);
+            s
+        };
+        fill(&cached);
+        let warm = fill(&cached);
         assert_eq!(
             warm.workloads.built_count(),
             0,
-            "a warm trace cache must satisfy run() without building the workload"
+            "a warm trace cache must fill the suite without building the workload"
         );
-        // The cell scheduler honours the suite's mode too.
-        let mut cells = Suite::new(SuiteScale::Test).with_replay(cached);
-        cells
-            .precompute_cells(&["twolf"], &[Scheme::GrpVar, Scheme::NoPrefetch], Some(2))
-            .expect("clean grid");
-        assert_eq!(cells.run("twolf", Scheme::GrpVar), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

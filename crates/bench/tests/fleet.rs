@@ -5,9 +5,11 @@
 //! read-only across the schemes of a kernel.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use grp_bench::sched::{self, WorkloadCache};
-use grp_bench::{Suite, SuiteScale};
+use grp_bench::sched::{self, ReplayMode, WorkloadCache};
+use grp_bench::telemetry::{registry::metric_id, Registry};
+use grp_bench::{experiments, Suite, SuiteScale};
 use grp_core::{RunResult, Scheme, SimConfig};
 use grp_workloads::{all, Scale};
 
@@ -140,7 +142,7 @@ fn streaming_delivers_every_cell_exactly_once() {
     assert!(stats.queue_wait_micros.count() == delivered.len() as u64);
 }
 
-/// `Suite::precompute_cells` warms the memo table with results
+/// `Suite::precompute_cells` fills the result table with results
 /// bit-identical to the reference `BuiltWorkload::run`, which shares no
 /// scheduler code.
 #[test]
@@ -157,12 +159,47 @@ fn suite_precompute_cells_matches_serial_suite() {
         let built = grp_workloads::by_name(name).unwrap().build(Scale::Test);
         for scheme in schemes {
             assert_eq!(
-                fleet.run(name, scheme),
+                *fleet.result(name, scheme, &cfg),
                 built.run(scheme, &cfg),
                 "{name}/{scheme} diverged between fleet precompute and the reference"
             );
         }
     }
+}
+
+/// `all`'s path: one batch fills every cell the evaluation reads —
+/// the grid and the bandwidth study's off-default channel counts —
+/// interpreting each kernel once, and the sections rendered from that
+/// table are the binary's stdout after its header.
+#[test]
+fn one_batch_fills_the_evaluation_and_renders_all_s_stdout() {
+    let reg = Arc::new(Registry::new());
+    let mut suite =
+        Suite::new(SuiteScale::Test).with_replay(ReplayMode::default().with_telemetry(reg.clone()));
+    suite
+        .fill(&experiments::cells(SuiteScale::Test), Some(2))
+        .expect("clean fill");
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("grp_fleet_runs_total"), 1, "one batch");
+    assert_eq!(
+        snap.counter(&metric_id(
+            "grp_fleet_traces_total",
+            &[("source", "interpret")]
+        )),
+        18,
+        "one interpretation per kernel"
+    );
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["--scale", "test", "--jobs", "2"])
+        .output()
+        .expect("run all");
+    assert!(out.status.success(), "all --scale test failed");
+    let want = format!(
+        "GRP reproduction — full evaluation at Test scale\n\n{}",
+        experiments::evaluation(&suite)
+    );
+    assert_eq!(String::from_utf8(out.stdout).expect("utf-8"), want);
 }
 
 /// The deal is driven by [`sched::group_weight`], built on

@@ -1,7 +1,7 @@
 //! Human-readable hint diagnostics: for each reference site, the
 //! syntactic shape, the per-loop byte strides the analyses saw, and the
-//! hints that resulted. Used by `grp-bench`'s `explain` tool to audit
-//! why the compiler did (or did not) mark a reference.
+//! hints that resulted. Used by `grp-bench`'s `trace --section hints`
+//! to audit why the compiler did (or did not) mark a reference.
 
 use grp_cpu::RefId;
 use grp_ir::{HintMap, MemRef, Program};

@@ -10,29 +10,36 @@ use grp::core::{geomean, Scheme};
 use grp_bench::{suite::scale_from_args, Suite};
 
 fn main() {
-    let mut suite = Suite::new(scale_from_args()).verbose();
-    let names = suite.perf_names();
-
-    println!("\nsuite geometric means (17 benchmarks):\n");
-    println!(
-        "{:<10} {:>9} {:>9} {:>14}",
-        "scheme", "speedup", "traffic", "speedup/traffic"
-    );
-    for scheme in [
+    const SCHEMES: [Scheme; 7] = [
+        Scheme::NoPrefetch,
         Scheme::Stride,
         Scheme::HwPointer,
         Scheme::GrpPointer,
         Scheme::GrpFix,
         Scheme::GrpVar,
         Scheme::Srp,
-    ] {
+    ];
+    let mut suite = Suite::new(scale_from_args()).verbose();
+    let names = suite.perf_names();
+    // Every cell this study reads, in one batch.
+    suite
+        .precompute_cells(&names, &SCHEMES, None)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let cfg = *suite.config();
+
+    println!("\nsuite geometric means (17 benchmarks):\n");
+    println!(
+        "{:<10} {:>9} {:>9} {:>14}",
+        "scheme", "speedup", "traffic", "speedup/traffic"
+    );
+    for scheme in &SCHEMES[1..] {
         let mut sp = Vec::new();
         let mut tr = Vec::new();
         for name in &names {
-            let base = suite.run(name, Scheme::NoPrefetch);
-            let r = suite.run(name, scheme);
-            sp.push(r.speedup_vs(&base));
-            tr.push(r.traffic_vs(&base).max(1e-9));
+            let base = suite.result(name, Scheme::NoPrefetch, &cfg);
+            let r = suite.result(name, *scheme, &cfg);
+            sp.push(r.speedup_vs(base));
+            tr.push(r.traffic_vs(base).max(1e-9));
         }
         let (s, t) = (geomean(&sp), geomean(&tr));
         println!(

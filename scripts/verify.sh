@@ -52,14 +52,21 @@ cargo run --release -q --offline -p grp-bench --bin all -- --scale test \
 cargo run --release -q --offline -p grp-bench --bin check -- \
     --metrics "$TRACE_TMP/all_registry.prom" \
     --metrics-require grp_fleet_cells_total,grp_fleet_runs_total,grp_fleet_traces_total
-# Every scheme of a kernel replays one interpretation (the 7 hint-free
-# schemes its trace, the 5 GRP compiler configurations views over it):
-# the 18 x 12 grid interprets exactly once per kernel, and the bandwidth
-# study's batch (art, swim, mcf at 2 and 8 DRAM channels) once per
-# kernel more, under the same mode and registry — 21 in all.
-grep -qx 'grp_fleet_traces_total{source="interpret"} 21' "$TRACE_TMP/all_registry.prom" || {
-    echo "ERROR: all --scale test must interpret exactly 21 traces (18 grid + 3 bandwidth):" >&2
+# `all` fills every cell it reads in one scheduler batch: the 18 x 12
+# grid plus the bandwidth study's off-default cells (art, swim, mcf
+# under GRP/Var at 2 and 8 DRAM channels). Every cell of a kernel
+# replays one interpretation (the 7 hint-free schemes its trace, the 5
+# GRP compiler configurations and the other channel counts views or
+# replays of it), so the run interprets exactly once per kernel — 18 —
+# in exactly one batch.
+grep -qx 'grp_fleet_traces_total{source="interpret"} 18' "$TRACE_TMP/all_registry.prom" || {
+    echo "ERROR: all --scale test must interpret exactly 18 traces (one per kernel):" >&2
     grep 'grp_fleet_traces_total' "$TRACE_TMP/all_registry.prom" >&2 || true
+    exit 1
+}
+grep -qx 'grp_fleet_runs_total 1' "$TRACE_TMP/all_registry.prom" || {
+    echo "ERROR: all --scale test must run exactly one cell batch:" >&2
+    grep 'grp_fleet_runs_total' "$TRACE_TMP/all_registry.prom" >&2 || true
     exit 1
 }
 
@@ -158,7 +165,8 @@ grep -q '"complete":216,"total":216' "$TRACE_TMP/fleet_cells.json" || {
 echo "== serve smoke: stdin batch replies match the serial path =="
 # Three-job batch over stdin; --selfcheck re-runs every reply serially
 # on a freshly built workload and exits nonzero on any bit-difference,
-# so a pass proves the server's scheduled results equal Suite::run.
+# so a pass proves the server's scheduled results equal
+# BuiltWorkload::run.
 # --check-replies then re-parses the saved reply stream shape.
 SERVE_TMP="$TRACE_TMP/serve.replies"
 printf '%s\n' \
@@ -283,6 +291,11 @@ cargo run --release -q --offline -p grp-bench --bin trace -- \
     gzip --scale test --trace-out "$TRACE_TMP/gzip" > /dev/null
 cargo run --release -q --offline -p grp-bench --bin trace -- \
     --check "$TRACE_TMP/gzip"
+# The other inspection sections print, and exit 0, at test scale.
+for section in schemes hints workloads; do
+    cargo run --release -q --offline -p grp-bench --bin trace -- \
+        mcf --section "$section" --scale test > /dev/null
+done
 
 echo "== correctness gate: oracle differential + seeded fuzzing (offline) =="
 # Fixed seed and a reduced case count keep the smoke fast and fully
