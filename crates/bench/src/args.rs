@@ -151,7 +151,25 @@ pub fn parse_replay_args(args: &[String]) -> Result<crate::sched::ReplayMode, St
 /// contract as `scale_from_args`.
 pub fn jobs_from_args() -> Option<usize> {
     let args: Vec<String> = std::env::args().collect();
-    parse_jobs_args(&args).unwrap_or_else(|e| {
+    or_exit(parse_jobs_args(&args))
+}
+
+/// [`strict_value`] for a binary's argv: exits with the error (status 2)
+/// on a duplicated flag, a missing value, or a flag-like value.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    or_exit(strict_value(args, flag, "a value"))
+}
+
+/// [`strict_u64`] for a binary's argv, exiting like [`flag_value`]; an
+/// unparsable value exits too.
+pub fn flag_u64(args: &[String], flag: &str) -> Option<u64> {
+    or_exit(strict_u64(args, flag, "an integer"))
+}
+
+/// The parsed value, or the error logged and the process exited with
+/// status 2 (a usage error).
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
         crate::telemetry::log::error("args", &e);
         std::process::exit(2);
     })
@@ -228,6 +246,14 @@ mod tests {
         let err = strict_u64(&args, "--epoch", "an event count").unwrap_err();
         assert!(err.contains("lots"), "{err}");
         assert!(err.contains("an event count"), "{err}");
+    }
+
+    #[test]
+    fn flag_helpers() {
+        let args = argv(&["x", "--epoch", "500", "--trace-out", "p"]);
+        assert_eq!(flag_u64(&args, "--epoch"), Some(500));
+        assert_eq!(flag_value(&args, "--trace-out").as_deref(), Some("p"));
+        assert_eq!(flag_value(&args, "--missing"), None);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! `--registry-out <path>` writes that registry at exit as Prometheus
 //! text plus a `<path>.json` twin — the same export shape `serve
 //! --metrics-out` produces.
+use grp_bench::args::flag_value;
 use grp_bench::json::{run_result_json, Json};
-use grp_bench::obs_export::flag_value;
 use grp_bench::telemetry::{self, exposition, log};
 use grp_bench::{experiments, suite::scale_from_args, Suite};
 use grp_core::Scheme;
@@ -26,6 +26,10 @@ fn main() {
     let scale = scale_from_args();
     let jobs = grp_bench::args::jobs_from_args();
     let argv: Vec<String> = std::env::args().collect();
+    // Output paths are parsed before the batch runs, so a malformed
+    // flag fails at once instead of after the whole evaluation.
+    let json_out = flag_value(&argv, "--json");
+    let registry_out = flag_value(&argv, "--registry-out");
     let replay = grp_bench::args::parse_replay_args(&argv)
         .unwrap_or_else(|e| {
             log::error("all", &e);
@@ -49,11 +53,7 @@ fn main() {
     print!("{}", experiments::evaluation(&suite));
 
     // Optional machine-readable dump of every (benchmark, scheme) run.
-    if let Some(path) = argv
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| argv.get(i + 1))
-    {
+    if let Some(path) = json_out {
         let mut benches = Vec::new();
         for name in suite.all_names() {
             let base = suite.result(name, Scheme::NoPrefetch, suite.config());
@@ -73,14 +73,17 @@ fn main() {
         let doc = Json::object()
             .set("scale", format!("{scale:?}"))
             .set("benchmarks", Json::Array(benches));
-        grp_bench::artifact::atomic_write(path, doc.render()).expect("write --json output");
+        grp_bench::artifact::atomic_write(&path, doc.render()).unwrap_or_else(|e| {
+            log::error("all", &format!("cannot write {path}: {e}"));
+            std::process::exit(1);
+        });
         log::info("all", &format!("wrote {path}"));
     }
 
     // Final registry scrape: everything the run recorded (fleet
     // scheduling, trace cache, I/O faults) in one
     // deterministic text exposition + JSON twin.
-    if let Some(path) = flag_value(&argv, "--registry-out") {
+    if let Some(path) = registry_out {
         exposition::write_registry(telemetry::registry(), &path).unwrap_or_else(|e| {
             log::error("all", &format!("registry export to {path} failed: {e}"));
             std::process::exit(1);

@@ -45,10 +45,11 @@
 
 use std::time::Instant;
 
-use grp_bench::args::{jobs_from_args, parse_replay_args, parse_schemes_args};
+use grp_bench::args::{
+    flag_value, jobs_from_args, parse_replay_args, parse_schemes_args, strict_flag,
+};
 use grp_bench::json::Json;
-use grp_bench::obs_export::flag_value;
-use grp_bench::sched::{self, ReplayMode, WorkloadCache};
+use grp_bench::sched::{self, CellResult, ReplayMode, WorkloadCache};
 use grp_bench::suite::scale_from_args;
 use grp_bench::telemetry::{self, log};
 use grp_bench::traj;
@@ -65,54 +66,32 @@ const DEFAULT_SCHEMES: [Scheme; 4] = [
     Scheme::GrpVar,
 ];
 
-struct KernelRow {
-    bench: &'static str,
-    scheme: Scheme,
-    events: u64,
-    sim_cycles: u64,
-    replay_seconds: f64,
-    worker: Option<usize>,
+/// Prints one successful cell's table row; `worker` adds the column
+/// naming the worker that ran it.
+fn print_row(cell: &CellResult, worker: bool) {
+    let cycles = cell.outcome.as_ref().map_or(0, |r| r.cycles);
+    println!(
+        "{:<10} {:<9} {:>12} {:>14} {:>10.3} {:>12.0}{}",
+        cell.kernel,
+        cell.scheme.label(),
+        cell.events,
+        cycles,
+        cell.replay_seconds,
+        cell.events as f64 / cell.replay_seconds.max(1e-9),
+        if worker {
+            format!(" {:>3}", cell.worker)
+        } else {
+            String::new()
+        }
+    );
 }
 
-impl KernelRow {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.replay_seconds.max(1e-9)
-    }
-
-    fn cycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 / self.replay_seconds.max(1e-9)
-    }
-
-    fn json(&self) -> Json {
-        let mut j = Json::object()
-            .set("bench", self.bench)
-            .set("scheme", self.scheme.label())
-            .set("events", self.events)
-            .set("sim_cycles", self.sim_cycles)
-            .set("replay_seconds", self.replay_seconds)
-            .set("events_per_sec", self.events_per_sec())
-            .set("sim_cycles_per_sec", self.cycles_per_sec());
-        if let Some(w) = self.worker {
-            j = j.set("worker", w as u64);
-        }
-        j
-    }
-
-    fn print(&self) {
-        println!(
-            "{:<10} {:<9} {:>12} {:>14} {:>10.3} {:>12.0}{}",
-            self.bench,
-            self.scheme.label(),
-            self.events,
-            self.sim_cycles,
-            self.replay_seconds,
-            self.events_per_sec(),
-            match self.worker {
-                Some(w) => format!(" {w:>3}"),
-                None => String::new(),
-            }
-        );
-    }
+/// The `kernels` rows of `cells`, all of which succeeded.
+fn rows(cells: &[CellResult], worker: bool) -> Vec<Json> {
+    cells
+        .iter()
+        .filter_map(|c| traj::cell_row(c, worker))
+        .collect()
 }
 
 fn main() {
@@ -139,8 +118,8 @@ fn main() {
         std::process::exit(2);
     };
     log::init_from_args(&args).unwrap_or_else(|e| usage_err(e));
-    let fleet = grp_bench::args::strict_flag(&args, "--fleet").unwrap_or_else(|e| usage_err(e));
-    let profile = grp_bench::args::strict_flag(&args, "--profile").unwrap_or_else(|e| usage_err(e));
+    let fleet = strict_flag(&args, "--fleet").unwrap_or_else(|e| usage_err(e));
+    let profile = strict_flag(&args, "--profile").unwrap_or_else(|e| usage_err(e));
     let scale = scale_from_args();
     let label = flag_value(&args, "--label").unwrap_or_else(|| {
         if fleet {
@@ -159,7 +138,7 @@ fn main() {
                 DEFAULT_SCHEMES.to_vec()
             }
         });
-    let write = !args.iter().any(|a| a == "--no-write");
+    let write = !strict_flag(&args, "--no-write").unwrap_or_else(|e| usage_err(e));
     let mode = parse_replay_args(&args).unwrap_or_else(|e| usage_err(e));
 
     let wall_start = Instant::now();
@@ -258,21 +237,19 @@ fn run_serial(
     schemes: &[Scheme],
     mode: &ReplayMode,
 ) -> Json {
-    let (rows, stats, _) = run_grid(scale, schemes, mode, None, None);
-    let wall_seconds = stats.wall_seconds;
-    let setup_seconds = stats.setup_seconds;
+    let (cells, stats, _) = run_grid(scale, schemes, mode, None, None);
     // Summary + entry construction is the export phase (no-op span
     // unless --profile enabled the profiler).
     let _export = telemetry::profiler().span("export");
 
-    let events: u64 = rows.iter().map(|r| r.events).sum();
-    let sim_cycles: u64 = rows.iter().map(|r| r.sim_cycles).sum();
-    let replay_seconds: f64 = rows.iter().map(|r| r.replay_seconds).sum();
-    let events_per_sec = events as f64 / replay_seconds.max(1e-9);
-    let cycles_per_sec = sim_cycles as f64 / replay_seconds.max(1e-9);
+    // Every cell succeeded (run_grid exits otherwise), so the batch's
+    // totals are the rows' totals.
+    let s = &stats;
+    let events_per_sec = s.events as f64 / s.replay_seconds.max(1e-9);
+    let cycles_per_sec = s.sim_cycles as f64 / s.replay_seconds.max(1e-9);
     println!(
-        "\ntotal: {events} events in {replay_seconds:.3}s replay \
-         ({setup_seconds:.3}s setup, {wall_seconds:.3}s wall)"
+        "\ntotal: {} events in {:.3}s replay ({:.3}s setup, {:.3}s wall)",
+        s.events, s.replay_seconds, s.setup_seconds, s.wall_seconds
     );
     println!("throughput: {events_per_sec:.0} events/s, {cycles_per_sec:.0} simulated cycles/s");
 
@@ -283,17 +260,14 @@ fn run_serial(
             "schemes",
             Json::Array(schemes.iter().map(|s| Json::from(s.label())).collect()),
         )
-        .set("wall_seconds", wall_seconds)
-        .set("setup_seconds", setup_seconds)
-        .set("replay_seconds", replay_seconds)
-        .set("events", events)
-        .set("sim_cycles", sim_cycles)
+        .set("wall_seconds", s.wall_seconds)
+        .set("setup_seconds", s.setup_seconds)
+        .set("replay_seconds", s.replay_seconds)
+        .set("events", s.events)
+        .set("sim_cycles", s.sim_cycles)
         .set("events_per_sec", events_per_sec)
         .set("sim_cycles_per_sec", cycles_per_sec)
-        .set(
-            "kernels",
-            Json::Array(rows.iter().map(|r| r.json()).collect()),
-        )
+        .set("kernels", Json::Array(rows(&cells, false)))
 }
 
 /// Fleet mode: shard the kernel × scheme grid across workers through
@@ -308,7 +282,8 @@ fn run_fleet(
 ) -> Json {
     let workers = jobs_from_args().unwrap_or_else(grp_bench::args::default_jobs);
     let stream_out = flag_value(args, "--stream-out");
-    let (rows, stats, built) = run_grid(scale, schemes, mode, Some(workers), stream_out.as_deref());
+    let (cells, stats, built) =
+        run_grid(scale, schemes, mode, Some(workers), stream_out.as_deref());
     let _export = telemetry::profiler().span("export");
 
     let q = &stats.queue_wait_micros;
@@ -349,14 +324,14 @@ fn run_fleet(
         &format!("{scale:?}").to_lowercase(),
         &scheme_labels,
         &stats,
-        rows.iter().map(|r| r.json()).collect(),
+        rows(&cells, true),
     )
 }
 
 /// Runs the registry × `schemes` grid through the cell scheduler on
 /// `fleet_workers` workers (`None`: serial, one worker), printing each
 /// row as its cell completes and streaming the partial grid to
-/// `stream_out`, if set. Exits on a failed cell. Returns the rows in
+/// `stream_out`, if set. Exits on a failed cell. Returns the cells in
 /// grid order, for a byte-stable artifact regardless of completion
 /// order, with the fleet accounting and the number of workloads built.
 /// Fleet rows name the worker that ran them.
@@ -366,29 +341,21 @@ fn run_grid(
     mode: &ReplayMode,
     fleet_workers: Option<usize>,
     stream_out: Option<&str>,
-) -> (Vec<KernelRow>, sched::FleetStats, usize) {
+) -> (Vec<CellResult>, sched::FleetStats, usize) {
     let names: Vec<&'static str> = all().iter().map(|w| w.name).collect();
     let cfg = grp_core::SimConfig::paper();
     let jobs = sched::grid_jobs(&names, schemes, scale.workload_scale(), cfg);
     let total = jobs.len();
     let cache = WorkloadCache::new();
 
-    let mut rows: Vec<KernelRow> = Vec::new();
+    let mut cells: Vec<CellResult> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    let workers = fleet_workers.unwrap_or(1);
-    let stats = sched::run_cells_mode(&jobs, workers, &cache, mode, |cell| {
+    let fleet = fleet_workers.is_some();
+    let stats = sched::run_cells_mode(&jobs, fleet_workers.unwrap_or(1), &cache, mode, |cell| {
         match &cell.outcome {
-            Ok(r) => {
-                let row = KernelRow {
-                    bench: cell.kernel,
-                    scheme: cell.scheme,
-                    events: cell.events,
-                    sim_cycles: r.cycles,
-                    replay_seconds: cell.replay_seconds,
-                    worker: fleet_workers.map(|_| cell.worker),
-                };
-                row.print();
-                rows.push(row);
+            Ok(_) => {
+                print_row(&cell, fleet);
+                cells.push(cell);
             }
             Err(e) => failures.push(format!("{}/{}: {e}", cell.kernel, cell.scheme)),
         }
@@ -397,12 +364,9 @@ fn run_grid(
         // rather than nothing (or a torn file) at end-of-run.
         if let Some(path) = stream_out {
             let doc = Json::object()
-                .set("complete", rows.len() as u64)
+                .set("complete", cells.len() as u64)
                 .set("total", total as u64)
-                .set(
-                    "cells",
-                    Json::Array(rows.iter().map(|r| r.json()).collect()),
-                );
+                .set("cells", Json::Array(rows(&cells, fleet)));
             grp_bench::artifact::atomic_write(path, doc.render()).unwrap_or_else(|e| {
                 log::error("perf", &format!("cannot stream to {path}: {e}"));
                 std::process::exit(1);
@@ -416,17 +380,7 @@ fn run_grid(
         );
         std::process::exit(1);
     }
-    rows.sort_by_key(|r| {
-        (
-            names
-                .iter()
-                .position(|n| *n == r.bench)
-                .unwrap_or(usize::MAX),
-            schemes
-                .iter()
-                .position(|s| *s == r.scheme)
-                .unwrap_or(usize::MAX),
-        )
-    });
-    (rows, stats, cache.built_count())
+    // Grid ids are row-major, so id order is grid order.
+    cells.sort_by_key(|c| c.id);
+    (cells, stats, cache.built_count())
 }

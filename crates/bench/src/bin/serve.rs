@@ -22,8 +22,10 @@
 //!     [--selfcheck]         re-run every reply serially on a freshly
 //!                           built workload and exit nonzero on any
 //!                           bit-difference (the verify.sh gate)
-//!     [--perf-out <path>]   append a fleet-shaped entry aggregated over
-//!                           the whole session on shutdown
+//!     [--perf-out <path>]   on shutdown, append a fleet-shaped entry
+//!                           over the successful cells of every session
+//!                           (failed cells have no throughput; nothing
+//!                           is appended when no cell succeeded)
 //!     [--label <name>]      entry label for --perf-out (default "serve")
 //!     [--metrics-out <path>] write the metrics registry as Prometheus
 //!                           text (+ `<path>.json` twin) after each
@@ -62,15 +64,14 @@ use std::io::BufReader;
 use std::path::Path;
 use std::time::Duration;
 
-use grp_bench::args::{jobs_from_args, parse_replay_args, strict_flag, strict_u64};
-use grp_bench::obs_export::flag_value;
+use grp_bench::args::{flag_value, jobs_from_args, parse_replay_args, strict_flag, strict_u64};
 use grp_bench::serve::{
     check_replies, seed_counters_from_json, AcceptBackoff, Server, ServerOpts, SessionEnd,
 };
 use grp_bench::suite::scale_from_args;
 use grp_bench::telemetry::log::{self, Level};
 use grp_bench::{artifact, telemetry, traj};
-use grp_core::{Scheme, SimConfig};
+use grp_core::SimConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -178,6 +179,9 @@ fn main() {
         request_deadline: deadline_ms.map(Duration::from_millis),
         max_inflight: max_inflight.map(|n| n as usize),
     });
+    if perf_out.is_some() {
+        server.keep_perf_rows();
+    }
     let export = |server: &Server| {
         if let Some(path) = &metrics_out {
             if let Err(e) = server.write_metrics(path) {
@@ -265,24 +269,18 @@ fn main() {
     }
 
     if let Some(out) = perf_out {
-        if server.totals().is_some() {
-            let scheme_labels: Vec<&str> = Scheme::ALL.map(|s| s.label()).to_vec();
-            let rows = server.take_rows();
-            let stats = server.totals().expect("checked above");
-            let entry = traj::fleet_entry(
-                &label,
-                &format!("{:?}", server.default_scale()).to_lowercase(),
-                &scheme_labels,
-                stats,
-                rows,
-            );
-            traj::append_entry(&out, entry).unwrap_or_else(|e| {
-                log::error("serve", &e.to_string());
-                std::process::exit(1);
-            });
-            log::info("serve", &format!("appended entry '{label}' to {out}"));
-        } else {
-            log::info("serve", &format!("no jobs ran, nothing appended to {out}"));
+        match server.perf_entry(&label) {
+            Some(entry) => {
+                traj::append_entry(&out, entry).unwrap_or_else(|e| {
+                    log::error("serve", &e.to_string());
+                    std::process::exit(1);
+                });
+                log::info("serve", &format!("appended entry '{label}' to {out}"));
+            }
+            None => log::info(
+                "serve",
+                &format!("no cell succeeded, nothing appended to {out}"),
+            ),
         }
     }
     if server.mismatches() > 0 {

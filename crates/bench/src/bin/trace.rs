@@ -26,8 +26,9 @@
 //!    [--scheme <label>] [--scale test|small|paper] [--trace-out <prefix>]
 //!    [--metrics-out <path>] [--epoch N]`
 //!   `cargo run -p grp-bench --bin trace -- --check <prefix>`
+use grp_bench::args::{flag_u64, flag_value};
 use grp_bench::json::Json;
-use grp_bench::obs_export::{chrome_trace, flag_u64, flag_value, metrics_json, slug};
+use grp_bench::obs_export::{chrome_trace, metrics_json, slug};
 use grp_bench::report::Table;
 use grp_bench::suite::{parse_scale_args, SuiteScale};
 use grp_bench::telemetry::log;

@@ -500,7 +500,7 @@ mod tests {
                 kind: IoFaultKind::ReadError,
             },
         ]);
-        let st = IoFaultState::new(&plan).with_shard(reg.shard());
+        let st = IoFaultState::new(&plan).with_shard(reg.shard().clone());
         assert!(st.on_write().is_none(), "op 0 passes");
         assert_eq!(st.on_write(), Some(IoFaultKind::WriteNoSpace), "op 1 fails");
         assert!(st.on_write().is_none(), "op 2 passes");

@@ -34,27 +34,6 @@ pub fn slug(label: &str) -> String {
         .collect()
 }
 
-/// Looks up `--<flag> <value>` in an argv slice; exits with an error
-/// (status 2) on a duplicated flag, a missing value, or a flag-like
-/// value — a `--check` at the end of argv used to fall through silently
-/// into run mode.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    crate::args::strict_value(args, flag, "a value").unwrap_or_else(|e| {
-        crate::telemetry::log::error("args", &e);
-        std::process::exit(2);
-    })
-}
-
-/// Like [`flag_value`] for integer-valued flags; additionally exits
-/// with an error on an unparsable value (silent fallback would mask a
-/// typo).
-pub fn flag_u64(args: &[String], flag: &str) -> Option<u64> {
-    crate::args::strict_u64(args, flag, "an integer").unwrap_or_else(|e| {
-        crate::telemetry::log::error("args", &e);
-        std::process::exit(2);
-    })
-}
-
 /// Packs half-open intervals into lanes: each `(idx, start, end)` gets
 /// the lowest lane free at `start`. Input must be sorted by
 /// `(start, idx)` so same-seed runs pack identically.
@@ -390,16 +369,5 @@ mod tests {
         let h = back.get("histograms").unwrap().get("fill_to_use").unwrap();
         assert_eq!(h.get("count").unwrap().as_u64(), Some(1));
         assert_eq!(back.get("epochs").unwrap().as_array().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn flag_helpers() {
-        let args: Vec<String> = ["x", "--epoch", "500", "--trace-out", "p"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_u64(&args, "--epoch"), Some(500));
-        assert_eq!(flag_value(&args, "--trace-out").as_deref(), Some("p"));
-        assert_eq!(flag_value(&args, "--missing"), None);
     }
 }

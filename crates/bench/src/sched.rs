@@ -31,6 +31,12 @@
 //! * Results stream to the caller **as cells complete** over a channel
 //!   (`on_complete` runs on the calling thread), so artifacts can be
 //!   written incrementally instead of at end-of-run.
+//! * A [`CellResult`] is the one record of what a cell cost: its busy
+//!   time, whether it was stolen, and the traces its group leader
+//!   interpreted or loaded. The collector (the calling thread) folds the
+//!   stream into the batch's [`FleetStats`] and records the fleet
+//!   metric families into the registry's one shard, reused by
+//!   every batch; workers keep no accounts of their own.
 //!
 //! Determinism: scheduling order and steal order are timing-dependent,
 //! but every cell is an internally-deterministic replay of a trace that
@@ -42,7 +48,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -75,9 +81,9 @@ pub struct ReplayMode {
     /// entries read as misses and are rebuilt, never trusted.
     pub trace_cache: Option<Arc<TraceCache>>,
     /// Metrics registry the fleet records into (`grp_fleet_*`,
-    /// `grp_replay_*`, `grp_sim_*` families; one shard per worker,
-    /// merged at scrape). `None` — the default — records nothing and
-    /// adds nothing to the replay path.
+    /// `grp_replay_*`, `grp_sim_*` families, recorded by the collector
+    /// into the registry's shard). `None` — the default — records
+    /// nothing and adds nothing to the replay path.
     pub telemetry: Option<Arc<Registry>>,
 }
 
@@ -175,10 +181,22 @@ pub struct CellResult {
     pub queue_micros: u64,
     /// Index of the worker that ran the cell.
     pub worker: usize,
+    /// Seconds the worker spent on the cell from pickup to result.
+    pub busy_seconds: f64,
+    /// True when the worker took the cell's task from another worker's
+    /// deque.
+    pub stolen: bool,
+    /// Traces the cell's group obtained by interpretation: non-zero only
+    /// for the cell that obtained them.
+    pub traces_interpreted: u64,
+    /// Traces the cell's group loaded from the trace cache (same rule).
+    pub traces_loaded: u64,
 }
 
-/// Aggregate accounting for one [`run_cells`] invocation.
-#[derive(Debug, Clone)]
+/// Aggregate accounting for one [`run_cells`] invocation: the fold of
+/// the [`CellResult`]s it streamed ([`FleetStats::add`]) plus the
+/// batch's wall clock.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetStats {
     /// Workers spawned.
     pub workers: usize,
@@ -215,6 +233,64 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
+    /// The empty account of a batch on `workers` workers.
+    pub fn new(workers: usize) -> Self {
+        let mut stats = Self::default();
+        stats.widen(workers);
+        stats
+    }
+
+    /// Folds one streamed cell in. The wall clock is the batch's, not
+    /// a cell's, so it is left to the caller.
+    pub fn add(&mut self, r: &CellResult) {
+        self.cells += 1;
+        match &r.outcome {
+            Ok(res) => self.sim_cycles += res.cycles,
+            Err(_) => self.errors += 1,
+        }
+        self.events += r.events;
+        self.replay_seconds += r.replay_seconds;
+        self.setup_seconds += r.setup_seconds;
+        self.traces_interpreted += r.traces_interpreted;
+        self.traces_loaded += r.traces_loaded;
+        self.steals += u64::from(r.stolen);
+        self.queue_wait_micros.record(r.queue_micros);
+        self.widen(r.worker + 1);
+        self.busy_seconds[r.worker] += r.busy_seconds;
+        self.cells_per_worker[r.worker] += 1;
+    }
+
+    /// Folds in the account of a later batch (a `serve` session's
+    /// totals): walls add up, and per-worker columns add index-wise over
+    /// the wider of the two batches.
+    pub fn merge(&mut self, o: &FleetStats) {
+        self.widen(o.workers);
+        self.cells += o.cells;
+        self.errors += o.errors;
+        self.wall_seconds += o.wall_seconds;
+        self.events += o.events;
+        self.sim_cycles += o.sim_cycles;
+        self.replay_seconds += o.replay_seconds;
+        self.setup_seconds += o.setup_seconds;
+        self.traces_interpreted += o.traces_interpreted;
+        self.traces_loaded += o.traces_loaded;
+        self.steals += o.steals;
+        self.queue_wait_micros.absorb(&o.queue_wait_micros);
+        for w in 0..o.workers {
+            self.busy_seconds[w] += o.busy_seconds[w];
+            self.cells_per_worker[w] += o.cells_per_worker[w];
+        }
+    }
+
+    /// Grows the per-worker columns to at least `workers`.
+    fn widen(&mut self, workers: usize) {
+        if workers > self.workers {
+            self.workers = workers;
+            self.busy_seconds.resize(workers, 0.0);
+            self.cells_per_worker.resize(workers, 0);
+        }
+    }
+
     /// Aggregate fleet throughput: trace events replayed per wall
     /// second across all workers (the "millions of users" headline).
     pub fn events_per_sec(&self) -> f64 {
@@ -516,191 +592,150 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
             .push_back(Task::Group(group.into()));
     }
 
-    let steals = AtomicU64::new(0);
-    let traces_interpreted = AtomicU64::new(0);
-    let traces_loaded = AtomicU64::new(0);
-    let busy: Vec<Mutex<(f64, usize)>> = (0..workers).map(|_| Mutex::new((0.0, 0))).collect();
-    // One registry shard per worker: each worker records lock-free into
-    // its own handles; merging happens only when someone scrapes.
-    let shards: Option<Vec<Arc<Shard>>> = mode
-        .telemetry
-        .as_ref()
-        .map(|reg| (0..workers).map(|_| reg.shard()).collect());
-    let start = Instant::now();
-    let (tx, rx) = mpsc::channel::<CellResult>();
-
-    let mut stats = FleetStats {
-        workers,
-        cells: 0,
-        errors: 0,
-        wall_seconds: 0.0,
-        events: 0,
-        sim_cycles: 0,
-        replay_seconds: 0.0,
-        setup_seconds: 0.0,
-        traces_interpreted: 0,
-        traces_loaded: 0,
-        busy_seconds: vec![0.0; workers],
-        cells_per_worker: vec![0; workers],
-        steals: 0,
-        queue_wait_micros: LatencyHist::default(),
+    let fleet = Fleet {
+        queues,
+        cache,
+        mode,
+        ctl,
+        start: Instant::now(),
     };
-
+    let shard = mode.telemetry.as_ref().map(|reg| reg.shard());
+    let (tx, rx) = mpsc::channel::<CellResult>();
+    let mut stats = FleetStats::new(workers);
     std::thread::scope(|s| {
         for me in 0..workers {
-            let tx = tx.clone();
-            let (queues, busy, steals) = (&queues, &busy, &steals);
-            let (traces_interpreted, traces_loaded) = (&traces_interpreted, &traces_loaded);
-            let shard = shards.as_ref().map(|s| s[me].clone());
-            s.spawn(move || loop {
-                // Own deque first (front: the current group's replays,
-                // then the biggest still-local group)…
-                let mut task = queues[me].lock().expect("own deque").pop_front();
-                // …then steal from the back of the first non-empty victim.
-                if task.is_none() {
-                    for off in 1..queues.len() {
-                        let victim = (me + off) % queues.len();
-                        if let Some(t) = queues[victim].lock().expect("victim deque").pop_back() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            if let Some(shard) = &shard {
-                                shard.counter("grp_fleet_steals_total", &[]).inc();
-                            }
-                            task = Some(t);
-                            break;
-                        }
-                    }
+            let (tx, fleet) = (tx.clone(), &fleet);
+            s.spawn(move || {
+                while let Some((task, stolen)) = fleet.next_task(me) {
+                    // The receiver outlives every sender (rx drains below
+                    // in this scope); a send failure means the caller
+                    // vanished.
+                    let _ = tx.send(fleet.run(me, task, stolen));
                 }
-                let Some(task) = task else { return };
-                let queue_micros = start.elapsed().as_micros() as u64;
-                let t0 = Instant::now();
-                let (job, shared, rest) = match task {
-                    Task::Replay(job, shared) => (job, Some(shared), VecDeque::new()),
-                    Task::Group(mut cells) => {
-                        let job = cells.pop_front().expect("groups are never empty");
-                        (job, None, cells)
-                    }
-                };
-                // Pickup gate: a cancelled batch or an expired deadline
-                // skips the simulation but still produces a named-error
-                // result, so the caller sees every cell exactly once. A
-                // skipped group leader puts the rest of its group back at
-                // the front of this deque; the next cell there leads it.
-                let (outcome, events, setup_seconds, replay_seconds) =
-                    if let Some(e) = pickup_gate(&job, ctl) {
-                        if !rest.is_empty() {
-                            queues[me]
-                                .lock()
-                                .expect("own deque")
-                                .push_front(Task::Group(rest));
-                        }
-                        (Err(e), 0, 0.0, 0.0)
-                    } else {
-                        let (shared, setup_seconds) = match shared {
-                            Some(shared) => (shared, 0.0),
-                            None => {
-                                let shared = obtain_shared(&job, &rest, cache, mode);
-                                if let Ok(group) = shared.as_ref() {
-                                    let interpreted = u64::from(group.interpreted());
-                                    let loaded = group.loaded();
-                                    traces_interpreted.fetch_add(interpreted, Ordering::Relaxed);
-                                    traces_loaded.fetch_add(loaded, Ordering::Relaxed);
-                                    if let Some(shard) = &shard {
-                                        for (source, n) in
-                                            [("interpret", interpreted), ("cache", loaded)]
-                                        {
-                                            if n > 0 {
-                                                shard
-                                                    .counter(
-                                                        "grp_fleet_traces_total",
-                                                        &[("source", source)],
-                                                    )
-                                                    .add(n);
-                                            }
-                                        }
-                                    }
-                                }
-                                // The group's other cells replay these
-                                // traces: pushed to the front (in order) so
-                                // this worker runs them next, and idle
-                                // workers steal them from the back.
-                                let mut q = queues[me].lock().expect("own deque");
-                                for c in rest.into_iter().rev() {
-                                    q.push_front(Task::Replay(c, shared.clone()));
-                                }
-                                drop(q);
-                                (shared, t0.elapsed().as_secs_f64())
-                            }
-                        };
-                        let (outcome, events, replay_seconds) = replay_shared(&job, &shared);
-                        (outcome, events, setup_seconds, replay_seconds)
-                    };
-                let busy_secs = t0.elapsed().as_secs_f64();
-                {
-                    let mut b = busy[me].lock().expect("busy");
-                    b.0 += busy_secs;
-                    b.1 += 1;
-                }
-                if let Some(shard) = &shard {
-                    record_cell(shard, me, &job, &outcome, events, busy_secs, queue_micros);
-                }
-                // The receiver outlives every sender (rx drains below in
-                // this scope); a send failure means the caller vanished.
-                let _ = tx.send(CellResult {
-                    id: job.id,
-                    kernel: job.kernel,
-                    scheme: job.scheme,
-                    scale: job.scale,
-                    outcome,
-                    events,
-                    setup_seconds,
-                    replay_seconds,
-                    queue_micros,
-                    worker: me,
-                });
             });
         }
         drop(tx);
-        // Collector: the calling thread streams completions to the
-        // caller while workers are still running.
+        // Collector: the calling thread folds and records each completion
+        // and streams it to the caller while workers are still running.
         for r in rx {
-            stats.cells += 1;
-            stats.events += r.events;
-            stats.replay_seconds += r.replay_seconds;
-            stats.setup_seconds += r.setup_seconds;
-            stats.queue_wait_micros.record(r.queue_micros);
-            match &r.outcome {
-                Ok(res) => stats.sim_cycles += res.cycles,
-                Err(_) => stats.errors += 1,
+            stats.add(&r);
+            if let Some(shard) = shard {
+                record_cell(shard, &r);
             }
             on_complete(r);
         }
     });
 
-    stats.wall_seconds = start.elapsed().as_secs_f64();
-    stats.steals = steals.load(Ordering::Relaxed);
-    stats.traces_interpreted = traces_interpreted.load(Ordering::Relaxed);
-    stats.traces_loaded = traces_loaded.load(Ordering::Relaxed);
-    for (w, b) in busy.iter().enumerate() {
-        let b = b.lock().expect("busy");
-        stats.busy_seconds[w] = b.0;
-        stats.cells_per_worker[w] = b.1;
-    }
-    if let Some(shards) = &shards {
-        // Run-level accounting goes through the first shard (the
-        // collector runs on the calling thread, after workers joined).
-        let s0 = &shards[0];
-        s0.counter("grp_fleet_runs_total", &[]).inc();
-        s0.counter("grp_fleet_wall_micros_total", &[])
+    stats.wall_seconds = fleet.start.elapsed().as_secs_f64();
+    if let Some(shard) = shard {
+        shard.counter("grp_fleet_runs_total", &[]).inc();
+        shard
+            .counter("grp_fleet_wall_micros_total", &[])
             .add((stats.wall_seconds * 1e6) as u64);
         for w in 0..workers {
-            s0.gauge(
-                "grp_fleet_worker_utilization",
-                &[("worker", &w.to_string())],
-            )
-            .set(stats.utilization(w));
+            shard
+                .gauge(
+                    "grp_fleet_worker_utilization",
+                    &[("worker", &w.to_string())],
+                )
+                .set(stats.utilization(w));
         }
     }
     stats
+}
+
+/// What the workers of one batch share: their deques and how cells run.
+struct Fleet<'a> {
+    queues: Vec<Mutex<VecDeque<Task>>>,
+    cache: &'a WorkloadCache,
+    mode: &'a ReplayMode,
+    ctl: Option<&'a BatchCtl>,
+    start: Instant,
+}
+
+impl Fleet<'_> {
+    /// The next task for worker `me`: the front of its own deque (the
+    /// current group's replays, then its biggest still-local group), else
+    /// the back of the first non-empty victim's. `true` marks a steal.
+    fn next_task(&self, me: usize) -> Option<(Task, bool)> {
+        let queues = &self.queues;
+        if let Some(task) = queues[me].lock().expect("own deque").pop_front() {
+            return Some((task, false));
+        }
+        (1..queues.len())
+            .find_map(|off| {
+                let victim = (me + off) % queues.len();
+                queues[victim].lock().expect("victim deque").pop_back()
+            })
+            .map(|task| (task, true))
+    }
+
+    /// Runs one task on worker `me`. A group's first cell obtains the
+    /// group's traces and queues the other cells as replays at the front
+    /// of this worker's deque.
+    fn run(&self, me: usize, task: Task, stolen: bool) -> CellResult {
+        let queue_micros = self.start.elapsed().as_micros() as u64;
+        let t0 = Instant::now();
+        let (job, shared, rest) = match task {
+            Task::Replay(job, shared) => (job, Some(shared), VecDeque::new()),
+            Task::Group(mut cells) => {
+                let job = cells.pop_front().expect("groups are never empty");
+                (job, None, cells)
+            }
+        };
+        let own = &self.queues[me];
+        let mut traces = (0, 0);
+        // Pickup gate: a cancelled batch or an expired deadline skips the
+        // simulation but still produces a named-error result, so the
+        // caller sees every cell exactly once. A skipped group leader puts
+        // the rest of its group back at the front of this deque; the next
+        // cell there leads it.
+        let (outcome, events, setup_seconds, replay_seconds) =
+            if let Some(e) = pickup_gate(&job, self.ctl) {
+                if !rest.is_empty() {
+                    own.lock().expect("own deque").push_front(Task::Group(rest));
+                }
+                (Err(e), 0, 0.0, 0.0)
+            } else {
+                let (shared, setup_seconds) = match shared {
+                    Some(shared) => (shared, 0.0),
+                    None => {
+                        let shared = obtain_shared(&job, &rest, self.cache, self.mode);
+                        if let Ok(group) = shared.as_ref() {
+                            traces = (u64::from(group.interpreted()), group.loaded());
+                        }
+                        // The group's other cells replay these traces:
+                        // pushed to the front (in order) so this worker
+                        // runs them next, and idle workers steal them from
+                        // the back.
+                        let mut q = own.lock().expect("own deque");
+                        for c in rest.into_iter().rev() {
+                            q.push_front(Task::Replay(c, shared.clone()));
+                        }
+                        drop(q);
+                        (shared, t0.elapsed().as_secs_f64())
+                    }
+                };
+                let (outcome, events, replay_seconds) = replay_shared(&job, &shared);
+                (outcome, events, setup_seconds, replay_seconds)
+            };
+        CellResult {
+            id: job.id,
+            kernel: job.kernel,
+            scheme: job.scheme,
+            scale: job.scale,
+            outcome,
+            events,
+            setup_seconds,
+            replay_seconds,
+            queue_micros,
+            worker: me,
+            busy_seconds: t0.elapsed().as_secs_f64(),
+            stolen,
+            traces_interpreted: traces.0,
+            traces_loaded: traces.1,
+        }
+    }
 }
 
 /// The named error for a cell that must not run: its batch was
@@ -763,37 +798,38 @@ fn replay_shared(job: &CellJob, shared: &SharedTrace) -> (Result<RunResult, Stri
     }
 }
 
-/// Records one completed cell into the owning worker's shard.
-fn record_cell(
-    shard: &Shard,
-    worker: usize,
-    job: &CellJob,
-    outcome: &Result<RunResult, String>,
-    events: u64,
-    busy_secs: f64,
-    queue_micros: u64,
-) {
-    let scheme = job.scheme.to_string();
-    let cell = [("bench", job.kernel), ("scheme", scheme.as_str())];
+/// Records one completed cell into the fleet metric families.
+fn record_cell(shard: &Shard, r: &CellResult) {
+    let scheme = r.scheme.to_string();
+    let cell = [("bench", r.kernel), ("scheme", scheme.as_str())];
     shard.counter("grp_fleet_cells_total", &cell).inc();
-    shard.counter("grp_replay_events_total", &[]).add(events);
-    match outcome {
-        Ok(res) => {
-            shard.counter("grp_sim_cycles_total", &[]).add(res.cycles);
-        }
-        Err(_) => {
-            shard.counter("grp_fleet_cell_errors_total", &cell).inc();
-        }
+    shard.counter("grp_replay_events_total", &[]).add(r.events);
+    match &r.outcome {
+        Ok(res) => shard.counter("grp_sim_cycles_total", &[]).add(res.cycles),
+        Err(_) => shard.counter("grp_fleet_cell_errors_total", &cell).inc(),
     }
     shard
         .counter(
             "grp_fleet_busy_micros_total",
-            &[("worker", &worker.to_string())],
+            &[("worker", &r.worker.to_string())],
         )
-        .add((busy_secs * 1e6) as u64);
+        .add((r.busy_seconds * 1e6) as u64);
     shard
         .hist("grp_fleet_queue_wait_micros", &[])
-        .record(queue_micros);
+        .record(r.queue_micros);
+    if r.stolen {
+        shard.counter("grp_fleet_steals_total", &[]).inc();
+    }
+    for (source, n) in [
+        ("interpret", r.traces_interpreted),
+        ("cache", r.traces_loaded),
+    ] {
+        if n > 0 {
+            shard
+                .counter("grp_fleet_traces_total", &[("source", source)])
+                .add(n);
+        }
+    }
 }
 
 /// Where the cells of one compiler configuration replay from.
@@ -1042,6 +1078,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::registry::Registry;
 
     #[test]
     fn weights_order_heavy_cells_first() {
@@ -1404,6 +1441,98 @@ mod tests {
             assert_eq!(r.outcome.as_ref().unwrap_err(), CANCELLED);
         }
         assert_eq!(cache.built_count(), 0, "cancelled cells never build");
+    }
+
+    /// `cells` folded into a fresh account, on `wall` seconds.
+    fn fold<'a>(cells: impl IntoIterator<Item = &'a CellResult>, wall: f64) -> FleetStats {
+        let mut stats = FleetStats::default();
+        for c in cells {
+            stats.add(c);
+        }
+        stats.wall_seconds = wall;
+        stats
+    }
+
+    /// One batch with an unknown kernel and an expired deadline among
+    /// its cells, its streamed results in completion order.
+    fn batch(workers: usize, reg: &Arc<Registry>) -> (FleetStats, Vec<CellResult>) {
+        let cfg = SimConfig::paper();
+        let mut jobs = grid_jobs(
+            &["twolf", "mcf", "not-a-kernel"],
+            &[Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar],
+            Scale::Test,
+            cfg,
+        );
+        jobs[4].deadline = Some(Instant::now());
+        let mode = ReplayMode::default().with_telemetry(reg.clone());
+        let mut seen = Vec::new();
+        let stats = run_cells_mode(&jobs, workers, &WorkloadCache::new(), &mode, |r| {
+            seen.push(r)
+        });
+        (stats, seen)
+    }
+
+    #[test]
+    fn fleet_stats_are_the_fold_of_the_streamed_cells() {
+        let reg = Arc::new(Registry::new());
+        let (stats, seen) = batch(2, &reg);
+        assert_eq!((stats.cells, stats.errors, stats.workers), (9, 4, 2));
+        let mut want = fold(&seen, stats.wall_seconds);
+        want.widen(stats.workers);
+        assert_eq!(stats, want);
+        // Facts that do not come from the records: a fresh cache
+        // interprets each valid kernel (twolf, mcf) once and loads
+        // nothing, every cell ran on some worker, and no worker was busy
+        // longer than the batch took.
+        assert_eq!((stats.traces_interpreted, stats.traces_loaded), (2, 0));
+        assert_eq!(stats.cells_per_worker.iter().sum::<usize>(), stats.cells);
+        assert!(stats.busy_seconds.iter().all(|&b| b <= stats.wall_seconds));
+        // The registry records the same stream.
+        let snap = reg.snapshot();
+        assert_eq!(snap.family_total("grp_fleet_cells_total"), 9);
+        assert_eq!(snap.family_total("grp_fleet_cell_errors_total"), 4);
+        assert_eq!(snap.counter("grp_replay_events_total"), stats.events);
+        assert_eq!(snap.counter("grp_sim_cycles_total"), stats.sim_cycles);
+        assert_eq!(snap.counter("grp_fleet_steals_total"), stats.steals);
+        assert_eq!(
+            snap.family_total("grp_fleet_traces_total"),
+            stats.traces_interpreted + stats.traces_loaded
+        );
+    }
+
+    #[test]
+    fn merged_batches_equal_the_fold_over_both() {
+        let reg = Arc::new(Registry::new());
+        let (a, cells_a) = batch(1, &reg);
+        let (b, cells_b) = batch(2, &reg);
+        let mut merged = a.clone();
+        merged.merge(&b);
+        let want = fold(
+            cells_a.iter().chain(&cells_b),
+            a.wall_seconds + b.wall_seconds,
+        );
+        // Sums of seconds associate differently, so they agree to
+        // rounding; every count agrees exactly.
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(1.0);
+        let secs = |s: &FleetStats| {
+            let mut v = vec![s.wall_seconds, s.replay_seconds, s.setup_seconds];
+            v.extend(&s.busy_seconds);
+            v
+        };
+        assert!(secs(&merged)
+            .iter()
+            .zip(secs(&want))
+            .all(|(x, y)| close(*x, y)));
+        let counts = |s: &FleetStats| FleetStats {
+            wall_seconds: 0.0,
+            replay_seconds: 0.0,
+            setup_seconds: 0.0,
+            busy_seconds: vec![0.0; s.workers],
+            ..s.clone()
+        };
+        assert_eq!(counts(&merged), counts(&want));
+        assert_eq!((merged.cells, merged.workers), (18, 2));
+        assert_eq!(a.steals, 0, "a 1-worker batch has no one to steal from");
     }
 
     #[test]

@@ -43,7 +43,8 @@ use crate::sched::{self, BatchCtl, CellJob, CellResult, FleetStats, ReplayMode, 
 use crate::suite::SuiteScale;
 use crate::telemetry::exposition;
 use crate::telemetry::log::{self, Level};
-use crate::telemetry::registry::{Registry, Shard};
+use crate::telemetry::registry::Registry;
+use crate::traj;
 
 /// Construction-time configuration for a [`Server`].
 #[derive(Debug)]
@@ -110,14 +111,14 @@ pub struct Server {
     mode: ReplayMode,
     selfcheck: bool,
     registry: Arc<Registry>,
-    shard: Arc<Shard>,
     request_deadline: Option<Duration>,
     max_inflight: usize,
     batches: u64,
-    /// Session-lifetime aggregate for `--perf-out` (fleet entry shape).
+    /// Fleet accounting over every batch this server ran.
     totals: Option<FleetStats>,
-    /// Per-cell rows for the fleet entry's `kernels` array.
-    rows: Vec<Json>,
+    /// The `--perf-out` account: the successful cells' fleet accounting
+    /// and `kernels` rows, kept only after [`Server::keep_perf_rows`].
+    perf: Option<(FleetStats, Vec<Json>)>,
     mismatches: u64,
 }
 
@@ -143,7 +144,6 @@ pub enum Request {
 impl Server {
     /// A server recording into `opts.registry`.
     pub fn new(opts: ServerOpts) -> Self {
-        let shard = opts.registry.shard();
         let mode = opts.mode.with_telemetry(opts.registry.clone());
         let max_inflight = ServerOpts::effective_max_inflight(opts.workers, opts.max_inflight);
         Server {
@@ -154,12 +154,11 @@ impl Server {
             mode,
             selfcheck: opts.selfcheck,
             registry: opts.registry,
-            shard,
             request_deadline: opts.request_deadline,
             max_inflight,
             batches: 0,
             totals: None,
-            rows: Vec::new(),
+            perf: None,
             mismatches: 0,
         }
     }
@@ -169,25 +168,38 @@ impl Server {
         self.mismatches
     }
 
-    /// Session-lifetime fleet totals, if any batch ran.
+    /// Fleet totals over every batch so far, if any batch ran.
     pub fn totals(&self) -> Option<&FleetStats> {
         self.totals.as_ref()
     }
 
-    /// Takes the accumulated per-cell rows (for the `--perf-out`
-    /// trajectory entry).
-    pub fn take_rows(&mut self) -> Vec<Json> {
-        std::mem::take(&mut self.rows)
+    /// Keeps one `kernels` row per successful cell from now on, for
+    /// [`Server::perf_entry`]; a server that is never asked keeps none.
+    pub fn keep_perf_rows(&mut self) {
+        self.perf.get_or_insert_with(Default::default);
+    }
+
+    /// The fleet trajectory entry over the successful cells since
+    /// [`Server::keep_perf_rows`], or `None` when none succeeded. Failed
+    /// cells have no throughput, so they are in neither the rows nor the
+    /// entry's counts, and the entry passes
+    /// [`traj::check_trajectory`].
+    pub fn perf_entry(&self, label: &str) -> Option<Json> {
+        let (stats, rows) = self.perf.as_ref().filter(|(stats, _)| stats.cells > 0)?;
+        let schemes = Scheme::ALL.map(|s| s.label());
+        let scale = format!("{:?}", self.default_scale).to_lowercase();
+        Some(traj::fleet_entry(
+            label,
+            &scale,
+            &schemes,
+            stats,
+            rows.clone(),
+        ))
     }
 
     /// The registry this server records into.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// The default scale requests inherit.
-    pub fn default_scale(&self) -> SuiteScale {
-        self.default_scale
     }
 
     /// Reads one client's request stream, flushing a batch at every
@@ -197,7 +209,10 @@ impl Server {
     /// session — the server object (and any other connection) lives on.
     pub fn session<R: BufRead, W: Write>(&mut self, reader: R, out: &mut W) -> SessionEnd {
         let session_id = log::next_id();
-        self.shard.counter("grp_serve_sessions_total", &[]).inc();
+        self.registry
+            .shard()
+            .counter("grp_serve_sessions_total", &[])
+            .inc();
         log::log_kv(
             Level::Info,
             "serve",
@@ -232,14 +247,20 @@ impl Server {
                 }
                 continue;
             }
-            self.shard.counter("grp_serve_requests_total", &[]).inc();
+            self.registry
+                .shard()
+                .counter("grp_serve_requests_total", &[])
+                .inc();
             match parse_request(&line, lineno, self.default_scale) {
                 Ok(Request::Job(mut job)) => {
                     let pending = batch.iter().filter(|r| r.is_ok()).count();
                     if pending >= self.max_inflight {
                         // Bounded admission: shed with a named reply
                         // instead of queueing unboundedly.
-                        self.shard.counter("grp_serve_shed_total", &[]).inc();
+                        self.registry
+                            .shard()
+                            .counter("grp_serve_shed_total", &[])
+                            .inc();
                         batch.push(Err((
                             job.id,
                             format!(
@@ -257,24 +278,27 @@ impl Server {
                     }
                 }
                 Ok(Request::Stats { id }) => {
-                    self.shard
+                    self.registry
+                        .shard()
                         .counter("grp_serve_stats_requests_total", &[])
                         .inc();
                     // Count the reply before snapshotting so the probe
                     // sees itself — every reply on the wire is counted
                     // in the snapshot it carries.
-                    self.shard
+                    self.registry
+                        .shard()
                         .counter("grp_serve_replies_total", &[("ok", "true")])
                         .inc();
                     let reply = self.stats_reply(id);
                     if let Err(e) = writeln!(out, "{}", reply.render()).and_then(|()| out.flush()) {
-                        self.note_client_gone(&e);
+                        self.note_client_gone(&e, "client disconnected mid-reply; session ends");
                         end = Some(SessionEnd::ClientGone);
                         break;
                     }
                 }
                 Ok(Request::Drain { id }) => {
-                    self.shard
+                    self.registry
+                        .shard()
                         .counter("grp_serve_drain_requests_total", &[])
                         .inc();
                     // Finish everything already admitted before
@@ -288,24 +312,21 @@ impl Server {
                         .set("ok", true)
                         .set("drain", true)
                         .set("batches", self.batches);
-                    end = Some(
-                        match writeln!(out, "{}", reply.render()).and_then(|()| out.flush()) {
-                            Ok(()) => {
-                                self.shard
-                                    .counter("grp_serve_replies_total", &[("ok", "true")])
-                                    .inc();
-                                SessionEnd::Drain
-                            }
-                            Err(e) => {
-                                self.note_client_gone(&e);
-                                SessionEnd::ClientGone
-                            }
-                        },
-                    );
+                    end = Some(match self.write_reply(out, true, reply) {
+                        Ok(()) => SessionEnd::Drain,
+                        Err(e) => {
+                            self.note_client_gone(
+                                &e,
+                                "client disconnected mid-reply; session ends",
+                            );
+                            SessionEnd::ClientGone
+                        }
+                    });
                     break;
                 }
                 Err((id, e)) => {
-                    self.shard
+                    self.registry
+                        .shard()
                         .counter("grp_serve_request_errors_total", &[])
                         .inc();
                     batch.push(Err((id, e)));
@@ -345,31 +366,32 @@ impl Server {
             .set("stats", exposition::snapshot_json(&snap, None))
     }
 
-    /// Writes one reply line; `false` means the client is gone (the
-    /// write or flush failed) and the caller must stop writing.
-    fn write_reply<W: Write>(&self, out: &mut W, ok: bool, reply: Json) -> bool {
-        if let Err(e) = writeln!(out, "{}", reply.render()).and_then(|()| out.flush()) {
-            self.note_client_gone(&e);
-            return false;
-        }
-        self.shard
+    /// Writes one reply line and counts it; an error means the client
+    /// is gone (the write or flush failed) and the caller must stop
+    /// writing.
+    fn write_reply<W: Write>(&self, out: &mut W, ok: bool, reply: Json) -> std::io::Result<()> {
+        writeln!(out, "{}", reply.render()).and_then(|()| out.flush())?;
+        self.registry
+            .shard()
             .counter(
                 "grp_serve_replies_total",
                 &[("ok", if ok { "true" } else { "false" })],
             )
             .inc();
-        true
+        Ok(())
     }
 
-    /// Records one client disappearance (broken pipe mid-reply).
-    fn note_client_gone(&self, e: &std::io::Error) {
-        self.shard
+    /// Records one client disappearance (broken pipe mid-reply), logging
+    /// `what` the session does about it.
+    fn note_client_gone(&self, e: &std::io::Error, what: &str) {
+        self.registry
+            .shard()
             .counter("grp_serve_client_disconnects_total", &[])
             .inc();
         log::log_kv(
             Level::Warn,
             "serve",
-            "client disconnected mid-reply; dropping this batch's remaining work",
+            what,
             &[("error", e.to_string().into())],
         );
     }
@@ -397,9 +419,13 @@ impl Server {
                         .set("id", id)
                         .set("ok", false)
                         .set("error", e);
-                    if !self.write_reply(out, false, reply) {
+                    if let Err(e) = self.write_reply(out, false, reply) {
                         // Client gone before the batch even started:
                         // the admitted jobs are dropped, not run.
+                        self.note_client_gone(
+                            &e,
+                            "client disconnected before the batch ran; dropping its jobs",
+                        );
                         return false;
                     }
                 }
@@ -409,14 +435,16 @@ impl Server {
             return true;
         }
         self.batches += 1;
-        self.shard.counter("grp_serve_batches_total", &[]).inc();
+        self.registry
+            .shard()
+            .counter("grp_serve_batches_total", &[])
+            .inc();
         let mut completed: Vec<CellResult> = Vec::new();
         let ctl = BatchCtl::new();
         let gone = std::cell::Cell::new(false);
-        // Workers record into their own registry shards inside
-        // run_cells_ctl (mode.telemetry is this server's registry);
-        // only serve-protocol counters go through self.shard here.
-        let shard = self.shard.clone();
+        // run_cells_ctl records the fleet families into this registry's
+        // shard (mode.telemetry is this server's registry), the same
+        // shard the serve-protocol counters go through.
         let stats = sched::run_cells_ctl(
             &jobs,
             self.workers,
@@ -425,59 +453,40 @@ impl Server {
             Some(&ctl),
             |cell| {
                 if !gone.get() {
-                    let (ok, reply) = match &cell.outcome {
-                        Ok(r) => (
-                            true,
-                            Json::object()
-                                .set("id", cell.id)
-                                .set("ok", true)
-                                .set("bench", cell.kernel)
-                                .set("scheme", cell.scheme.label())
-                                .set("scale", scale_label(cell.scale))
-                                .set("worker", cell.worker as u64)
-                                .set("events", cell.events)
-                                .set("replay_seconds", cell.replay_seconds)
-                                .set("result", run_result_json(r, None)),
-                        ),
-                        Err(e) => (
-                            false,
-                            Json::object()
-                                .set("id", cell.id)
-                                .set("ok", false)
-                                .set("error", e.as_str()),
-                        ),
+                    let reply = match &cell.outcome {
+                        Ok(r) => Json::object()
+                            .set("id", cell.id)
+                            .set("ok", true)
+                            .set("bench", cell.kernel)
+                            .set("scheme", cell.scheme.label())
+                            .set("scale", scale_label(cell.scale))
+                            .set("worker", cell.worker as u64)
+                            .set("events", cell.events)
+                            .set("replay_seconds", cell.replay_seconds)
+                            .set("result", run_result_json(r, None)),
+                        Err(e) => Json::object()
+                            .set("id", cell.id)
+                            .set("ok", false)
+                            .set("error", e.as_str()),
                     };
-                    match writeln!(out, "{}", reply.render()).and_then(|()| out.flush()) {
-                        Ok(()) => {
-                            shard
-                                .counter(
-                                    "grp_serve_replies_total",
-                                    &[("ok", if ok { "true" } else { "false" })],
-                                )
-                                .inc();
-                        }
-                        Err(e) => {
-                            gone.set(true);
-                            ctl.cancel();
-                            shard
-                                .counter("grp_serve_client_disconnects_total", &[])
-                                .inc();
-                            log::log_kv(
-                                Level::Warn,
-                                "serve",
-                                "client disconnected mid-batch; cancelling remaining cells",
-                                &[("error", e.to_string().into())],
-                            );
-                        }
+                    if let Err(e) = self.write_reply(out, cell.outcome.is_ok(), reply) {
+                        gone.set(true);
+                        ctl.cancel();
+                        self.note_client_gone(
+                            &e,
+                            "client disconnected mid-batch; cancelling remaining cells",
+                        );
                     }
                 }
                 completed.push(cell);
             },
         );
-        self.shard
+        self.registry
+            .shard()
             .hist("grp_serve_batch_wall_micros", &[])
             .record((stats.wall_seconds * 1e6) as u64);
-        self.shard
+        self.registry
+            .shard()
             .gauge("grp_serve_cached_workloads", &[])
             .set(self.cache.built_count() as f64);
         log::log_kv(
@@ -493,59 +502,24 @@ impl Server {
                 ("cached_workloads", (self.cache.built_count() as u64).into()),
             ],
         );
-        for cell in &completed {
-            if let Ok(r) = &cell.outcome {
-                self.rows.push(
-                    Json::object()
-                        .set("bench", cell.kernel)
-                        .set("scheme", cell.scheme.label())
-                        .set("events", cell.events)
-                        .set("sim_cycles", r.cycles)
-                        .set("replay_seconds", cell.replay_seconds)
-                        .set(
-                            "events_per_sec",
-                            cell.events as f64 / cell.replay_seconds.max(1e-9),
-                        )
-                        .set(
-                            "sim_cycles_per_sec",
-                            r.cycles as f64 / cell.replay_seconds.max(1e-9),
-                        )
-                        .set("worker", cell.worker as u64),
-                );
+        if let Some((perf, rows)) = &mut self.perf {
+            let mut ok = FleetStats::new(stats.workers);
+            ok.wall_seconds = stats.wall_seconds;
+            for cell in &completed {
+                if let Some(row) = traj::cell_row(cell, true) {
+                    ok.add(cell);
+                    rows.push(row);
+                }
             }
+            perf.merge(&ok);
         }
-        self.absorb(stats);
+        self.totals
+            .get_or_insert_with(FleetStats::default)
+            .merge(&stats);
         if self.selfcheck {
             self.selfcheck_batch(&completed);
         }
         !gone.get()
-    }
-
-    /// Folds one batch's fleet stats into the session totals.
-    fn absorb(&mut self, s: FleetStats) {
-        match &mut self.totals {
-            None => self.totals = Some(s),
-            Some(t) => {
-                t.cells += s.cells;
-                t.errors += s.errors;
-                t.wall_seconds += s.wall_seconds;
-                t.events += s.events;
-                t.sim_cycles += s.sim_cycles;
-                t.replay_seconds += s.replay_seconds;
-                t.setup_seconds += s.setup_seconds;
-                t.traces_interpreted += s.traces_interpreted;
-                t.traces_loaded += s.traces_loaded;
-                t.steals += s.steals;
-                t.queue_wait_micros.absorb(&s.queue_wait_micros);
-                // Worker count is fixed for the session (--jobs), but a
-                // tiny batch can spawn fewer workers than configured —
-                // fold per-worker columns index-wise.
-                for w in 0..s.workers.min(t.workers) {
-                    t.busy_seconds[w] += s.busy_seconds[w];
-                    t.cells_per_worker[w] += s.cells_per_worker[w];
-                }
-            }
-        }
     }
 
     /// Re-runs every completed cell serially on a **freshly built**
@@ -574,7 +548,8 @@ impl Server {
                     ],
                 );
                 self.mismatches += 1;
-                self.shard
+                self.registry
+                    .shard()
                     .counter("grp_serve_selfcheck_mismatches_total", &[])
                     .inc();
             }
@@ -1236,6 +1211,69 @@ mod tests {
         assert_eq!(totals.cells, 2);
         assert_eq!(totals.errors, 0);
         assert_eq!(server.mismatches(), 0);
+    }
+
+    /// Appends `server`'s perf entry to a fresh trajectory and checks it.
+    fn appended_entry_checks(server: &Server, name: &str) -> Json {
+        let dir = std::env::temp_dir().join(format!("grp-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("perf.json");
+        let p = path.to_str().unwrap();
+        let entry = server.perf_entry("serve-test").expect("a cell succeeded");
+        traj::append_entry(p, entry.clone()).expect("append");
+        assert_eq!(traj::check_trajectory(p).map(|c| c.entries), Ok(1));
+        let _ = std::fs::remove_dir_all(&dir);
+        entry
+    }
+
+    #[test]
+    fn perf_entry_with_error_cells_passes_the_trajectory_check() {
+        let mut server = test_server(2);
+        server.keep_perf_rows();
+        // One worker's batch, then a two-worker batch, then a batch whose
+        // cell misses its deadline: the entry counts the three successful
+        // cells on both workers.
+        run_session(
+            &mut server,
+            "{\"kernel\":\"twolf\",\"scheme\":\"none\"}\n\n",
+        );
+        let two = concat!(
+            r#"{"kernel":"twolf","scheme":"SRP"}"#,
+            "\n",
+            r#"{"kernel":"mcf","scheme":"none"}"#,
+            "\n\n",
+        );
+        run_session(&mut server, two);
+        server.request_deadline = Some(Duration::ZERO);
+        let replies = run_session(&mut server, "{\"kernel\":\"mcf\",\"scheme\":\"SRP\"}\n\n");
+        assert_eq!(reply_ok(&replies[0]), Some(false));
+        let totals = server.totals().expect("batches ran");
+        assert_eq!((totals.cells, totals.errors), (4, 1));
+        let entry = appended_entry_checks(&server, "perf-errors");
+        let count = |key: &str| entry.get(key).and_then(|v| v.as_u64());
+        assert_eq!((count("cells"), count("errors")), (Some(3), Some(0)));
+        assert_eq!(count("workers"), Some(2));
+    }
+
+    #[test]
+    fn perf_entry_needs_a_successful_cell_and_an_ask() {
+        let mut server = test_server_opts(1, Some(Duration::ZERO), None);
+        server.keep_perf_rows();
+        run_session(
+            &mut server,
+            "{\"kernel\":\"twolf\",\"scheme\":\"none\"}\n\n",
+        );
+        assert_eq!(server.totals().map(|t| t.errors), Some(1));
+        assert!(server.perf_entry("none-ok").is_none(), "nothing to append");
+        // A server never asked for rows keeps none.
+        let mut server = test_server(1);
+        run_session(
+            &mut server,
+            "{\"kernel\":\"twolf\",\"scheme\":\"none\"}\n\n",
+        );
+        assert!(server.perf.is_none());
+        assert!(server.perf_entry("unasked").is_none());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Three cooperating pieces (each documented in its own module):
 //!
 //! * [`registry`] — named counters / gauges / histograms recorded into
-//!   lock-free per-worker [`registry::Shard`]s and merged exactly at
-//!   scrape time into a [`registry::Snapshot`].
+//!   lock-free [`registry::Shard`]s and merged exactly at scrape time
+//!   into a [`registry::Snapshot`].
 //! * [`profiler`] — phase-scoped hierarchical wall-clock spans
 //!   (`build → interpret → pack → replay → export`), RAII guards,
 //!   deterministic report ordering; off by default and perf-neutral
@@ -44,12 +44,10 @@ pub fn registry() -> &'static Arc<Registry> {
     REGISTRY.get_or_init(|| Arc::new(Registry::new()))
 }
 
-/// A shard of the global registry for the calling context. One shared
-/// shard (not per-thread): callers that fan out register their own
-/// per-worker shards via [`Registry::shard`].
+/// The global registry's shard ([`Registry::shard`]), for global
+/// subsystems like the trace cache.
 pub fn process_shard() -> &'static Arc<Shard> {
-    static SHARD: OnceLock<Arc<Shard>> = OnceLock::new();
-    SHARD.get_or_init(|| registry().shard())
+    registry().shard()
 }
 
 /// The process-global phase profiler (disabled until

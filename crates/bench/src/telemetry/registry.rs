@@ -1,18 +1,16 @@
 //! Process-wide metrics registry: named counters, gauges, and
-//! histograms with lock-free per-worker shards merged exactly at
-//! scrape time.
+//! histograms in one lock-free [`Shard`], read at scrape time.
 //!
 //! The update path is wait-free after handle creation: a [`Counter`] /
 //! [`Gauge`] / [`Hist`] handle wraps an `Arc` of atomics, and every
-//! `add`/`set`/`record` is a relaxed atomic op — no locks, no
-//! cross-worker cache-line contention when each worker records through
-//! its own [`Shard`]. Handle *creation* takes the owning shard's map
-//! lock once; hot loops hold handles.
+//! `add`/`set`/`record` is a relaxed atomic op. Handle *creation* takes
+//! the shard's map lock once; hot loops hold handles. A registry owns
+//! exactly one shard, reused by every batch and session that records
+//! into it, so its size depends on the metric ids, not on the traffic.
 //!
-//! Scraping ([`Registry::snapshot`]) walks every registered shard and
-//! merges: counters by sum, gauges last-registered-shard-wins (so a
-//! later batch's shard supersedes an earlier one for the same id), and
-//! histograms through [`LatencyHist::absorb_parts`] — the same bucket
+//! Scraping ([`Registry::snapshot`]) copies the shard: counters and
+//! gauges by value (a gauge keeps its last write), histograms through
+//! [`LatencyHist::absorb_parts`] — the same bucket
 //! contract as the simulator's observer-layer histograms, so fleet
 //! queue-wait percentiles come from the same machinery as the epoch
 //! sampler's latency accounting. A histogram snapshot derives its
@@ -125,9 +123,8 @@ impl Hist {
     }
 }
 
-/// One worker's private slice of the registry. Updates through handles
-/// from this shard never contend with other workers; the shard's maps
-/// are only locked to create or enumerate handles.
+/// The registry's metric cells. Updates through handles are wait-free;
+/// the shard's maps are only locked to create or enumerate handles.
 #[derive(Debug, Default)]
 pub struct Shard {
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
@@ -192,23 +189,14 @@ impl Shard {
     }
 }
 
-/// The registry: a list of shards, merged exactly at scrape time.
+/// The registry: one [`Shard`], copied into a [`Snapshot`] at scrape
+/// time.
 ///
 /// Cheap to create (tests use a fresh one per case); long-lived code
 /// shares one through [`crate::telemetry::registry`].
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Registry {
-    shards: Mutex<Vec<Arc<Shard>>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Registry({} shards)",
-            self.shards.lock().map(|s| s.len()).unwrap_or(0)
-        )
-    }
+    shard: Arc<Shard>,
 }
 
 impl Registry {
@@ -217,50 +205,44 @@ impl Registry {
         Self::default()
     }
 
-    /// Registers and returns a new shard. One per worker thread (or
-    /// per subsystem for low-rate paths); registration order is the
-    /// gauge merge order (later shards win).
-    pub fn shard(&self) -> Arc<Shard> {
-        let s = Arc::new(Shard::default());
-        self.shards.lock().expect("shard list").push(s.clone());
-        s
+    /// The registry's shard: every recorder (the cell-batch collector,
+    /// serve's protocol counters, the trace cache) records here, and
+    /// every call returns the same shard.
+    pub fn shard(&self) -> &Arc<Shard> {
+        &self.shard
     }
 
-    /// Merges every shard into one deterministic [`Snapshot`]. Safe to
-    /// call while workers are updating: counters and histogram buckets
+    /// Copies the shard into one deterministic [`Snapshot`]. Safe to
+    /// call while recorders are updating: counters and histogram buckets
     /// are monotone, and a histogram's count is derived from its
     /// buckets, so a concurrent scrape sees a consistent (if slightly
     /// stale) view — never a torn one.
     pub fn snapshot(&self) -> Snapshot {
-        let shards: Vec<Arc<Shard>> = self.shards.lock().expect("shard list").clone();
+        let shard = &self.shard;
         let mut snap = Snapshot::default();
-        for shard in &shards {
-            for (id, cell) in shard.counters.lock().expect("counter map").iter() {
-                *snap.counters.entry(id.clone()).or_insert(0) += cell.load(Ordering::Relaxed);
-            }
-            // Later-registered shards overwrite earlier ones: last
-            // write wins for gauges across shard generations.
-            for (id, cell) in shard.gauges.lock().expect("gauge map").iter() {
-                snap.gauges
-                    .insert(id.clone(), f64::from_bits(cell.load(Ordering::Relaxed)));
-            }
-            for (id, cell) in shard.hists.lock().expect("hist map").iter() {
-                cell.merge_into(snap.hists.entry(id.clone()).or_default());
-            }
+        for (id, cell) in shard.counters.lock().expect("counter map").iter() {
+            snap.counters
+                .insert(id.clone(), cell.load(Ordering::Relaxed));
+        }
+        for (id, cell) in shard.gauges.lock().expect("gauge map").iter() {
+            snap.gauges
+                .insert(id.clone(), f64::from_bits(cell.load(Ordering::Relaxed)));
+        }
+        for (id, cell) in shard.hists.lock().expect("hist map").iter() {
+            cell.merge_into(snap.hists.entry(id.clone()).or_default());
         }
         snap
     }
 }
 
-/// A merged, deterministically ordered view of the registry at one
-/// scrape.
+/// A deterministically ordered view of the registry at one scrape.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// Counter id → merged (summed) value.
+    /// Counter id → value.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge id → merged (last-shard-wins) value.
+    /// Gauge id → last written value.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram id → merged distribution.
+    /// Histogram id → distribution.
     pub hists: BTreeMap<String, LatencyHist>,
 }
 
@@ -304,10 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_merge_by_sum_across_shards() {
+    fn every_recorder_shares_the_one_shard() {
         let reg = Registry::new();
         let a = reg.shard();
         let b = reg.shard();
+        assert!(Arc::ptr_eq(a, b), "one shard per registry");
         a.counter("jobs_total", &[("k", "gzip")]).add(3);
         b.counter("jobs_total", &[("k", "gzip")]).add(4);
         b.counter("jobs_total", &[("k", "mcf")]).inc();
@@ -319,25 +302,18 @@ mod tests {
     }
 
     #[test]
-    fn gauges_merge_last_registered_shard_wins() {
+    fn gauges_keep_the_last_write() {
         let reg = Registry::new();
-        let first = reg.shard();
-        first.gauge("workers", &[]).set(2.0);
-        let later = reg.shard();
-        later.gauge("workers", &[]).set(8.0);
-        assert_eq!(reg.snapshot().gauges["workers"], 8.0);
-        // A shard that never wrote the gauge does not mask it.
-        let _silent = reg.shard();
+        reg.shard().gauge("workers", &[]).set(2.0);
+        reg.shard().gauge("workers", &[]).set(8.0);
         assert_eq!(reg.snapshot().gauges["workers"], 8.0);
     }
 
     #[test]
-    fn hists_merge_through_absorb_parts() {
+    fn hists_snapshot_through_absorb_parts() {
         let reg = Registry::new();
-        let a = reg.shard();
-        let b = reg.shard();
-        let ha = a.hist("wait_micros", &[]);
-        let hb = b.hist("wait_micros", &[]);
+        let ha = reg.shard().hist("wait_micros", &[]);
+        let hb = reg.shard().hist("wait_micros", &[]);
         for v in [0, 5, 100] {
             ha.record(v);
         }

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
-use crate::sched::FleetStats;
+use crate::sched::{CellResult, FleetStats};
 
 /// Reads the entry list from a trajectory file.
 ///
@@ -164,6 +164,27 @@ pub fn host_json() -> Json {
         .set("nproc", nproc)
         .set("cpu_model", cpu_model)
         .set("rustc", env!("GRP_RUSTC_VERSION"))
+}
+
+/// The `kernels` row of one cell: its replay throughput, plus with
+/// `worker` the worker that ran it (the fleet entry shape). `None` for a
+/// failed cell, which has no throughput to record.
+pub fn cell_row(cell: &CellResult, worker: bool) -> Option<Json> {
+    let r = cell.outcome.as_ref().ok()?;
+    let secs = cell.replay_seconds.max(1e-9);
+    let row = Json::object()
+        .set("bench", cell.kernel)
+        .set("scheme", cell.scheme.label())
+        .set("events", cell.events)
+        .set("sim_cycles", r.cycles)
+        .set("replay_seconds", cell.replay_seconds)
+        .set("events_per_sec", cell.events as f64 / secs)
+        .set("sim_cycles_per_sec", r.cycles as f64 / secs);
+    Some(if worker {
+        row.set("worker", cell.worker as u64)
+    } else {
+        row
+    })
 }
 
 /// Builds the fleet-scheduler entry shape: the common trajectory fields

@@ -1,5 +1,5 @@
-//! Telemetry exactness tests: the sharded registry must merge
-//! counter-for-counter with a serial reference for any worker count, a
+//! Telemetry exactness tests: a fleet run's registry must match a
+//! serial reference counter-for-counter for any worker count, a
 //! scrape racing live updates must never read a torn or regressing
 //! view, and every trace-cache corruption class must land in its own
 //! labeled miss counter.
@@ -48,8 +48,8 @@ fn run_grid(workers: usize) -> Snapshot {
     reg.snapshot()
 }
 
-/// The satellite acceptance test: an N-worker run's merged counters
-/// equal the 1-worker (serial) run's counters exactly, for every
+/// An N-worker run's counters equal the 1-worker (serial) run's
+/// counters exactly, for every
 /// deterministic family — per-label-set, not just in total. The
 /// queue-wait histogram must also account for every cell in both runs.
 #[test]
@@ -60,7 +60,7 @@ fn sharded_merge_equals_serial_counter_for_counter() {
     let a = deterministic_counters(&serial);
     let b = deterministic_counters(&fleet);
     assert!(!a.is_empty(), "the run recorded deterministic counters");
-    assert_eq!(a, b, "3-worker merge diverged from the serial reference");
+    assert_eq!(a, b, "3-worker run diverged from the serial reference");
 
     for snap in [&serial, &fleet] {
         assert_eq!(snap.counter("grp_fleet_runs_total"), 1);

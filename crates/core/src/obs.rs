@@ -478,7 +478,7 @@ impl<A: Observer, B: Observer> Observer for ObserverPair<A, B> {
 /// Bucket `i` holds values `v` with `2^(i-1) < v <= 2^i - 1`-ish: the
 /// bucket index is the bit length of `v`, capped at 31 (bucket 0 is
 /// exactly `v == 0`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHist {
     buckets: [u64; 32],
     count: u64,

@@ -91,6 +91,18 @@ for header in 'Figure 1:' 'Table 1:' 'Table 2:' 'Table 3:' 'Table 4:' 'Table 5:'
     }
 done
 
+echo "== flag gate has teeth: all --json without a value must exit 2 =="
+# A trailing --json used to run the whole evaluation and write nothing;
+# it must be a usage error before any cell runs.
+rc=0
+cargo run --release -q --offline -p grp-bench --bin all -- --scale test --json \
+    > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || {
+    echo "ERROR: all --scale test --json exited $rc, want 2" >&2
+    exit 1
+}
+echo "  -- trailing --json: rejected"
+
 echo "== perf smoke: harness at test scale (offline) =="
 cargo run --release -q --offline -p grp-bench --bin perf -- \
     --scale test --label verify-smoke --out "$PERF_TMP"
@@ -167,15 +179,19 @@ echo "== serve smoke: stdin batch replies match the serial path =="
 # on a freshly built workload and exits nonzero on any bit-difference,
 # so a pass proves the server's scheduled results equal
 # BuiltWorkload::run.
-# --check-replies then re-parses the saved reply stream shape.
+# --check-replies then re-parses the saved reply stream shape, and
+# perf --check validates the session's --perf-out fleet entry.
 SERVE_TMP="$TRACE_TMP/serve.replies"
+SERVE_PERF="$TRACE_TMP/serve_perf.json"
 printf '%s\n' \
     '{"kernel":"gzip","scheme":"SRP","id":1}' \
     '{"kernel":"mcf","scheme":"none","id":2}' \
     '{"kernel":"gzip","scheme":"GRP/Var","id":3}' \
     | cargo run --release -q --offline -p grp-bench --bin serve -- \
-        --scale test --jobs 2 --selfcheck > "$SERVE_TMP" 2> /dev/null
+        --scale test --jobs 2 --selfcheck --perf-out "$SERVE_PERF" \
+        > "$SERVE_TMP" 2> /dev/null
 cargo run --release -q --offline -p grp-bench --bin serve -- --check-replies "$SERVE_TMP"
+cargo run --release -q --offline -p grp-bench --bin perf -- --check "$SERVE_PERF"
 
 echo "== serve gate has teeth: a bad request must be a flagged reply =="
 if printf '{"kernel":"gzip","scheme":"not-a-scheme","id":1}\n' \
