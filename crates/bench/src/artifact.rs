@@ -228,9 +228,7 @@ pub fn recover_dir(dir: &Path, max_age: Duration) -> io::Result<RecoveryReport> 
                 (&mut report.swept_tmp, "grp_recovery_swept_tmp_total")
             };
             *slot += 1;
-            crate::telemetry::process_shard()
-                .counter(counter, &[])
-                .inc();
+            crate::telemetry::registry().counter(counter, &[]).inc();
             crate::telemetry::log::warn(
                 "recover",
                 &format!(

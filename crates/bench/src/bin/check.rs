@@ -77,7 +77,7 @@ use grp_bench::args::{default_jobs, strict_flag, strict_u64, strict_value};
 use grp_bench::fuzz::{materialize, FuzzPlan, Segment};
 use grp_bench::sched::{grid_jobs, run_cells_mode};
 use grp_bench::suite::parse_scale_args;
-use grp_bench::telemetry::{self, exposition, log, Shard, TelemetryObserver};
+use grp_bench::telemetry::{exposition, log, Registry, TelemetryObserver};
 use grp_core::{
     engine_for, run_trace, DiffReport, EventSource, FaultPlan, InvariantObserver, ObserverPair,
     OracleObserver, PlantedBug, Replay, Scheme, SimConfig,
@@ -208,11 +208,11 @@ fn kernel_differential<S: EventSource + ?Sized>(
 /// attached and `plan` armed (`None` is the unfaulted gate); the
 /// no-prefetch replay also carries the oracle differential, with the
 /// same plan mirrored, and with `telemetry` the GRP/Var replay also
-/// records into that shard. First failure wins.
+/// records into that registry. First failure wins.
 fn check_faulted_case(
     case: &grp_bench::fuzz::FuzzCase,
     plan: Option<&FaultPlan>,
-    telemetry: Option<&Shard>,
+    telemetry: Option<&Registry>,
     cfg: &SimConfig,
     inject: Inject,
     max_cycles: u64,
@@ -231,9 +231,9 @@ fn check_faulted_case(
                         .map_err(|e| format!("oracle differential (no-prefetch): {e}"))?;
                     (result, inv)
                 }
-                (Scheme::GrpVar, Some(shard)) => {
+                (Scheme::GrpVar, Some(reg)) => {
                     let (result, ObserverPair(inv, _)) = replay
-                        .observer(ObserverPair(inv, TelemetryObserver::new(shard)))
+                        .observer(ObserverPair(inv, TelemetryObserver::new(reg)))
                         .run(&case.trace);
                     (result, inv)
                 }
@@ -630,13 +630,12 @@ fn main() {
         // observer — the same observer serve/fleet hang off the fault
         // layer — so the sweep doubles as a gate that armed plans
         // actually produce observable fault events.
-        let fault_reg = telemetry::Registry::new();
-        let fault_shard = fault_reg.shard();
+        let fault_reg = Registry::new();
         for (name, plan) in &builtins {
             match check_faulted_case(
                 &workout,
                 Some(plan),
-                Some(&fault_shard),
+                Some(&fault_reg),
                 &cfg,
                 inject,
                 max_cycles,

@@ -12,11 +12,11 @@
 //!     [--trace-cache <dir>] persist/reuse packed pre-interpreted
 //!                           traces across processes (hits replay the
 //!                           packed trace directly; results identical)
-//!     [--profile]           enable the phase profiler: print a
+//!     [--profile]           fold the cells' stage seconds into a
 //!                           build/interpret/pack/replay/export wall
-//!                           breakdown, embed it in the entry under
-//!                           "profile", and (serial mode) fail unless
-//!                           the phases cover >= 95% of the wall clock
+//!                           breakdown: print it, embed it in the entry
+//!                           under "profile", and (serial mode) fail
+//!                           unless the phases cover >= 95% of the wall
 //!     runs the grid on one worker: each kernel is interpreted once and
 //!     its schemes' cells replay that trace one after another
 //! cargo run --release -p grp-bench --bin perf -- --fleet --scale small
@@ -36,9 +36,10 @@
 //! ([`grp_bench::sched`]): each kernel is built and interpreted once,
 //! and every scheme of it replays that trace (or a hint view over it).
 //! Setup (build, interpretation, packing, cache loads) is untimed in the
-//! headline metric; the replay loop alone — the trace-replay inner loop
-//! that bounds every sweep — is timed per cell, reporting trace
-//! events/sec and simulated cycles/sec. Serial mode is the 1-worker
+//! headline metric, though each group leader's [`CellResult`] records it
+//! stage by stage for `--profile`; the replay loop alone — the
+//! trace-replay inner loop that bounds every sweep — is timed per cell,
+//! reporting trace events/sec and simulated cycles/sec. Serial mode is the 1-worker
 //! grid. Fleet mode runs it on `--jobs` workers and adds aggregate fleet
 //! throughput (total events per *wall* second across all workers),
 //! per-worker utilization, and queue-wait percentiles.
@@ -51,8 +52,8 @@ use grp_bench::args::{
 use grp_bench::json::Json;
 use grp_bench::sched::{self, CellResult, ReplayMode, WorkloadCache};
 use grp_bench::suite::scale_from_args;
-use grp_bench::telemetry::{self, log};
-use grp_bench::traj;
+use grp_bench::telemetry::log;
+use grp_bench::traj::{self, Profile};
 use grp_core::Scheme;
 use grp_workloads::all;
 
@@ -142,9 +143,6 @@ fn main() {
     let mode = parse_replay_args(&args).unwrap_or_else(|e| usage_err(e));
 
     let wall_start = Instant::now();
-    if profile {
-        telemetry::profiler().set_enabled(true);
-    }
 
     println!(
         "GRP perf harness — {:?} scale, {}, schemes: {}",
@@ -167,16 +165,26 @@ fn main() {
         if fleet { "   w" } else { "" }
     );
 
+    let workers = fleet.then(|| jobs_from_args().unwrap_or_else(grp_bench::args::default_jobs));
+    let stream_out = flag_value(&args, "--stream-out").filter(|_| fleet);
+    let (cells, stats, built) = run_grid(scale, &schemes, &mode, workers, stream_out.as_deref());
+    // Summary and entry construction are the export phase.
+    let export = Instant::now();
     let mut entry = if fleet {
-        run_fleet(scale, &label, &schemes, &mode, &args)
+        fleet_summary(scale, &label, &schemes, &cells, &stats, built)
     } else {
-        run_serial(scale, &label, &schemes, &mode)
-    }
-    .set("host", traj::host_json());
+        serial_summary(scale, &label, &schemes, &cells, &stats)
+    };
+    let export_seconds = export.elapsed().as_secs_f64();
+    entry = entry.set("host", traj::host_json());
 
     if profile {
         let wall = wall_start.elapsed().as_secs_f64();
-        let report = telemetry::profiler().report();
+        let mut report = Profile::default();
+        for cell in &cells {
+            report.add(cell);
+        }
+        report.add_export(export_seconds);
         entry = entry.set("profile", report.to_json(wall));
         let coverage = print_profile(&report, wall);
         // The coverage gate only holds serially: fleet workers' summed
@@ -204,19 +212,19 @@ fn main() {
 }
 
 /// Prints the phase-attributed wall breakdown and returns coverage
-/// (top-level span seconds / measured wall seconds).
-fn print_profile(report: &grp_bench::telemetry::profiler::ProfileReport, wall: f64) -> f64 {
+/// (phase seconds / measured wall seconds).
+fn print_profile(report: &Profile, wall: f64) -> f64 {
     let covered = report.covered_seconds();
     let coverage = covered / wall.max(1e-9);
     println!("\nprofile: phase breakdown ({:.3}s wall)", wall);
-    for (phase, stat) in report.phase_totals() {
+    for (phase, seconds, spans) in report.phase_totals() {
         println!(
             "  {:<12} {:>9.3}s  {:>5.1}%  ({} span{})",
             phase,
-            stat.seconds,
-            100.0 * stat.seconds / wall.max(1e-9),
-            stat.count,
-            if stat.count == 1 { "" } else { "s" }
+            seconds,
+            100.0 * seconds / wall.max(1e-9),
+            spans,
+            if spans == 1 { "" } else { "s" }
         );
     }
     println!(
@@ -226,25 +234,19 @@ fn print_profile(report: &grp_bench::telemetry::profiler::ProfileReport, wall: f
     coverage
 }
 
-/// Serial mode: the 1-worker grid through the cell scheduler, so each
-/// kernel is interpreted once for all of its schemes and cells replay
-/// one after another on one worker. Builds, interpretation, packing
-/// and cache loads count as setup; the replay column times the replay
-/// loop alone.
-fn run_serial(
+/// Serial mode's summary and entry, over the 1-worker grid: each kernel
+/// is interpreted once for all of its schemes and cells replay one after
+/// another on one worker. Builds, interpretation, packing and cache
+/// loads count as setup; the replay column times the replay loop alone.
+fn serial_summary(
     scale: grp_bench::SuiteScale,
     label: &str,
     schemes: &[Scheme],
-    mode: &ReplayMode,
+    cells: &[CellResult],
+    s: &sched::FleetStats,
 ) -> Json {
-    let (cells, stats, _) = run_grid(scale, schemes, mode, None, None);
-    // Summary + entry construction is the export phase (no-op span
-    // unless --profile enabled the profiler).
-    let _export = telemetry::profiler().span("export");
-
     // Every cell succeeded (run_grid exits otherwise), so the batch's
     // totals are the rows' totals.
-    let s = &stats;
     let events_per_sec = s.events as f64 / s.replay_seconds.max(1e-9);
     let cycles_per_sec = s.sim_cycles as f64 / s.replay_seconds.max(1e-9);
     println!(
@@ -267,25 +269,19 @@ fn run_serial(
         .set("sim_cycles", s.sim_cycles)
         .set("events_per_sec", events_per_sec)
         .set("sim_cycles_per_sec", cycles_per_sec)
-        .set("kernels", Json::Array(rows(&cells, false)))
+        .set("kernels", Json::Array(rows(cells, false)))
 }
 
-/// Fleet mode: shard the kernel × scheme grid across workers through
-/// the work-stealing cell scheduler, streaming rows (and optionally a
-/// partial-results artifact) as cells complete.
-fn run_fleet(
+/// Fleet mode's summary and entry, over the kernel × scheme grid sharded
+/// across workers through the work-stealing cell scheduler.
+fn fleet_summary(
     scale: grp_bench::SuiteScale,
     label: &str,
     schemes: &[Scheme],
-    mode: &ReplayMode,
-    args: &[String],
+    cells: &[CellResult],
+    stats: &sched::FleetStats,
+    built: usize,
 ) -> Json {
-    let workers = jobs_from_args().unwrap_or_else(grp_bench::args::default_jobs);
-    let stream_out = flag_value(args, "--stream-out");
-    let (cells, stats, built) =
-        run_grid(scale, schemes, mode, Some(workers), stream_out.as_deref());
-    let _export = telemetry::profiler().span("export");
-
     let q = &stats.queue_wait_micros;
     println!(
         "\nfleet: {} cells on {} workers in {:.3}s wall ({} steals, {built} built workloads, \
@@ -323,8 +319,8 @@ fn run_fleet(
         label,
         &format!("{scale:?}").to_lowercase(),
         &scheme_labels,
-        &stats,
-        rows(&cells, true),
+        stats,
+        rows(cells, true),
     )
 }
 

@@ -254,15 +254,15 @@ pub struct IoFaultState {
     /// the final path. Negative teeth for the chaos gate — never part
     /// of a legitimate plan.
     torn_rename: bool,
-    /// Telemetry shard faults are recorded to; `None` uses the
-    /// process-global shard. Tests pass their own shard so parallel
-    /// tests don't contaminate each other's counts.
-    shard: Option<Arc<crate::telemetry::Shard>>,
+    /// Registry faults are recorded to; `None` uses the process-global
+    /// registry. Tests pass their own so parallel tests don't
+    /// contaminate each other's counts.
+    registry: Option<Arc<crate::telemetry::Registry>>,
 }
 
 impl IoFaultState {
     /// Compiles `plan` into its runtime form (recording to the
-    /// process-global telemetry shard).
+    /// process-global registry).
     pub fn new(plan: &IoFaultPlan) -> Self {
         let mut st = Self::default();
         for ev in &plan.events {
@@ -287,9 +287,9 @@ impl IoFaultState {
         }
     }
 
-    /// Redirects fault telemetry to an explicit shard (tests).
-    pub fn with_shard(mut self, shard: Arc<crate::telemetry::Shard>) -> Self {
-        self.shard = Some(shard);
+    /// Redirects fault telemetry to an explicit registry (tests).
+    pub fn with_registry(mut self, reg: Arc<crate::telemetry::Registry>) -> Self {
+        self.registry = Some(reg);
         self
     }
 
@@ -306,12 +306,11 @@ impl IoFaultState {
     fn record(&self, kind: IoFaultKind) {
         self.injected.fetch_add(1, Ordering::Relaxed);
         let labels = [("kind", kind.label())];
-        match &self.shard {
-            Some(s) => s.counter("grp_iofault_injected_total", &labels).inc(),
-            None => crate::telemetry::process_shard()
-                .counter("grp_iofault_injected_total", &labels)
-                .inc(),
-        }
+        self.registry
+            .as_deref()
+            .unwrap_or_else(|| crate::telemetry::registry())
+            .counter("grp_iofault_injected_total", &labels)
+            .inc();
     }
 
     fn next_fault(
@@ -489,7 +488,7 @@ mod tests {
 
     #[test]
     fn faults_fire_at_their_op_index_once() {
-        let reg = Registry::new();
+        let reg = Arc::new(Registry::new());
         let plan = IoFaultPlan::new(vec![
             IoFaultEvent {
                 op: 1,
@@ -500,7 +499,7 @@ mod tests {
                 kind: IoFaultKind::ReadError,
             },
         ]);
-        let st = IoFaultState::new(&plan).with_shard(reg.shard().clone());
+        let st = IoFaultState::new(&plan).with_registry(reg.clone());
         assert!(st.on_write().is_none(), "op 0 passes");
         assert_eq!(st.on_write(), Some(IoFaultKind::WriteNoSpace), "op 1 fails");
         assert!(st.on_write().is_none(), "op 2 passes");

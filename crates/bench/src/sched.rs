@@ -32,11 +32,13 @@
 //!   (`on_complete` runs on the calling thread), so artifacts can be
 //!   written incrementally instead of at end-of-run.
 //! * A [`CellResult`] is the one record of what a cell cost: its busy
-//!   time, whether it was stolen, and the traces its group leader
-//!   interpreted or loaded. The collector (the calling thread) folds the
-//!   stream into the batch's [`FleetStats`] and records the fleet
-//!   metric families into the registry's one shard, reused by
-//!   every batch; workers keep no accounts of their own.
+//!   time, whether it was stolen, its replay seconds, and, for a group
+//!   leader, the traces it interpreted or loaded and the seconds it spent
+//!   in each setup stage ([`SetupStages`]). The collector (the calling
+//!   thread) folds the stream into the batch's [`FleetStats`] and records
+//!   the fleet metric families into the registry, reused by every batch;
+//!   workers keep no accounts of their own, and `perf --profile` folds
+//!   the same records into its phase breakdown.
 //!
 //! Determinism: scheduling order and steal order are timing-dependent,
 //! but every cell is an internally-deterministic replay of a trace that
@@ -59,7 +61,7 @@ use grp_ir::{BaseTrace, HintMap, HintView};
 use grp_mem::{HeapRange, Memory};
 use grp_workloads::{BuiltWorkload, Scale};
 
-use crate::telemetry::registry::{Registry, Shard};
+use crate::telemetry::registry::Registry;
 use crate::tracecache::TraceCache;
 
 /// How cells run: optionally through a cross-process [`TraceCache`] of
@@ -81,9 +83,9 @@ pub struct ReplayMode {
     /// entries read as misses and are rebuilt, never trusted.
     pub trace_cache: Option<Arc<TraceCache>>,
     /// Metrics registry the fleet records into (`grp_fleet_*`,
-    /// `grp_replay_*`, `grp_sim_*` families, recorded by the collector
-    /// into the registry's shard). `None` — the default — records
-    /// nothing and adds nothing to the replay path.
+    /// `grp_replay_*`, `grp_sim_*` families, recorded by the collector).
+    /// `None` — the default — records nothing and adds nothing to the
+    /// replay path.
     pub telemetry: Option<Arc<Registry>>,
 }
 
@@ -174,6 +176,9 @@ pub struct CellResult {
     /// for the cell that obtained its group's traces (and includes the
     /// workload build only for the worker that actually built it).
     pub setup_seconds: f64,
+    /// Where the group leader's setup seconds went, stage by stage (all
+    /// zero for every other cell).
+    pub stages: SetupStages,
     /// Seconds spent in the replay loop alone — the comparable unit to the
     /// serial perf harness's replay column.
     pub replay_seconds: f64,
@@ -191,6 +196,40 @@ pub struct CellResult {
     pub traces_interpreted: u64,
     /// Traces the cell's group loaded from the trace cache (same rule).
     pub traces_loaded: u64,
+}
+
+/// Wall seconds a group leader spent in each stage of obtaining its
+/// group's traces (`obtain_group`'s stages, summed over the group's
+/// compiler configurations). They sit inside the leader's
+/// [`CellResult::setup_seconds`]; hint derivation is in no stage.
+/// `perf --profile` folds them ([`crate::traj::Profile`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SetupStages {
+    /// Taking the workload from (or building it into) the workload
+    /// cache.
+    pub build: f64,
+    /// The kernel's one hint-free interpretation.
+    pub interpret: f64,
+    /// Packing traces the trace cache missed, to store them.
+    pub pack: f64,
+    /// Trace-cache loads of the entries the cache served (a miss is
+    /// in no stage).
+    pub cache_load: f64,
+    /// Trace-cache stores.
+    pub cache_store: f64,
+}
+
+impl SetupStages {
+    /// The stages by name, in the order `perf --profile` reports them.
+    pub fn named(&self) -> [(&'static str, f64); 5] {
+        [
+            ("build", self.build),
+            ("interpret", self.interpret),
+            ("pack", self.pack),
+            ("cache_load", self.cache_load),
+            ("cache_store", self.cache_store),
+        ]
+    }
 }
 
 /// Aggregate accounting for one [`run_cells`] invocation: the fold of
@@ -599,7 +638,6 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
         ctl,
         start: Instant::now(),
     };
-    let shard = mode.telemetry.as_ref().map(|reg| reg.shard());
     let (tx, rx) = mpsc::channel::<CellResult>();
     let mut stats = FleetStats::new(workers);
     std::thread::scope(|s| {
@@ -619,26 +657,24 @@ pub fn run_cells_ctl<F: FnMut(CellResult)>(
         // and streams it to the caller while workers are still running.
         for r in rx {
             stats.add(&r);
-            if let Some(shard) = shard {
-                record_cell(shard, &r);
+            if let Some(reg) = &mode.telemetry {
+                record_cell(reg, &r);
             }
             on_complete(r);
         }
     });
 
     stats.wall_seconds = fleet.start.elapsed().as_secs_f64();
-    if let Some(shard) = shard {
-        shard.counter("grp_fleet_runs_total", &[]).inc();
-        shard
-            .counter("grp_fleet_wall_micros_total", &[])
+    if let Some(reg) = &mode.telemetry {
+        reg.counter("grp_fleet_runs_total", &[]).inc();
+        reg.counter("grp_fleet_wall_micros_total", &[])
             .add((stats.wall_seconds * 1e6) as u64);
         for w in 0..workers {
-            shard
-                .gauge(
-                    "grp_fleet_worker_utilization",
-                    &[("worker", &w.to_string())],
-                )
-                .set(stats.utilization(w));
+            reg.gauge(
+                "grp_fleet_worker_utilization",
+                &[("worker", &w.to_string())],
+            )
+            .set(stats.utilization(w));
         }
     }
     stats
@@ -684,7 +720,7 @@ impl Fleet<'_> {
             }
         };
         let own = &self.queues[me];
-        let mut traces = (0, 0);
+        let (mut traces, mut stages) = ((0, 0), SetupStages::default());
         // Pickup gate: a cancelled batch or an expired deadline skips the
         // simulation but still produces a named-error result, so the
         // caller sees every cell exactly once. A skipped group leader puts
@@ -703,6 +739,7 @@ impl Fleet<'_> {
                         let shared = obtain_shared(&job, &rest, self.cache, self.mode);
                         if let Ok(group) = shared.as_ref() {
                             traces = (u64::from(group.interpreted()), group.loaded());
+                            stages = group.stages;
                         }
                         // The group's other cells replay these traces:
                         // pushed to the front (in order) so this worker
@@ -727,6 +764,7 @@ impl Fleet<'_> {
             outcome,
             events,
             setup_seconds,
+            stages,
             replay_seconds,
             queue_micros,
             worker: me,
@@ -786,9 +824,7 @@ fn replay_shared(job: &CellJob, shared: &SharedTrace) -> (Result<RunResult, Stri
         Ok(group) => group,
         Err(why) => return (Err(why.for_cell(job)), 0, 0.0),
     };
-    match catch_unwind(AssertUnwindSafe(|| {
-        group.replay(job.kernel, job.scheme, &job.cfg)
-    })) {
+    match catch_unwind(AssertUnwindSafe(|| group.replay(job.scheme, &job.cfg))) {
         Ok((result, events, secs)) => (Ok(result), events, secs),
         Err(payload) => (
             Err(Unavailable::Panicked(panic_message(&*payload)).for_cell(job)),
@@ -799,34 +835,30 @@ fn replay_shared(job: &CellJob, shared: &SharedTrace) -> (Result<RunResult, Stri
 }
 
 /// Records one completed cell into the fleet metric families.
-fn record_cell(shard: &Shard, r: &CellResult) {
-    let scheme = r.scheme.to_string();
-    let cell = [("bench", r.kernel), ("scheme", scheme.as_str())];
-    shard.counter("grp_fleet_cells_total", &cell).inc();
-    shard.counter("grp_replay_events_total", &[]).add(r.events);
+fn record_cell(reg: &Registry, r: &CellResult) {
+    let cell = [("bench", r.kernel), ("scheme", r.scheme.label())];
+    reg.counter("grp_fleet_cells_total", &cell).inc();
+    reg.counter("grp_replay_events_total", &[]).add(r.events);
     match &r.outcome {
-        Ok(res) => shard.counter("grp_sim_cycles_total", &[]).add(res.cycles),
-        Err(_) => shard.counter("grp_fleet_cell_errors_total", &cell).inc(),
+        Ok(res) => reg.counter("grp_sim_cycles_total", &[]).add(res.cycles),
+        Err(_) => reg.counter("grp_fleet_cell_errors_total", &cell).inc(),
     }
-    shard
-        .counter(
-            "grp_fleet_busy_micros_total",
-            &[("worker", &r.worker.to_string())],
-        )
-        .add((r.busy_seconds * 1e6) as u64);
-    shard
-        .hist("grp_fleet_queue_wait_micros", &[])
+    reg.counter(
+        "grp_fleet_busy_micros_total",
+        &[("worker", &r.worker.to_string())],
+    )
+    .add((r.busy_seconds * 1e6) as u64);
+    reg.hist("grp_fleet_queue_wait_micros", &[])
         .record(r.queue_micros);
     if r.stolen {
-        shard.counter("grp_fleet_steals_total", &[]).inc();
+        reg.counter("grp_fleet_steals_total", &[]).inc();
     }
     for (source, n) in [
         ("interpret", r.traces_interpreted),
         ("cache", r.traces_loaded),
     ] {
         if n > 0 {
-            shard
-                .counter("grp_fleet_traces_total", &[("source", source)])
+            reg.counter("grp_fleet_traces_total", &[("source", source)])
                 .add(n);
         }
     }
@@ -860,6 +892,8 @@ struct Interpreted {
 struct GroupTrace {
     interpreted: Option<Interpreted>,
     sources: Vec<(Option<AnalysisConfig>, Source)>,
+    /// What obtaining the traces cost, stage by stage.
+    stages: SetupStages,
 }
 
 impl GroupTrace {
@@ -879,28 +913,20 @@ impl GroupTrace {
 
     /// Replays `scheme` on `cfg` through the one [`Replay`] loop from
     /// its configuration's source. Returns the result, the events the
-    /// replay walked, and the replay seconds. `kernel` only labels the
-    /// profiler span.
+    /// replay walked, and the replay seconds.
     ///
     /// # Panics
     ///
     /// Panics if the group does not cover `scheme`'s configuration.
-    fn replay(&self, kernel: &str, scheme: Scheme, cfg: &SimConfig) -> (RunResult, u64, f64) {
+    fn replay(&self, scheme: Scheme, cfg: &SimConfig) -> (RunResult, u64, f64) {
         let cc = scheme.compiler_config();
         let source = self
             .sources
             .iter()
             .find(|(c, _)| *c == cc)
             .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("{kernel}: no trace for {scheme}'s compiler configuration"));
-        let prof = crate::telemetry::profiler();
-        let slabel = if prof.enabled() {
-            scheme.to_string()
-        } else {
-            String::new()
-        };
+            .unwrap_or_else(|| panic!("no trace for {scheme}'s compiler configuration"));
         let t = Instant::now();
-        let _s = prof.span_cell("replay", kernel, &slabel);
         let interpreted = || {
             let it = self
                 .interpreted
@@ -956,15 +982,22 @@ impl<S: EventSource> EventSource for Counted<S> {
     }
 }
 
+/// Runs `f`, adding its wall seconds to `*secs`.
+fn timed<T>(secs: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *secs += t.elapsed().as_secs_f64();
+    out
+}
+
 /// Obtains one kernel's traces for the compiler configurations of
-/// `schemes` (distinct configurations; each scheme labels its
-/// configuration's profiler spans) under `mode`. With a trace cache,
-/// each configuration is loaded first; the workload is taken from (or
-/// built into) `cache` only when some configuration misses, and the
-/// kernel is then interpreted **once**: the hint-free configuration
-/// replays the base trace, every GRP configuration a [`HintView`] over
-/// it. A missing configuration is packed (from its view) only to store
-/// it.
+/// `schemes` (distinct configurations) under `mode`, timing each setup
+/// stage into the group's [`SetupStages`]. With a trace cache, each
+/// configuration is loaded first; the workload is taken from (or built
+/// into) `cache` only when some configuration misses, and the kernel is
+/// then interpreted **once**: the hint-free configuration replays the
+/// base trace, every GRP configuration a [`HintView`] over it. A missing
+/// configuration is packed (from its view) only to store it.
 ///
 /// # Errors
 ///
@@ -977,39 +1010,23 @@ fn obtain_group(
     mode: &ReplayMode,
     cache: &WorkloadCache,
 ) -> Result<GroupTrace, String> {
-    // Phase spans attribute this group's cost in `perf --profile`
-    // reports; when the global profiler is off (the default) each
-    // span is one atomic load and no clock read.
-    let prof = crate::telemetry::profiler();
-    let label = |scheme: Scheme| {
-        if prof.enabled() {
-            scheme.to_string()
-        } else {
-            String::new()
-        }
-    };
+    let mut stages = SetupStages::default();
     // Cache fast path: packed trace + post-interpretation memory +
     // heap straight from disk. A stale/corrupt entry reads as a miss.
     let mut hits: Vec<Option<Source>> = schemes
         .iter()
         .map(|&scheme| {
             let tc = mode.trace_cache.as_ref()?;
-            let _s = prof.span_cell("cache_load", kernel, &label(scheme));
+            let t = Instant::now();
             let (pt, mem, heap) = tc.load(kernel, scale, scheme.compiler_config().as_ref())?;
+            stages.cache_load += t.elapsed().as_secs_f64();
             Some(Source::Loaded(pt, mem, heap))
         })
         .collect();
     let mut interpreted = None;
     if hits.iter().any(Option::is_none) {
-        let lead = label(schemes[0]);
-        let built = {
-            let _s = prof.span_cell("build", kernel, &lead);
-            cache.get_or_build(kernel, scale)?
-        };
-        let (base, mem) = {
-            let _s = prof.span_cell("interpret", kernel, &lead);
-            built.interpret()
-        };
+        let built = timed(&mut stages.build, || cache.get_or_build(kernel, scale))?;
+        let (base, mem) = timed(&mut stages.interpret, || built.interpret());
         for (&scheme, hit) in schemes.iter().zip(&mut hits) {
             if hit.is_some() {
                 continue;
@@ -1027,18 +1044,17 @@ fn obtain_group(
                 _ => None,
             };
             if let Some(tc) = &mode.trace_cache {
-                let pt = {
-                    let _s = prof.span_cell("pack", kernel, &label(scheme));
-                    match &view {
-                        Some(view) => PackedTrace::pack_events(view.events(), view.memory_refs()),
-                        None => PackedTrace::pack(base.trace()),
-                    }
-                    .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?
-                };
+                let pt = timed(&mut stages.pack, || match &view {
+                    Some(view) => PackedTrace::pack_events(view.events(), view.memory_refs()),
+                    None => PackedTrace::pack(base.trace()),
+                })
+                .map_err(|e| format!("{kernel}/{scheme}: trace does not pack: {e}"))?;
                 // Best-effort: a full disk must degrade to "no cache",
                 // not fail the cell.
-                let _s = prof.span_cell("cache_store", kernel, &label(scheme));
-                if let Err(e) = tc.store(kernel, scale, cc.as_ref(), &pt, &mem, built.heap) {
+                let stored = timed(&mut stages.cache_store, || {
+                    tc.store(kernel, scale, cc.as_ref(), &pt, &mem, built.heap)
+                });
+                if let Err(e) = stored {
                     crate::telemetry::log::log_kv(
                         crate::telemetry::log::Level::Warn,
                         "sched",
@@ -1064,6 +1080,7 @@ fn obtain_group(
     Ok(GroupTrace {
         interpreted,
         sources,
+        stages,
     })
 }
 
@@ -1533,6 +1550,63 @@ mod tests {
         assert_eq!(counts(&merged), counts(&want));
         assert_eq!((merged.cells, merged.workers), (18, 2));
         assert_eq!(a.steals, 0, "a 1-worker batch has no one to steal from");
+    }
+
+    /// One 1-worker batch of two kernels over trace cache `tc`.
+    fn staged_batch(tc: &Arc<TraceCache>) -> Vec<CellResult> {
+        let schemes = [Scheme::NoPrefetch, Scheme::Srp, Scheme::GrpVar];
+        let jobs = grid_jobs(&["twolf", "mcf"], &schemes, Scale::Test, SimConfig::paper());
+        let mode = ReplayMode {
+            trace_cache: Some(tc.clone()),
+            ..ReplayMode::default()
+        }
+        .with_telemetry(Arc::new(Registry::new()));
+        let mut seen = Vec::new();
+        run_cells_mode(&jobs, 1, &WorkloadCache::new(), &mode, |r| seen.push(r));
+        seen
+    }
+
+    #[test]
+    fn group_leaders_record_their_setup_stages() {
+        let dir = std::env::temp_dir().join(format!("grp-sched-stages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tc = Arc::new(TraceCache::new(&dir));
+        // The kernels of the cells that spent time in one stage.
+        let spent = |cells: &[CellResult], stage: fn(&SetupStages) -> f64| {
+            let mut kernels: Vec<&str> = cells
+                .iter()
+                .filter(|c| stage(&c.stages) > 0.0)
+                .map(|c| c.kernel)
+                .collect();
+            kernels.sort_unstable();
+            kernels
+        };
+        // Cold: each kernel's leader builds, interprets, packs and
+        // stores; the cache serves nothing.
+        let cold = staged_batch(&tc);
+        let cold_stages: [fn(&SetupStages) -> f64; 4] =
+            [|s| s.build, |s| s.interpret, |s| s.pack, |s| s.cache_store];
+        for stage in cold_stages {
+            assert_eq!(spent(&cold, stage), ["mcf", "twolf"]);
+        }
+        assert!(spent(&cold, |s| s.cache_load).is_empty());
+        // Warm: every trace is loaded, so no cell builds or interprets.
+        let warm = staged_batch(&tc);
+        assert!(spent(&warm, |s| s.interpret).is_empty());
+        assert!(spent(&warm, |s| s.build).is_empty());
+        assert_eq!(spent(&warm, |s| s.cache_load), ["mcf", "twolf"]);
+        // The stages sit inside the setup, which sits inside the cell.
+        for c in cold.iter().chain(&warm) {
+            let staged: f64 = c.stages.named().iter().map(|(_, s)| s).sum();
+            assert!(staged <= c.setup_seconds, "{}/{}", c.kernel, c.scheme);
+            assert!(
+                c.setup_seconds <= c.busy_seconds,
+                "{}/{}",
+                c.kernel,
+                c.scheme
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -116,8 +116,9 @@ pub struct Server {
     batches: u64,
     /// Fleet accounting over every batch this server ran.
     totals: Option<FleetStats>,
-    /// The `--perf-out` account: the successful cells' fleet accounting
-    /// and `kernels` rows, kept only after [`Server::keep_perf_rows`].
+    /// The `--perf-out` account: the fleet accounting and `kernels` rows
+    /// of the successful cells at the server's `--scale`, kept only
+    /// after [`Server::keep_perf_rows`].
     perf: Option<(FleetStats, Vec<Json>)>,
     mismatches: u64,
 }
@@ -173,16 +174,18 @@ impl Server {
         self.totals.as_ref()
     }
 
-    /// Keeps one `kernels` row per successful cell from now on, for
-    /// [`Server::perf_entry`]; a server that is never asked keeps none.
+    /// Keeps one `kernels` row per successful cell at the server's
+    /// scale from now on, for [`Server::perf_entry`]; a server that is
+    /// never asked keeps none.
     pub fn keep_perf_rows(&mut self) {
         self.perf.get_or_insert_with(Default::default);
     }
 
     /// The fleet trajectory entry over the successful cells since
     /// [`Server::keep_perf_rows`], or `None` when none succeeded. Failed
-    /// cells have no throughput, so they are in neither the rows nor the
-    /// entry's counts, and the entry passes
+    /// cells have no throughput, and cells at a scale a request named
+    /// are not at the scale the entry states, so neither is in the rows
+    /// or the entry's counts, and the entry passes
     /// [`traj::check_trajectory`].
     pub fn perf_entry(&self, label: &str) -> Option<Json> {
         let (stats, rows) = self.perf.as_ref().filter(|(stats, _)| stats.cells > 0)?;
@@ -209,10 +212,7 @@ impl Server {
     /// session — the server object (and any other connection) lives on.
     pub fn session<R: BufRead, W: Write>(&mut self, reader: R, out: &mut W) -> SessionEnd {
         let session_id = log::next_id();
-        self.registry
-            .shard()
-            .counter("grp_serve_sessions_total", &[])
-            .inc();
+        self.registry.counter("grp_serve_sessions_total", &[]).inc();
         log::log_kv(
             Level::Info,
             "serve",
@@ -247,20 +247,14 @@ impl Server {
                 }
                 continue;
             }
-            self.registry
-                .shard()
-                .counter("grp_serve_requests_total", &[])
-                .inc();
+            self.registry.counter("grp_serve_requests_total", &[]).inc();
             match parse_request(&line, lineno, self.default_scale) {
                 Ok(Request::Job(mut job)) => {
                     let pending = batch.iter().filter(|r| r.is_ok()).count();
                     if pending >= self.max_inflight {
                         // Bounded admission: shed with a named reply
                         // instead of queueing unboundedly.
-                        self.registry
-                            .shard()
-                            .counter("grp_serve_shed_total", &[])
-                            .inc();
+                        self.registry.counter("grp_serve_shed_total", &[]).inc();
                         batch.push(Err((
                             job.id,
                             format!(
@@ -279,14 +273,12 @@ impl Server {
                 }
                 Ok(Request::Stats { id }) => {
                     self.registry
-                        .shard()
                         .counter("grp_serve_stats_requests_total", &[])
                         .inc();
                     // Count the reply before snapshotting so the probe
                     // sees itself — every reply on the wire is counted
                     // in the snapshot it carries.
                     self.registry
-                        .shard()
                         .counter("grp_serve_replies_total", &[("ok", "true")])
                         .inc();
                     let reply = self.stats_reply(id);
@@ -298,7 +290,6 @@ impl Server {
                 }
                 Ok(Request::Drain { id }) => {
                     self.registry
-                        .shard()
                         .counter("grp_serve_drain_requests_total", &[])
                         .inc();
                     // Finish everything already admitted before
@@ -326,7 +317,6 @@ impl Server {
                 }
                 Err((id, e)) => {
                     self.registry
-                        .shard()
                         .counter("grp_serve_request_errors_total", &[])
                         .inc();
                     batch.push(Err((id, e)));
@@ -372,7 +362,6 @@ impl Server {
     fn write_reply<W: Write>(&self, out: &mut W, ok: bool, reply: Json) -> std::io::Result<()> {
         writeln!(out, "{}", reply.render()).and_then(|()| out.flush())?;
         self.registry
-            .shard()
             .counter(
                 "grp_serve_replies_total",
                 &[("ok", if ok { "true" } else { "false" })],
@@ -385,7 +374,6 @@ impl Server {
     /// `what` the session does about it.
     fn note_client_gone(&self, e: &std::io::Error, what: &str) {
         self.registry
-            .shard()
             .counter("grp_serve_client_disconnects_total", &[])
             .inc();
         log::log_kv(
@@ -435,16 +423,13 @@ impl Server {
             return true;
         }
         self.batches += 1;
-        self.registry
-            .shard()
-            .counter("grp_serve_batches_total", &[])
-            .inc();
+        self.registry.counter("grp_serve_batches_total", &[]).inc();
         let mut completed: Vec<CellResult> = Vec::new();
         let ctl = BatchCtl::new();
         let gone = std::cell::Cell::new(false);
-        // run_cells_ctl records the fleet families into this registry's
-        // shard (mode.telemetry is this server's registry), the same
-        // shard the serve-protocol counters go through.
+        // run_cells_ctl records the fleet families into this server's
+        // registry (mode.telemetry), the one the serve-protocol counters
+        // go through.
         let stats = sched::run_cells_ctl(
             &jobs,
             self.workers,
@@ -482,11 +467,9 @@ impl Server {
             },
         );
         self.registry
-            .shard()
             .hist("grp_serve_batch_wall_micros", &[])
             .record((stats.wall_seconds * 1e6) as u64);
         self.registry
-            .shard()
             .gauge("grp_serve_cached_workloads", &[])
             .set(self.cache.built_count() as f64);
         log::log_kv(
@@ -503,9 +486,10 @@ impl Server {
             ],
         );
         if let Some((perf, rows)) = &mut self.perf {
+            let scale = self.default_scale.workload_scale();
             let mut ok = FleetStats::new(stats.workers);
             ok.wall_seconds = stats.wall_seconds;
-            for cell in &completed {
+            for cell in completed.iter().filter(|c| c.scale == scale) {
                 if let Some(row) = traj::cell_row(cell, true) {
                     ok.add(cell);
                     rows.push(row);
@@ -549,7 +533,6 @@ impl Server {
                 );
                 self.mismatches += 1;
                 self.registry
-                    .shard()
                     .counter("grp_serve_selfcheck_mismatches_total", &[])
                     .inc();
             }
@@ -589,12 +572,11 @@ pub fn seed_counters_from_json(registry: &Registry, path: &str) -> Result<usize,
     let entries = counters
         .entries()
         .ok_or_else(|| "'counters' is not an object".to_string())?;
-    let shard = registry.shard();
     let mut n = 0usize;
     for (id, value) in entries {
         let Some(v) = value.as_u64() else { continue };
         if v > 0 {
-            shard.counter_id(id).add(v);
+            registry.counter_id(id).add(v);
             n += 1;
         }
     }
@@ -877,20 +859,28 @@ mod tests {
         test_server_opts(workers, None, None)
     }
 
-    fn test_server_opts(
-        workers: usize,
-        request_deadline: Option<Duration>,
-        max_inflight: Option<usize>,
-    ) -> Server {
-        Server::new(ServerOpts {
+    fn test_opts(workers: usize) -> ServerOpts {
+        ServerOpts {
             workers,
             default_scale: SuiteScale::Test,
             cfg: SimConfig::paper(),
             mode: ReplayMode::default(),
             selfcheck: false,
             registry: Arc::new(Registry::new()),
+            request_deadline: None,
+            max_inflight: None,
+        }
+    }
+
+    fn test_server_opts(
+        workers: usize,
+        request_deadline: Option<Duration>,
+        max_inflight: Option<usize>,
+    ) -> Server {
+        Server::new(ServerOpts {
             request_deadline,
             max_inflight,
+            ..test_opts(workers)
         })
     }
 
@@ -1274,6 +1264,40 @@ mod tests {
         );
         assert!(server.perf.is_none());
         assert!(server.perf_entry("unasked").is_none());
+    }
+
+    #[test]
+    fn perf_entry_counts_only_cells_at_the_server_scale() {
+        // A small-scale server whose session also runs two test-scale
+        // jobs: the entry states "small", so it keeps only ammp's row.
+        let mut server = Server::new(ServerOpts {
+            default_scale: SuiteScale::Small,
+            ..test_opts(2)
+        });
+        server.keep_perf_rows();
+        let input = concat!(
+            r#"{"kernel":"twolf","scheme":"none","scale":"test"}"#,
+            "\n",
+            r#"{"kernel":"ammp","scheme":"none"}"#,
+            "\n",
+            r#"{"kernel":"mcf","scheme":"SRP","scale":"test"}"#,
+            "\n\n",
+        );
+        let replies = run_session(&mut server, input);
+        assert!(replies.iter().all(|r| reply_ok(r) == Some(true)));
+        assert_eq!(server.totals().map(|t| t.cells), Some(3));
+        let entry = appended_entry_checks(&server, "perf-scales");
+        assert_eq!(entry.get("scale").and_then(|v| v.as_str()), Some("small"));
+        assert_eq!(entry.get("cells").and_then(|v| v.as_u64()), Some(1));
+        let rows = entry
+            .get("kernels")
+            .and_then(|k| k.as_array())
+            .expect("rows");
+        let benches: Vec<_> = rows
+            .iter()
+            .filter_map(|r| r.get("bench")?.as_str())
+            .collect();
+        assert_eq!(benches, ["ammp"]);
     }
 
     #[test]

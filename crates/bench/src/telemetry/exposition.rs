@@ -360,8 +360,7 @@ mod tests {
     use crate::telemetry::registry::Registry;
 
     fn sample_snapshot() -> Snapshot {
-        let reg = Registry::new();
-        let s = reg.shard();
+        let s = Registry::new();
         s.counter("grp_jobs_total", &[("bench", "gzip"), ("scheme", "SRP")])
             .add(3);
         s.counter("grp_jobs_total", &[("bench", "mcf"), ("scheme", "none")])
@@ -372,7 +371,7 @@ mod tests {
         for v in [0, 3, 3, 900] {
             h.record(v);
         }
-        reg.snapshot()
+        s.snapshot()
     }
 
     #[test]
@@ -404,9 +403,8 @@ mod tests {
     #[test]
     fn labelled_histograms_validate_too() {
         let reg = Registry::new();
-        let s = reg.shard();
-        s.hist("h_micros", &[("w", "0")]).record(5);
-        s.hist("h_micros", &[("w", "1")]).record(9);
+        reg.hist("h_micros", &[("w", "0")]).record(5);
+        reg.hist("h_micros", &[("w", "1")]).record(9);
         let text = render_text(&reg.snapshot());
         assert!(
             text.contains("h_micros_bucket{w=\"0\",le=\"7\"} 1"),

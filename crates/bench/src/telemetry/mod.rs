@@ -1,32 +1,27 @@
-//! Harness-wide telemetry: metrics registry, phase profiler, and the
-//! structured logger.
+//! Harness-wide telemetry: metrics registry and the structured logger.
 //!
-//! Three cooperating pieces (each documented in its own module):
+//! Two cooperating pieces (each documented in its own module):
 //!
-//! * [`registry`] — named counters / gauges / histograms recorded into
-//!   lock-free [`registry::Shard`]s and merged exactly at scrape time
-//!   into a [`registry::Snapshot`].
-//! * [`profiler`] — phase-scoped hierarchical wall-clock spans
-//!   (`build → interpret → pack → replay → export`), RAII guards,
-//!   deterministic report ordering; off by default and perf-neutral
-//!   when off.
+//! * [`registry`] — named counters / gauges / histograms recorded
+//!   through lock-free handles and copied at scrape time into a
+//!   [`registry::Snapshot`].
 //! * [`log`] — leveled NDJSON diagnostics on stderr with process-wide
 //!   ids for request/span correlation.
 //!
 //! Rendering a snapshot as Prometheus-style text or JSON lives in
 //! [`exposition`], together with the re-parsing validator that
-//! `check --metrics` uses.
+//! `check --metrics` uses. Where a cell's wall time went is not
+//! telemetry: it rides the cell's own record
+//! ([`crate::sched::CellResult::stages`]).
 //!
-//! Production code records through the process-global accessors below
-//! ([`registry()`], [`process_shard()`], [`profiler()`]); tests build
-//! fresh [`registry::Registry`] / [`profiler::Profiler`] instances so
-//! assertions never see another test's counts. Timestamps appear only
-//! in log lines and in the explicitly-marked `scraped_at_unix_micros`
-//! snapshot field — every other output is deterministic.
+//! Production code records through the process-global [`registry()`];
+//! tests build a fresh [`registry::Registry`] so assertions never see
+//! another test's counts. Timestamps appear only in log lines and in
+//! the explicitly-marked `scraped_at_unix_micros` snapshot field —
+//! every other output is deterministic.
 
 pub mod exposition;
 pub mod log;
-pub mod profiler;
 pub mod registry;
 
 use std::sync::{Arc, OnceLock};
@@ -34,8 +29,7 @@ use std::sync::{Arc, OnceLock};
 use grp_core::{FaultAction, Observer};
 use grp_mem::BlockAddr;
 
-pub use profiler::Profiler;
-pub use registry::{Counter, Gauge, Hist, Registry, Shard, Snapshot};
+pub use registry::{Counter, Gauge, Hist, Registry, Snapshot};
 
 /// The process-global metrics registry (bins and global subsystems
 /// like the trace cache; tests use [`Registry::new`] instead).
@@ -44,21 +38,8 @@ pub fn registry() -> &'static Arc<Registry> {
     REGISTRY.get_or_init(|| Arc::new(Registry::new()))
 }
 
-/// The global registry's shard ([`Registry::shard`]), for global
-/// subsystems like the trace cache.
-pub fn process_shard() -> &'static Arc<Shard> {
-    registry().shard()
-}
-
-/// The process-global phase profiler (disabled until
-/// `perf --profile` or a test enables it).
-pub fn profiler() -> &'static Profiler {
-    static PROFILER: OnceLock<Profiler> = OnceLock::new();
-    PROFILER.get_or_init(Profiler::new)
-}
-
 /// An [`Observer`] that counts fault-injection events into a metrics
-/// shard: applied fault actions by kind (`grp_fault_events_total`)
+/// registry: applied fault actions by kind (`grp_fault_events_total`)
 /// plus the two fill-perturbation legs
 /// (`grp_fault_fills_dropped_total`, `grp_fault_fills_delayed_total`).
 /// Pair it with a functional observer via [`grp_core::ObserverPair`]
@@ -73,15 +54,15 @@ pub struct TelemetryObserver {
 }
 
 impl TelemetryObserver {
-    /// Counts into `shard` under the `grp_fault_*` families.
-    pub fn new(shard: &Shard) -> Self {
-        let action = |kind: &str| shard.counter("grp_fault_events_total", &[("action", kind)]);
+    /// Counts into `reg` under the `grp_fault_*` families.
+    pub fn new(reg: &Registry) -> Self {
+        let action = |kind: &str| reg.counter("grp_fault_events_total", &[("action", kind)]);
         TelemetryObserver {
             stall: action("stall_channel"),
             mshr: action("mshr_squeeze"),
             queue: action("queue_pressure"),
-            dropped: shard.counter("grp_fault_fills_dropped_total", &[]),
-            delayed: shard.counter("grp_fault_fills_delayed_total", &[]),
+            dropped: reg.counter("grp_fault_fills_dropped_total", &[]),
+            delayed: reg.counter("grp_fault_fills_delayed_total", &[]),
         }
     }
 }
@@ -110,20 +91,13 @@ mod tests {
 
     #[test]
     fn globals_are_stable_and_shared() {
-        let a = registry() as *const _;
-        let b = registry() as *const _;
-        assert_eq!(a, b);
-        let s1 = process_shard();
-        let s2 = process_shard();
-        assert!(Arc::ptr_eq(s1, s2));
-        assert!(!profiler().enabled());
+        assert!(Arc::ptr_eq(registry(), registry()));
     }
 
     #[test]
     fn telemetry_observer_counts_fault_events() {
         let reg = Registry::new();
-        let shard = reg.shard();
-        let mut obs = TelemetryObserver::new(&shard);
+        let mut obs = TelemetryObserver::new(&reg);
         obs.fault_injected(
             &FaultAction::StallChannel {
                 channel: 0,

@@ -1,14 +1,14 @@
 //! Process-wide metrics registry: named counters, gauges, and
-//! histograms in one lock-free [`Shard`], read at scrape time.
+//! histograms behind lock-free handles, read at scrape time.
 //!
 //! The update path is wait-free after handle creation: a [`Counter`] /
 //! [`Gauge`] / [`Hist`] handle wraps an `Arc` of atomics, and every
 //! `add`/`set`/`record` is a relaxed atomic op. Handle *creation* takes
-//! the shard's map lock once; hot loops hold handles. A registry owns
-//! exactly one shard, reused by every batch and session that records
-//! into it, so its size depends on the metric ids, not on the traffic.
+//! the registry's map lock once; hot loops hold handles. Every batch
+//! and session that records into a registry reuses its cells, so its
+//! size depends on the metric ids, not on the traffic.
 //!
-//! Scraping ([`Registry::snapshot`]) copies the shard: counters and
+//! Scraping ([`Registry::snapshot`]) copies the cells: counters and
 //! gauges by value (a gauge keeps its last write), histograms through
 //! [`LatencyHist::absorb_parts`] — the same bucket
 //! contract as the simulator's observer-layer histograms, so fleet
@@ -123,28 +123,29 @@ impl Hist {
     }
 }
 
-/// The registry's metric cells. Updates through handles are wait-free;
-/// the shard's maps are only locked to create or enumerate handles.
+/// The registry: named metric cells, copied into a [`Snapshot`] at
+/// scrape time. Updates through handles are wait-free; the maps are
+/// only locked to create or enumerate handles.
+///
+/// Cheap to create (tests use a fresh one per case); long-lived code
+/// shares one through [`crate::telemetry::registry`].
 #[derive(Debug, Default)]
-pub struct Shard {
+pub struct Registry {
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<HashMap<String, Arc<AtomicU64>>>,
     hists: Mutex<HashMap<String, Arc<AtomicHist>>>,
 }
 
-impl Shard {
-    /// The counter handle for `name` + `labels` in this shard,
-    /// creating the cell on first use.
+impl Registry {
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The counter handle for `name` + `labels`, creating the cell on
+    /// first use.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let id = metric_id(name, labels);
-        Counter(
-            self.counters
-                .lock()
-                .expect("counter map")
-                .entry(id)
-                .or_default()
-                .clone(),
-        )
+        self.counter_id(&metric_id(name, labels))
     }
 
     /// The counter handle for an already-canonical id (as produced by
@@ -162,7 +163,7 @@ impl Shard {
         )
     }
 
-    /// The gauge handle for `name` + `labels` in this shard.
+    /// The gauge handle for `name` + `labels`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let id = metric_id(name, labels);
         Gauge(
@@ -175,7 +176,7 @@ impl Shard {
         )
     }
 
-    /// The histogram handle for `name` + `labels` in this shard.
+    /// The histogram handle for `name` + `labels`.
     pub fn hist(&self, name: &str, labels: &[(&str, &str)]) -> Hist {
         let id = metric_id(name, labels);
         Hist(
@@ -187,48 +188,23 @@ impl Shard {
                 .clone(),
         )
     }
-}
 
-/// The registry: one [`Shard`], copied into a [`Snapshot`] at scrape
-/// time.
-///
-/// Cheap to create (tests use a fresh one per case); long-lived code
-/// shares one through [`crate::telemetry::registry`].
-#[derive(Debug, Default)]
-pub struct Registry {
-    shard: Arc<Shard>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The registry's shard: every recorder (the cell-batch collector,
-    /// serve's protocol counters, the trace cache) records here, and
-    /// every call returns the same shard.
-    pub fn shard(&self) -> &Arc<Shard> {
-        &self.shard
-    }
-
-    /// Copies the shard into one deterministic [`Snapshot`]. Safe to
+    /// Copies every cell into one deterministic [`Snapshot`]. Safe to
     /// call while recorders are updating: counters and histogram buckets
     /// are monotone, and a histogram's count is derived from its
     /// buckets, so a concurrent scrape sees a consistent (if slightly
     /// stale) view — never a torn one.
     pub fn snapshot(&self) -> Snapshot {
-        let shard = &self.shard;
         let mut snap = Snapshot::default();
-        for (id, cell) in shard.counters.lock().expect("counter map").iter() {
+        for (id, cell) in self.counters.lock().expect("counter map").iter() {
             snap.counters
                 .insert(id.clone(), cell.load(Ordering::Relaxed));
         }
-        for (id, cell) in shard.gauges.lock().expect("gauge map").iter() {
+        for (id, cell) in self.gauges.lock().expect("gauge map").iter() {
             snap.gauges
                 .insert(id.clone(), f64::from_bits(cell.load(Ordering::Relaxed)));
         }
-        for (id, cell) in shard.hists.lock().expect("hist map").iter() {
+        for (id, cell) in self.hists.lock().expect("hist map").iter() {
             cell.merge_into(snap.hists.entry(id.clone()).or_default());
         }
         snap
@@ -286,14 +262,11 @@ mod tests {
     }
 
     #[test]
-    fn every_recorder_shares_the_one_shard() {
+    fn every_recorder_shares_the_registry_cells() {
         let reg = Registry::new();
-        let a = reg.shard();
-        let b = reg.shard();
-        assert!(Arc::ptr_eq(a, b), "one shard per registry");
-        a.counter("jobs_total", &[("k", "gzip")]).add(3);
-        b.counter("jobs_total", &[("k", "gzip")]).add(4);
-        b.counter("jobs_total", &[("k", "mcf")]).inc();
+        reg.counter("jobs_total", &[("k", "gzip")]).add(3);
+        reg.counter("jobs_total", &[("k", "gzip")]).add(4);
+        reg.counter("jobs_total", &[("k", "mcf")]).inc();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("jobs_total{k=\"gzip\"}"), 7);
         assert_eq!(snap.counter("jobs_total{k=\"mcf\"}"), 1);
@@ -304,16 +277,16 @@ mod tests {
     #[test]
     fn gauges_keep_the_last_write() {
         let reg = Registry::new();
-        reg.shard().gauge("workers", &[]).set(2.0);
-        reg.shard().gauge("workers", &[]).set(8.0);
+        reg.gauge("workers", &[]).set(2.0);
+        reg.gauge("workers", &[]).set(8.0);
         assert_eq!(reg.snapshot().gauges["workers"], 8.0);
     }
 
     #[test]
     fn hists_snapshot_through_absorb_parts() {
         let reg = Registry::new();
-        let ha = reg.shard().hist("wait_micros", &[]);
-        let hb = reg.shard().hist("wait_micros", &[]);
+        let ha = reg.hist("wait_micros", &[]);
+        let hb = reg.hist("wait_micros", &[]);
         for v in [0, 5, 100] {
             ha.record(v);
         }
@@ -334,9 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn handles_are_shared_within_a_shard() {
-        let reg = Registry::new();
-        let s = reg.shard();
+    fn handles_are_shared_within_a_registry() {
+        let s = Registry::new();
         let c1 = s.counter("n_total", &[]);
         let c2 = s.counter("n_total", &[]);
         c1.inc();

@@ -171,19 +171,18 @@ impl TraceCache {
         scale: Scale,
         cc: Option<&AnalysisConfig>,
     ) -> Option<(PackedTrace, Memory, HeapRange)> {
-        let shard = crate::telemetry::process_shard();
+        let reg = crate::telemetry::registry();
         match self.probe(kernel, scale, cc) {
             Ok(entry) => {
-                shard.counter("grp_tracecache_hits_total", &[]).inc();
+                reg.counter("grp_tracecache_hits_total", &[]).inc();
                 Some(entry)
             }
             Err(e) => {
-                shard
-                    .counter(
-                        "grp_tracecache_misses_total",
-                        &[("reason", e.reason.label())],
-                    )
-                    .inc();
+                reg.counter(
+                    "grp_tracecache_misses_total",
+                    &[("reason", e.reason.label())],
+                )
+                .inc();
                 if e.reason != MissReason::Absent {
                     // An absent entry is the normal cold-cache path;
                     // anything else means a real entry was rejected.
@@ -291,7 +290,7 @@ impl TraceCache {
             dst.push(".quarantine");
             if std::fs::rename(&path, PathBuf::from(&dst)).is_ok() {
                 quarantined += 1;
-                crate::telemetry::process_shard()
+                crate::telemetry::registry()
                     .counter("grp_tracecache_quarantined_total", &[])
                     .inc();
                 crate::telemetry::log::log_kv(

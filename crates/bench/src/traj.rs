@@ -14,6 +14,7 @@
 //!   writers through a `<path>.lock` file (created with `create_new`,
 //!   retried with a deadline) around the read+rename critical section.
 
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
@@ -185,6 +186,107 @@ pub fn cell_row(cell: &CellResult, worker: bool) -> Option<Json> {
     } else {
         row
     })
+}
+
+/// The canonical harness phases, in `perf --profile` report order: a
+/// group leader's setup stages ([`crate::sched::SetupStages::named`]),
+/// each cell's replay, and the harness's own export.
+pub const PHASES: [&str; 7] = [
+    "build",
+    "interpret",
+    "pack",
+    "cache_load",
+    "cache_store",
+    "replay",
+    "export",
+];
+
+/// `perf --profile`'s phase breakdown: streamed [`CellResult`]s folded
+/// per phase and per cell ([`Profile::add`]), plus the harness's own
+/// export seconds. A cell counts one span in each phase it spent time
+/// in. Rows are ordered by canonical phase, then kernel and scheme, so
+/// the same profile always prints and serializes identically.
+#[derive(Debug, Default)]
+pub struct Profile {
+    /// `(phase rank, kernel, scheme)` → `(seconds, spans)`; the export
+    /// row has an empty kernel and scheme.
+    rows: BTreeMap<(usize, &'static str, &'static str), (f64, u64)>,
+}
+
+impl Profile {
+    /// Folds in one cell's setup stages and replay.
+    pub fn add(&mut self, cell: &CellResult) {
+        let replay = ("replay", cell.replay_seconds);
+        for (phase, secs) in cell.stages.named().into_iter().chain([replay]) {
+            self.record(phase, cell.kernel, cell.scheme.label(), secs);
+        }
+    }
+
+    /// Adds the harness's own export seconds.
+    pub fn add_export(&mut self, secs: f64) {
+        self.record("export", "", "", secs);
+    }
+
+    fn record(&mut self, phase: &str, kernel: &'static str, scheme: &'static str, secs: f64) {
+        if secs > 0.0 {
+            let rank = PHASES.iter().position(|p| *p == phase).expect("a phase");
+            let row = self.rows.entry((rank, kernel, scheme)).or_default();
+            row.0 += secs;
+            row.1 += 1;
+        }
+    }
+
+    /// Seconds attributed to any phase: the coverage numerator against
+    /// a measured wall clock.
+    pub fn covered_seconds(&self) -> f64 {
+        self.rows.values().map(|r| r.0).sum()
+    }
+
+    /// `(phase, seconds, spans)` per phase any cell spent time in,
+    /// summed over cells, in canonical order.
+    pub fn phase_totals(&self) -> Vec<(&'static str, f64, u64)> {
+        let mut totals: Vec<(&'static str, f64, u64)> = Vec::new();
+        for (&(rank, _, _), &(secs, spans)) in &self.rows {
+            match totals.last_mut() {
+                Some(t) if t.0 == PHASES[rank] => {
+                    t.1 += secs;
+                    t.2 += spans;
+                }
+                _ => totals.push((PHASES[rank], secs, spans)),
+            }
+        }
+        totals
+    }
+
+    /// The report as JSON: phase totals plus the per-cell attribution
+    /// rows, in canonical order.
+    pub fn to_json(&self, wall_seconds: f64) -> Json {
+        let covered = self.covered_seconds();
+        let phases = self.phase_totals().into_iter().map(|(phase, secs, spans)| {
+            Json::object()
+                .set("phase", phase)
+                .set("seconds", secs)
+                .set("spans", spans)
+        });
+        let cells = self
+            .rows
+            .iter()
+            .filter(|((_, kernel, _), _)| !kernel.is_empty())
+            .map(|(&(rank, kernel, scheme), &(secs, spans))| {
+                Json::object()
+                    .set("phase", PHASES[rank])
+                    .set("bench", kernel)
+                    .set("scheme", scheme)
+                    .set("seconds", secs)
+                    .set("spans", spans)
+            });
+        Json::object()
+            .set("wall_seconds", wall_seconds)
+            .set("covered_seconds", covered)
+            .set("coverage", covered / wall_seconds.max(1e-9))
+            .set("phases", Json::Array(phases.collect()))
+            .set("cells", Json::Array(cells.collect()))
+    }
 }
 
 /// Builds the fleet-scheduler entry shape: the common trajectory fields
@@ -445,7 +547,106 @@ fn check_fleet_entry(i: usize, e: &Json, kernel_rows: usize) -> Result<(), Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grp_core::LatencyHist;
+    use crate::sched::SetupStages;
+    use grp_core::{LatencyHist, Scheme};
+    use grp_workloads::Scale;
+
+    /// A cell whose record carries only `stages` and `replay` seconds.
+    fn staged(
+        kernel: &'static str,
+        scheme: Scheme,
+        stages: SetupStages,
+        replay: f64,
+    ) -> CellResult {
+        CellResult {
+            id: 0,
+            kernel,
+            scheme,
+            scale: Scale::Test,
+            outcome: Err(String::new()),
+            events: 0,
+            setup_seconds: 0.0,
+            stages,
+            replay_seconds: replay,
+            queue_micros: 0,
+            worker: 0,
+            busy_seconds: 0.0,
+            stolen: false,
+            traces_interpreted: 0,
+            traces_loaded: 0,
+        }
+    }
+
+    /// mcf's group leader, gzip's leader and another gzip cell, folded
+    /// out of order and after the export.
+    fn sample_profile() -> Profile {
+        let mut p = Profile::default();
+        p.add_export(0.5);
+        let mcf = SetupStages {
+            build: 1.0,
+            cache_store: 2.0,
+            ..SetupStages::default()
+        };
+        p.add(&staged("mcf", Scheme::Srp, mcf, 3.0));
+        p.add(&staged("gzip", Scheme::Srp, SetupStages::default(), 2.0));
+        let gzip = SetupStages {
+            build: 1.0,
+            interpret: 1.0,
+            ..SetupStages::default()
+        };
+        p.add(&staged("gzip", Scheme::NoPrefetch, gzip, 1.0));
+        p
+    }
+
+    #[test]
+    fn profile_orders_phases_canonically() {
+        let p = sample_profile();
+        assert_eq!(
+            p.phase_totals(),
+            [
+                ("build", 2.0, 2),
+                ("interpret", 1.0, 1),
+                ("cache_store", 2.0, 1),
+                ("replay", 6.0, 3),
+                ("export", 0.5, 1),
+            ]
+        );
+        assert_eq!(p.covered_seconds(), 11.5);
+    }
+
+    #[test]
+    fn profile_json_carries_coverage_and_cell_rows() {
+        let doc = sample_profile().to_json(23.0);
+        let num = |key: &str| doc.get(key).and_then(|v| v.as_f64());
+        assert_eq!(num("wall_seconds"), Some(23.0));
+        assert_eq!(num("covered_seconds"), Some(11.5));
+        assert_eq!(num("coverage"), Some(0.5));
+        let phases = doc
+            .get("phases")
+            .and_then(|c| c.as_array())
+            .expect("phases");
+        assert_eq!(phases.len(), 5);
+        // Cell rows: canonical phase, then kernel and scheme; the export
+        // belongs to no cell.
+        let cells = doc.get("cells").and_then(|c| c.as_array()).expect("cells");
+        let key = |row: &Json, k: &str| row.get(k).and_then(|v| v.as_str()).map(String::from);
+        let rows: Vec<_> = cells
+            .iter()
+            .map(|r| (key(r, "phase"), key(r, "bench"), key(r, "scheme")))
+            .collect();
+        let want = [
+            ("build", "gzip", "none"),
+            ("build", "mcf", "SRP"),
+            ("interpret", "gzip", "none"),
+            ("cache_store", "mcf", "SRP"),
+            ("replay", "gzip", "SRP"),
+            ("replay", "gzip", "none"),
+            ("replay", "mcf", "SRP"),
+        ]
+        .map(|(p, b, s)| (Some(p.into()), Some(b.into()), Some(s.into())));
+        assert_eq!(rows, want);
+        assert_eq!(cells[0].get("spans").and_then(|v| v.as_u64()), Some(1));
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("grp-traj-{}-{name}", std::process::id()));

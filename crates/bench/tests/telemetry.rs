@@ -53,7 +53,7 @@ fn run_grid(workers: usize) -> Snapshot {
 /// deterministic family — per-label-set, not just in total. The
 /// queue-wait histogram must also account for every cell in both runs.
 #[test]
-fn sharded_merge_equals_serial_counter_for_counter() {
+fn fleet_run_equals_serial_counter_for_counter() {
     let serial = run_grid(1);
     let fleet = run_grid(3);
 
@@ -87,12 +87,11 @@ fn sharded_merge_equals_serial_counter_for_counter() {
 fn scrape_during_update_is_monotone_and_untorn() {
     const N: u64 = 200_000;
     let reg = Arc::new(Registry::new());
-    let shard = reg.shard();
     let writer = {
-        let shard = Arc::clone(&shard);
+        let reg = Arc::clone(&reg);
         std::thread::spawn(move || {
-            let c = shard.counter("race_total", &[]);
-            let h = shard.hist("race_micros", &[]);
+            let c = reg.counter("race_total", &[]);
+            let h = reg.hist("race_micros", &[]);
             for i in 0..N {
                 c.inc();
                 h.record(i % 1024);

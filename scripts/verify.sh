@@ -298,6 +298,19 @@ grep -q '"profile":{' "$PROFILE_TMP" || {
     echo "ERROR: perf --profile entry does not embed its phase breakdown" >&2
     exit 1
 }
+# Fleet mode folds the same per-cell stage record. perfbench/run.py's
+# perf_split parses its interpret and replay lines with the regex
+# ^\s+(\w+)\s+([0-9.]+)s\s inside the breakdown block, so both must
+# print in exactly that shape.
+FLEET_PROFILE=$(cargo run --release -q --offline -p grp-bench --bin perf -- \
+    --scale test --fleet --profile --jobs 2 --no-write)
+for phase in interpret replay; do
+    printf '%s\n' "$FLEET_PROFILE" | sed -n '/^profile: phase breakdown/,$p' |
+        grep -E "^[[:space:]]+$phase[[:space:]]+[0-9.]+s[[:space:]]" > /dev/null || {
+        echo "ERROR: fleet perf --profile printed no '$phase' phase line" >&2
+        exit 1
+    }
+done
 
 echo "== trace smoke: lifecycle artifacts round-trip (offline) =="
 # The trace bin self-checks conservation + bit-exact metrics before
